@@ -26,8 +26,9 @@ from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal
 from .kernel.linalg import det
-from .kernel.poly import RingContext
+from .kernel.poly import RingContext, _monomials_of_degree
 from .kernel.rng import seeded_rng
+from .segre import pencil_det_distinct_roots, quadric_pencil
 
 
 def catalog_keys():
@@ -75,16 +76,6 @@ def normalize_key(key: str) -> str:
     if k.startswith("rnc") and k[3:].isdigit():
         return "rnc" + k[3:]
     raise KeyError(f"unknown catalog key {key!r}")
-
-
-def _monomials_of_degree(n, d):
-    if n == 1:
-        return [(d,)]
-    out = []
-    for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            out.append((e,) + rest)
-    return out
 
 
 def _random_form(ring: RingContext, degree: int, rng: random.Random):
@@ -193,14 +184,6 @@ def _complete_intersection(key, ambient, degrees, field, rng, budget) -> Project
     return ProjectiveVariety(ambient, Ideal.of(ring, gens), None, meta)
 
 
-def _pencil_root_count(var: ProjectiveVariety, budget) -> int:
-    """Distinct roots of det(l*A + m*B) for the quadric pencil of a curve in P^3."""
-    from .segre import quadric_pencil, pencil_det_distinct_roots
-
-    pencil = quadric_pencil(var, budget)
-    return pencil_det_distinct_roots(pencil)
-
-
 def build_catalog_variety(
     key: str, seed: int, field=None, budget: Budget | None = None
 ) -> ProjectiveVariety:
@@ -265,5 +248,5 @@ def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random, budget):
         if (sl.dimension, sl.degree, sl.arithmetic_genus) != (1, d_exp, g_exp):
             raise DegenerateInputError(f"{key}: hyperplane slice genus check failed")
     if key == "elliptic4":
-        if _pencil_root_count(var, budget) != 4:
+        if pencil_det_distinct_roots(quadric_pencil(var, budget)) != 4:
             raise DegenerateInputError("elliptic quartic pencil is degenerate")

@@ -16,7 +16,7 @@ import sys
 from .catalog import build_catalog_variety, catalog_keys, catalog_metadata
 from .entry_locus import classify_entry_locus
 from .geometry import random_point
-from .kernel.errors import BudgetExceededError, KernelError, ParseError
+from .kernel.errors import BudgetExceededError, CoefficientError, KernelError, ParseError
 from .kernel.groebner import Budget
 from .kernel.ideals import groebner_basis
 from .kernel.orders import order_from_name
@@ -90,7 +90,6 @@ def build_parser():
 
     vf = sub.add_parser("verify", help="run the verification suite")
     vf.add_argument("--suite", choices=("core", "stretch"), default="core")
-    vf.add_argument("--workers", type=int, default=1)
     vf.add_argument("--stretch-max-pairs", type=int, default=2_000_000)
     _add_common(vf)
     return ap
@@ -137,7 +136,11 @@ def _dispatch(args) -> int:
         _emit(data, args.out)
         return 0
 
-    field = resolve_field(args.field, args.seed)
+    try:
+        field = resolve_field(args.field, args.seed)
+    except CoefficientError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return USAGE_ERROR
     budget = Budget(max_pairs=args.max_pairs, max_seconds=getattr(args, 'time_limit', None))
 
     if args.command == "entry-locus":
@@ -207,8 +210,6 @@ def _dispatch(args) -> int:
             max_seconds=getattr(args, 'time_limit', None),
             stretch_max_pairs=args.stretch_max_pairs,
             suite=args.suite,
-            workers=args.workers,
-            out=args.out,
         )
         report = run_suite(cfg)
         text = report.to_json()

@@ -7,18 +7,24 @@ decomposition point as b = lam * a + mu * q; clearing mu (one added-variable
 saturation) removes exactly the diagonal branch b ~ a, and eliminating
 (lam : mu) projects onto the first factor.  This has the same zero set as the
 doubled-coordinate incidence variety and one Groebner run instead of a cascade
-of saturations.  A parametrized strategy substitutes a = phi(s), b = phi(u)
-and must agree with the implicit one when both run.
+of saturations.  A parametrized route substitutes a = phi(s), b = phi(u); it is
+kept as an independent reference that the tests compare the implicit route
+against.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field as dc_field
 
 from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
+    apply_linear_substitution,
+    complete_to_basis,
+    dehomogenize,
+    implicitize,
     random_linear_form,
     random_point,
     random_scalar,
@@ -39,7 +45,6 @@ from .kernel.ideals import (
     in_irrelevant_saturation,
     intersect,
     normal_form,
-    saturate_single,
     saturate_wrt_variable,
 )
 from .kernel.linalg import kernel_basis
@@ -91,24 +96,11 @@ def entry_locus_ideal(
     X: ProjectiveVariety,
     q: ProjectivePoint,
     budget: Budget | None = None,
-    strategy: str = "implicit",
 ) -> Ideal:
     """Homogeneous ideal whose zero set is the entry locus of q (r_gen = 2)."""
     if X.contains_point(q):
         raise DegenerateInputError("entry locus base point lies on the variety")
-    if strategy == "implicit":
-        raw = _implicit_entry_locus(X, q, budget)
-    elif strategy == "parametrized":
-        raw = _parametrized_entry_locus(X, q, budget)
-    elif strategy == "both":
-        a = _implicit_entry_locus(X, q, budget)
-        b = _parametrized_entry_locus(X, q, budget)
-        if not _same_scheme(a, b, budget):
-            raise DegenerateInputError("entry-locus strategies disagree")
-        raw = a
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return irrelevant_saturate(raw, budget)
+    return irrelevant_saturate(_implicit_entry_locus(X, q, budget), budget)
 
 
 def _implicit_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> Ideal:
@@ -139,7 +131,7 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) 
     """Entry locus via a = phi(s), b = phi(u): eliminate u (with the line
     coordinates), then implicitize the resulting parameter locus."""
     if X.param is None:
-        raise DegenerateInputError("parametrized strategy needs a parametrization")
+        raise DegenerateInputError("parametrized route needs a parametrization")
     pring = X.param.ring
     field = X.field
     m = pring.nvars
@@ -163,23 +155,8 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) 
     s_locus = Ideal.of(s_ring, [Polynomial(s_ring, g.terms) for g in s_locus.gens])
     s_locus = homogeneous_generators(s_locus)
     # image of the parameter locus under phi
-    names2 = tuple(pring.names) + tuple(X.ring.names)
-    big2 = RingContext(names2, field, Block(m))
-    forms2 = [big2.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms}) for f in X.param.forms]
-    ys = [big2.variable(m + i) for i in range(r + 1)]
-    gens2 = [big2.from_dict({mm + (0,) * (r + 1): c for mm, c in g.terms}) for g in s_locus.gens]
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
-            gens2.append(ys[i] * forms2[j] - ys[j] * forms2[i])
     rng = seeded_rng(("param-strategy", X.meta.get("key"), tuple(q.coords.__repr__())))
-    combo = big2.zero()
-    for f in forms2:
-        combo = combo + f.scale(field.coerce(random_scalar(field, rng)))
-    sat = saturate_single(Ideal.of(big2, gens2), combo, budget)
-    out = eliminate(sat.map_ring(big2), m, budget)
-    target = X.ring
-    out = Ideal.of(target, [Polynomial(target, g.terms) for g in out.gens])
-    return homogeneous_generators(out)
+    return implicitize(X.param, field, budget, rng, locus=s_locus.gens)
 
 
 def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
@@ -204,12 +181,6 @@ def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
     return acc
 
 
-def _same_scheme(a: Ideal, b: Ideal, budget) -> bool:
-    from .kernel.ideals import same_saturation
-
-    return same_saturation(a, b, budget)
-
-
 # -- component counting ----------------------------------------------------------
 
 
@@ -227,8 +198,6 @@ def plane_model(
     small block elimination (the attached-graph construction computes the same
     image ideal but drags a junk component at the cone point).
     """
-    from .geometry import complete_to_basis
-
     ring = curve.ring
     field = ring.field
     n = ring.nvars
@@ -239,14 +208,12 @@ def plane_model(
             continue
         cols = complete_to_basis(field, center_rows, n)
         B = [[cols[j][i] for j in range(n)] for i in range(n)]
-        moved = _apply_columns(curve, B)
+        moved = apply_linear_substitution(curve, B)
         moved = Ideal.of(ring.with_order(Block(n - 3)), moved.gens)
         image = eliminate(moved, n - 3, budget)
         if not image.gens:
             continue
         # a seeded random chart keeps every component affine w.h.p.
-        from .geometry import dehomogenize
-
         aff_ring, aff_gens, _ = dehomogenize(image, rng)
         aff_gens = [g for g in aff_gens if not g.is_zero()]
         if not aff_gens:
@@ -261,12 +228,6 @@ def plane_model(
             continue
         return sf
     raise DegenerateInputError("no non-collapsing plane projection found")
-
-
-def _apply_columns(ideal: Ideal, B) -> Ideal:
-    from .geometry import apply_linear_substitution
-
-    return apply_linear_substitution(ideal, B)
 
 
 def component_count(
@@ -353,11 +314,8 @@ def classify_entry_locus(
     seed: int,
     budget: Budget | None = None,
     ab_trials: int = 3,
-    strategy: str = "implicit",
 ) -> EntryLocusReport:
     """Full entry-locus report for a catalog or file variety with r_gen = 2."""
-    import time
-
     t0 = time.monotonic()
     field = X.field
     r = X.ambient
@@ -382,7 +340,7 @@ def classify_entry_locus(
         cand = random_point(field, rng, r + 1, off_coordinate_hyperplanes=True)
         if X.contains_point(cand):
             continue
-        trial_locus = entry_locus_ideal(X, cand, budget, strategy=strategy)
+        trial_locus = entry_locus_ideal(X, cand, budget)
         inv = hilbert_invariants(trial_locus, budget)
         if inv.dimension != gamma_pred:
             continue

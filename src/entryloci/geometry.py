@@ -24,6 +24,7 @@ from .kernel.ideals import (
     saturate_wrt_variable,
 )
 from .kernel.linalg import (
+    identity,
     kernel_basis,
     mat_inverse,
     rank,
@@ -31,7 +32,7 @@ from .kernel.linalg import (
     rref,
 )
 from .kernel.orders import GREVLEX, Block
-from .kernel.poly import Polynomial, RingContext
+from .kernel.poly import Polynomial, RingContext, _monomials_of_degree
 from .kernel.rng import seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
@@ -141,10 +142,10 @@ def random_scalar(field, rng: random.Random):
     return rng.randint(-QQ_HEIGHT, QQ_HEIGHT)
 
 
-def random_coords(field, rng: random.Random, n: int, avoid_zero=True):
+def random_coords(field, rng: random.Random, n: int):
     while True:
         coords = [field.coerce(random_scalar(field, rng)) for _ in range(n)]
-        if not avoid_zero or any(c != field.zero for c in coords):
+        if any(c != field.zero for c in coords):
             return coords
 
 
@@ -168,8 +169,8 @@ def random_invertible_matrix(field, rng: random.Random, n: int):
     raise DegenerateInputError("could not draw an invertible matrix")
 
 
-def ambient_ring(r: int, field, prefix: str = "x") -> RingContext:
-    return RingContext(tuple(f"{prefix}{i}" for i in range(r + 1)), field)
+def ambient_ring(r: int, field) -> RingContext:
+    return RingContext(tuple(f"x{i}" for i in range(r + 1)), field)
 
 
 # -- linear coordinate changes -------------------------------------------------
@@ -216,8 +217,10 @@ def implicitize(
     field=None,
     budget: Budget | None = None,
     rng: random.Random | None = None,
+    locus=(),
 ) -> Ideal:
-    """Ideal of the closure of the parametrization image.
+    """Ideal of the closure of the parametrization image (of the parameter
+    locus cut out by the ``locus`` forms, when given).
 
     Builds the 2 x (r+1) matrix [y; P(s)], takes its 2x2 minors, saturates by
     a random combination of the parametrization forms (which removes both the
@@ -231,36 +234,26 @@ def implicitize(
     names = tuple(pring.names) + tuple(f"x{i}" for i in range(r + 1))
     big = RingContext(names, field, Block(pring.nvars))
     m = pring.nvars
-    forms_big = [
-        big.from_dict({tuple(mm) + (0,) * (r + 1): c for mm, c in f.terms})
-        for f in param.forms
-    ]
+
+    def lift(f):
+        return big.from_dict({tuple(mm) + (0,) * (r + 1): c for mm, c in f.terms})
+
+    forms_big = [lift(f) for f in param.forms]
     ys = [big.variable(m + i) for i in range(r + 1)]
-    minors = []
+    gens = [lift(g) for g in locus]
     for i in range(r + 1):
         for j in range(i + 1, r + 1):
-            minors.append(ys[i] * forms_big[j] - ys[j] * forms_big[i])
+            gens.append(ys[i] * forms_big[j] - ys[j] * forms_big[i])
     combo = big.zero()
     for f in forms_big:
         combo = combo + f.scale(field.coerce(random_scalar(field, rng)))
     if combo.is_zero():
         combo = forms_big[0]
-    sat = saturate_single(Ideal.of(big, minors), combo, budget)
+    sat = saturate_single(Ideal.of(big, gens), combo, budget)
     out = eliminate(sat.map_ring(big), m, budget)
     target = ambient_ring(r, field)
     out = Ideal.of(target, [Polynomial(target, g.terms) for g in out.gens])
     return homogeneous_generators(out)
-
-
-def check_base_points(param: Parametrization, rng: random.Random, samples: int = 25) -> bool:
-    """Probabilistic check that the forms have no common zero on random inputs."""
-    field = param.ring.field
-    hits = 0
-    for _ in range(samples):
-        values = random_coords(field, rng, param.nparams)
-        if all(v == field.zero for v in param.evaluate(values)):
-            hits += 1
-    return hits == 0
 
 
 # -- projections, cones, slices --------------------------------------------------
@@ -270,7 +263,6 @@ def project_image(
     X: ProjectiveVariety,
     center: LinearSubspace,
     budget: Budget | None = None,
-    certified: bool = False,
     rng: random.Random | None = None,
 ) -> ProjectiveVariety:
     """Closure of the image of X under linear projection from ``center``.
@@ -282,17 +274,11 @@ def project_image(
     field = X.field
     r = X.ambient
     k = len(center.rows)
-    if certified:
-        forms = _vanishing_forms(center, X.ring)
-        total = Ideal.of(X.ring, list(X.ideal.gens) + forms)
-        if hilbert_invariants(total, budget).dimension != -1:
-            raise DegenerateInputError("projection center meets the variety")
-    else:
-        if X.param is not None:
-            for i in range(5):
-                pt = sample_point(X, rng)
-                if center.contains_point(pt):
-                    raise DegenerateInputError("projection center meets the variety")
+    if X.param is not None:
+        for i in range(5):
+            pt = sample_point(X, rng)
+            if center.contains_point(pt):
+                raise DegenerateInputError("projection center meets the variety")
     cols = complete_to_basis(field, center.rows, r + 1)
     B = [[cols[j][i] for j in range(r + 1)] for i in range(r + 1)]  # columns = basis
     moved = apply_linear_substitution(X.ideal, B)
@@ -319,22 +305,7 @@ def project_image(
     return ProjectiveVariety(new_r, ideal, new_param, meta)
 
 
-def _vanishing_forms(space: LinearSubspace, ring: RingContext):
-    """Linear forms cutting out the subspace."""
-    normals = kernel_basis([list(r) for r in space.rows], space.field)
-    forms = []
-    for nvec in normals:
-        data = {}
-        for i, c in enumerate(nvec):
-            if c != space.field.zero:
-                m = [0] * ring.nvars
-                m[i] = 1
-                data[tuple(m)] = c
-        forms.append(ring.from_dict(data))
-    return forms
-
-
-def cone_over(B: ProjectiveVariety, vertex_name: str | None = None) -> ProjectiveVariety:
+def cone_over(B: ProjectiveVariety) -> ProjectiveVariety:
     """Cone in P^(r+1) over B in P^r, with vertex the new coordinate point."""
     r = B.ambient + 1
     target = ambient_ring(r, B.field)
@@ -360,22 +331,22 @@ def cone_over(B: ProjectiveVariety, vertex_name: str | None = None) -> Projectiv
     return ProjectiveVariety(r, Ideal.of(target, gens), new_param, meta)
 
 
-def dehomogenize(ideal: Ideal, rng: random.Random):
-    """Pass to a seeded random affine chart {c . x = 1}.
+def affine_chart(ring: RingContext, rng: random.Random, extra=()):
+    """A seeded random affine chart {c . x = 1} of the projective ring.
 
-    Returns (affine ring, affine generators, chart) where chart recovers full
-    projective coordinates from an affine solution vector.
+    The affine ring drops the chart's pivot variable and appends the ``extra``
+    variable names.  Returns (affine ring, images of the projective variables,
+    chart) where chart recovers full projective coordinates from an affine
+    solution vector (extra values are ignored).
     """
-    ring = ideal.ring
     field = ring.field
     n = ring.nvars
     coeffs = random_coords(field, rng, n)
     pivot = max(i for i, c in enumerate(coeffs) if c != field.zero)
-    names = tuple(nm for i, nm in enumerate(ring.names) if i != pivot)
+    names = tuple(nm for i, nm in enumerate(ring.names) if i != pivot) + tuple(extra)
     aring = RingContext(names, field)
     images = []
     slot = 0
-    pivot_image = aring.constant(field.inv(coeffs[pivot]))
     remaining = []
     for i in range(n):
         if i == pivot:
@@ -389,7 +360,6 @@ def dehomogenize(ideal: Ideal, rng: random.Random):
     for i, s in remaining:
         expr = expr - aring.variable(s).scale(coeffs[i])
     images[pivot] = expr.scale(field.inv(coeffs[pivot]))
-    gens = [g.substitute(images, aring) for g in ideal.gens]
 
     def chart(values):
         full = [None] * n
@@ -400,7 +370,29 @@ def dehomogenize(ideal: Ideal, rng: random.Random):
         full[pivot] = field.mul(acc, field.inv(coeffs[pivot]))
         return tuple(full)
 
-    return aring, gens, chart
+    return aring, images, chart
+
+
+def dehomogenize(ideal: Ideal, rng: random.Random):
+    """The ideal on a seeded random affine chart: (affine ring, affine
+    generators, chart) as in :func:`affine_chart`."""
+    aring, images, chart = affine_chart(ideal.ring, rng)
+    return aring, [g.substitute(images, aring) for g in ideal.gens], chart
+
+
+def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
+    """Cut a projective ideal with ``cuts`` seeded random hyperplanes, pass to
+    a seeded random chart and return (grevlex basis, chart) when the affine
+    slice is nonempty and zero-dimensional, else None (the slice or chart
+    missed every point, or the slice was not generic)."""
+    gens = list(ideal.gens)
+    for _ in range(cuts):
+        gens.append(random_linear_form(ideal.ring, rng))
+    aring, agens, chart = dehomogenize(Ideal.of(ideal.ring, gens), rng)
+    gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
+    if gb.is_unit() or not is_zero_dimensional(gb):
+        return None
+    return gb, chart
 
 
 # -- dimension, degree, span -----------------------------------------------------
@@ -435,18 +427,10 @@ def reduced_dim_degree(
 
 
 def _count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
-    field = ideal.ring.field
     for _ in range(5):
-        gens = list(ideal.gens)
-        for _ in range(dim):
-            gens.append(random_linear_form(ideal.ring, rng))
-        aring, agens, _ = dehomogenize(Ideal.of(ideal.ring, gens), rng)
-        gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
-        if gb.is_unit():
-            continue  # chart or slice missed every point
-        if not is_zero_dimensional(gb):
-            continue  # non-generic slice; retry
-        return count_distinct_points(gb, rng, trials=2, budget=budget)
+        cut = zero_dim_slice(ideal, dim, rng, budget)
+        if cut is not None:
+            return count_distinct_points(cut[0], rng, trials=2, budget=budget)
     raise DegenerateInputError("could not find a generic slice")
 
 
@@ -488,8 +472,6 @@ def span_form_rows(ideal: Ideal, budget: Budget | None = None):
             return []
     if current is None:
         # every single-variable saturation is the unit ideal: empty scheme
-        from .kernel.linalg import identity
-
         return identity(ring.nvars, field)
     return current
 
@@ -504,8 +486,6 @@ def span_point_basis(ideal: Ideal, budget: Budget | None = None):
     rows = span_form_rows(ideal, budget)
     field = ideal.ring.field
     if not rows:
-        from .kernel.linalg import identity
-
         return identity(ideal.ring.nvars, field)
     return kernel_basis(rows, field)
 
@@ -531,16 +511,6 @@ def graded_piece_rows(ideal: Ideal, degree: int):
             rows.append(row)
     red, piv = rref(rows, field)
     return [red[i] for i in range(len(piv))], monos
-
-
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        return [(d,)]
-    out = []
-    for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            out.append((e,) + rest)
-    return out
 
 
 def slice_by_span(ideal: Ideal, span_rows, budget: Budget | None = None) -> Ideal:
@@ -600,13 +570,10 @@ def witness_points(
     found = []
     seen = set()
     for _ in range(12):
-        gens = list(X.ideal.gens)
-        for _ in range(inv.dimension):
-            gens.append(random_linear_form(X.ring, rng))
-        aring, agens, chart = dehomogenize(Ideal.of(X.ring, gens), rng)
-        gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
-        if gb.is_unit() or not is_zero_dimensional(gb):
+        cut = zero_dim_slice(X.ideal, inv.dimension, rng, budget)
+        if cut is None:
             continue
+        gb, chart = cut
         pts = enumerate_points_prime_field(gb, rng, budget, require_all=False)
         if not pts:
             continue

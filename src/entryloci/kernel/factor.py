@@ -22,6 +22,7 @@ from .linalg import kernel_basis
 from .poly import Polynomial, RingContext
 from .univar import (
     u_degree,
+    u_divmod,
     u_factor_squarefree,
     u_gcd,
     u_interpolate,
@@ -87,8 +88,6 @@ def _content(coeffs, field):
 
 
 def _divide_rows(coeffs, d, field):
-    from .univar import u_divmod
-
     out = []
     for row in coeffs:
         if not row:

@@ -168,5 +168,9 @@ def field_from_descriptor(text: str):
         return QQ
     low = t.lower()
     if low.startswith("fp:"):
-        return PrimeField(int(t.split(":", 1)[1]))
+        try:
+            p = int(t.split(":", 1)[1])
+        except ValueError:
+            raise CoefficientError(f"field descriptor {text!r} needs an integer prime") from None
+        return PrimeField(p)
     raise CoefficientError(f"unknown field descriptor {text!r}")

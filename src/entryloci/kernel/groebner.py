@@ -56,6 +56,21 @@ class _Meter:
 DEFAULT_BUDGET = Budget()
 
 
+def _memo_key(order):
+    """``order.key`` memoized per monomial, for one computation."""
+    raw_key = order.key
+    cache: dict = {}
+
+    def key_of(m):
+        k = cache.get(m)
+        if k is None:
+            k = raw_key(m)
+            cache[m] = k
+        return k
+
+    return key_of
+
+
 def _keyed_terms(poly: Polynomial, key_of):
     return [(key_of(m), m, c) for m, c in poly.terms]
 
@@ -168,16 +183,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
     field = ring.field
-    raw_key = ring.order.key
-    key_cache: dict = {}
-
-    def key_of(m):
-        k = key_cache.get(m)
-        if k is None:
-            k = raw_key(m)
-            key_cache[m] = k
-        return k
-
+    key_of = _memo_key(ring.order)
     basis = []
     for p in polys:
         if p.is_zero():
@@ -272,16 +278,7 @@ def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Pol
     ring = f.ring
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
-    raw_key = ring.order.key
-    cache: dict = {}
-
-    def key_of(m):
-        k = cache.get(m)
-        if k is None:
-            k = raw_key(m)
-            cache[m] = k
-        return k
-
+    key_of = _memo_key(ring.order)
     basis = []
     for p in basis_polys:
         if p.is_zero():

@@ -176,30 +176,3 @@ def hilbert_invariants(
         genus = int(1 - hp[0])
     return HilbertInvariants(dim, degree, tuple(hp), genus)
 
-
-def hilbert_invariants_cross_checked(
-    ideal, seed: int = 0, budget: Budget | None = None
-) -> HilbertInvariants:
-    """Fast probabilistic invariants of a Q-ideal: compute modulo two seeded
-    random primes above 2^30 and accept on agreement; any discrepancy falls
-    back to the certified rational computation."""
-    from .fields import PrimeField, Rationals, next_prime
-    from .poly import RingContext
-    from .rng import seeded_rng
-
-    ring = ideal.ring
-    if not isinstance(ring.field, Rationals):
-        return hilbert_invariants(ideal, budget)
-    rng = seeded_rng("hilbert-cross", seed)
-    results = []
-    for _ in range(2):
-        p = next_prime(2**30 + rng.randrange(2**22))
-        pring = RingContext(ring.names, PrimeField(p), ring.order)
-        try:
-            mod = type(ideal).of(pring, [g.reduce_mod(pring) for g in ideal.gens])
-            results.append(hilbert_invariants(mod, budget))
-        except ZeroDivisionError:
-            results.append(None)  # bad reduction: a denominator met the prime
-    if results[0] is not None and results[0] == results[1]:
-        return results[0]
-    return hilbert_invariants(ideal, budget)

@@ -107,29 +107,6 @@ def det(rows, field):
     return field.neg(result) if sign_flip else result
 
 
-def mat_vec(rows, vec, field):
-    out = []
-    zero = field.zero
-    for r in rows:
-        s = zero
-        for x, v in zip(r, vec):
-            s = field.add(s, field.mul(x, v))
-        out.append(s)
-    return out
-
-
-def mat_mul(a, b, field):
-    bt = list(zip(*b))
-    return [[_dot(r, col, field) for col in bt] for r in a]
-
-
-def _dot(u, v, field):
-    s = field.zero
-    for x, y in zip(u, v):
-        s = field.add(s, field.mul(x, y))
-    return s
-
-
 def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 

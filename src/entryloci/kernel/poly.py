@@ -53,9 +53,6 @@ class RingContext:
     def with_order(self, order) -> "RingContext":
         return RingContext(self.names, self.field, order)
 
-    def with_field(self, field) -> "RingContext":
-        return RingContext(self.names, field, self.order)
-
     def subring(self, start: int) -> "RingContext":
         """Ring in the variables from position ``start`` on (grevlex order)."""
         return RingContext(self.names[start:], self.field, GREVLEX)
@@ -403,6 +400,17 @@ def pow_field(field, base, e: int):
     if isinstance(field, PrimeField):
         return pow(base, e, field.p)
     return base**e
+
+
+def _monomials_of_degree(n: int, d: int):
+    """Exponent vectors of degree d in n variables, first exponent ascending."""
+    if n == 1:
+        return [(d,)]
+    out = []
+    for e in range(d + 1):
+        for rest in _monomials_of_degree(n - 1, d - e):
+            out.append((e,) + rest)
+    return out
 
 
 # -- parsing ----------------------------------------------------------------

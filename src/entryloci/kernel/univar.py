@@ -8,13 +8,6 @@ root extraction over prime fields.
 from __future__ import annotations
 
 from .fields import PrimeField
-from .linalg import det as _mat_det
-
-
-def trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def u_trim(c, field):
@@ -99,13 +92,6 @@ def u_gcd(a, b, field):
 
 def u_derivative(a, field):
     return u_trim([field.mul(c, field.coerce(i)) for i, c in enumerate(a)][1:], field)
-
-
-def u_eval(a, x, field):
-    acc = field.zero
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def u_squarefree_part(a, field):
@@ -212,12 +198,6 @@ def _equal_degree_split(g, d, field: PrimeField, rng):
             )
 
 
-def u_splits_completely(a, field: PrimeField) -> bool:
-    """True when the squarefree part of f factors into distinct linear factors over F_p."""
-    sf = u_squarefree_part(a, field)
-    return u_degree(u_rational_root_part(sf, field)) == u_degree(sf)
-
-
 def u_interpolate(xs, ys, field):
     """Lagrange interpolation through (xs[i], ys[i])."""
     out = []
@@ -232,32 +212,3 @@ def u_interpolate(xs, ys, field):
         out = u_add(out, u_scale(num, field.div(yi, den), field), field)
     return out
 
-
-def u_resultant(a, b, field):
-    """Resultant via the Sylvester determinant (small degrees only)."""
-    m, n = u_degree(a), u_degree(b)
-    if m < 0 or n < 0:
-        return field.zero
-    if m == 0:
-        return pow_field_elem(a[0], n, field)
-    if n == 0:
-        return pow_field_elem(b[0], m, field)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [field.zero] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return _mat_det(rows, field)
-
-
-def pow_field_elem(x, e, field):
-    if isinstance(field, PrimeField):
-        return pow(x, e, field.p)
-    return x**e

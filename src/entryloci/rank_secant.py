@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
+    affine_chart,
     random_coords,
     witness_points,
 )
@@ -26,7 +27,6 @@ from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal, groebner_basis
 from .kernel.linalg import kernel_basis, rank
 from .kernel.orders import GREVLEX
-from .kernel.poly import RingContext
 from .kernel.rng import seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
@@ -157,44 +157,15 @@ def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: rand
     Points b on the line through a and q are written b = lam * a + q (the
     second line coordinate is fixed to 1, which exactly removes the diagonal
     branch b ~ a).  The a-block is dehomogenized on a seeded random chart.
-    Returns the system and a chart map recovering (a, lam) from a solution.
+    Returns the system and the chart recovering a from a solution, whose last
+    coordinate is lam.
     """
-    ring = X.ring
-    field = X.field
-    n = ring.nvars
     proj_gens = list(X.ideal.gens)
-    coeffs = random_coords(field, rng, n)
-    pivot = max(i for i, c in enumerate(coeffs) if c != field.zero)
-    names = tuple(nm for i, nm in enumerate(ring.names) if i != pivot) + ("lam",)
-    aff = RingContext(names, field)
+    aff, a_imgs, chart = affine_chart(X.ring, rng, ("lam",))
     lam = aff.variable(aff.nvars - 1)
-    a_imgs = []
-    slot = 0
-    rest = []
-    for i in range(n):
-        if i == pivot:
-            a_imgs.append(None)
-            continue
-        a_imgs.append(aff.variable(slot))
-        rest.append((i, slot))
-        slot += 1
-    expr = aff.constant(field.one)
-    for i, s in rest:
-        expr = expr - aff.variable(s).scale(coeffs[i])
-    a_imgs[pivot] = expr.scale(field.inv(coeffs[pivot]))
-    b_imgs = [lam * a_imgs[i] + aff.constant(q.coords[i]) for i in range(n)]
+    b_imgs = [lam * a_imgs[i] + aff.constant(c) for i, c in enumerate(q.coords)]
     gens = [g.substitute(a_imgs, aff) for g in proj_gens]
     gens += [g.substitute(b_imgs, aff) for g in proj_gens]
-
-    def chart(values):
-        full = [None] * n
-        acc = field.one
-        for (i, s) in rest:
-            full[i] = values[s]
-            acc = field.sub(acc, field.mul(coeffs[i], values[s]))
-        full[pivot] = field.mul(acc, field.inv(coeffs[pivot]))
-        return tuple(full), values[aff.nvars - 1]
-
     return Ideal.of(aff, gens), chart
 
 
@@ -203,7 +174,6 @@ def two_decompositions(
     q: ProjectivePoint,
     seed: int = 0,
     budget: Budget | None = None,
-    enumerate_pairs: bool = True,
 ) -> DecompositionSet:
     """The set S(X, q) of unordered pairs {a, b} on X with q in their span.
 
@@ -235,13 +205,13 @@ def two_decompositions(
         raise DegenerateInputError(f"odd ordered-solution count {solutions}")
     npairs = solutions // 2
     pairs = None
-    if enumerate_pairs and npairs and best is not None and isinstance(field, PrimeField):
+    if npairs and best is not None and isinstance(field, PrimeField):
         _, gb, chart, rng = best
         raw = enumerate_points_prime_field(gb, rng, budget)
         if raw is not None and len(raw) == solutions:
             seen = {}
             for values in raw:
-                coords, lam = chart(values)
+                coords, lam = chart(values), values[-1]
                 a = ProjectivePoint.make(field, coords)
                 b_coords = [
                     field.add(field.mul(lam, c), qc) for c, qc in zip(coords, q.coords)

@@ -27,9 +27,10 @@ from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.ideals import Ideal, radical_membership
-from .kernel.linalg import kernel_basis, rank, row_space_intersection
+from .kernel.linalg import det, kernel_basis, rank, row_space_intersection
+from .kernel.poly import _monomials_of_degree
 from .kernel.rng import seeded_rng
-from .kernel.univar import u_degree, u_roots_prime_field, u_squarefree_part, u_trim
+from .kernel.univar import u_degree, u_interpolate, u_roots_prime_field, u_squarefree_part, u_trim
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,6 @@ def _symmetric_matrix(row, monos, field):
 def _pencil_det_form(a, b, field):
     """Coefficients of det(l*A + m*B) as a binary quartic, by interpolation in
     l at m = 1 plus the leading coefficient det(A)."""
-    from .kernel.linalg import det
-    from .kernel.univar import u_interpolate
-
     xs, ys = [], []
     t = 0
     while len(xs) < 5:
@@ -183,16 +181,6 @@ def points_variety(field, pts, name: str = "points") -> ProjectiveVariety:
                 gens.append(ring.from_dict(data))
     meta = {"name": name, "key": name, "points": tuple(pts), "n": 0, "d": len(pts)}
     return ProjectiveVariety(n - 1, Ideal.of(ring, gens), None, meta)
-
-
-def _monomials_of_degree(n, d):
-    if n == 1:
-        return [(d,)]
-    out = []
-    for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            out.append((e,) + rest)
-    return out
 
 
 def is_segre_point(

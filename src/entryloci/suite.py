@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -27,13 +26,14 @@ from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
     ambient_ring,
-    dehomogenize,
+    apply_linear_substitution,
     random_invertible_matrix,
     random_linear_form,
     random_point,
     random_scalar,
     slice_by_span,
     span_form_rows,
+    zero_dim_slice,
 )
 from .kernel.errors import BudgetExceededError, DegenerateInputError, KernelError
 from .kernel.factor import absolute_factor_count, absolute_factor_degrees
@@ -49,10 +49,11 @@ from .kernel.ideals import (
     saturate,
     verify_groebner_basis,
 )
+from .kernel.linalg import rank
 from .kernel.orders import GREVLEX
 from .kernel.poly import RingContext
 from .kernel.rng import derive_seed, seeded_rng
-from .kernel.zerodim import count_distinct_points, enumerate_points_prime_field, is_zero_dimensional
+from .kernel.zerodim import count_distinct_points, enumerate_points_prime_field
 from .rank_secant import secant_dims, two_decompositions
 from .segre import (
     is_segre_point,
@@ -66,13 +67,10 @@ from .segre import (
 class RunConfig:
     field_desc: str = "fp:auto"
     seed: int = 1
-    trials: int = 3
     max_pairs: int = 200_000
     stretch_max_pairs: int = 2_000_000
     max_seconds: float | None = None  # wall clock per Groebner run
     suite: str = "core"
-    workers: int = 1
-    out: str | None = None
 
     def budget(self) -> Budget:
         return Budget(max_pairs=self.max_pairs, max_seconds=self.max_seconds)
@@ -190,11 +188,10 @@ def line_in_variety(ideal: Ideal, a, b) -> bool:
 
 def _slice_points(locus: Ideal, rng: random.Random, budget):
     """Rational points of one random hyperplane slice of a curve, or None."""
-    gens = list(locus.gens) + [random_linear_form(locus.ring, rng)]
-    aring, agens, chart = dehomogenize(Ideal.of(locus.ring, gens), rng)
-    gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
-    if gb.is_unit() or not is_zero_dimensional(gb):
+    cut = zero_dim_slice(locus, 1, rng, budget)
+    if cut is None:
         return None
+    gb, chart = cut
     pts = enumerate_points_prime_field(gb, rng, budget, require_all=True)
     if pts is None:
         return None
@@ -335,11 +332,9 @@ def check_delpezzo(field, seed: int, budget):
 
 def _projective_point_count(sliced: Ideal, rng: random.Random, budget) -> int | None:
     for _ in range(4):
-        aring, agens, _ = dehomogenize(sliced, rng)
-        gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
-        if gb.is_unit() or not is_zero_dimensional(gb):
-            continue
-        return count_distinct_points(gb, rng, trials=2, budget=budget)
+        cut = zero_dim_slice(sliced, 0, rng, budget)
+        if cut is not None:
+            return count_distinct_points(cut[0], rng, trials=2, budget=budget)
     return None
 
 
@@ -466,9 +461,7 @@ def check_rnc3_identifiability(field, seed: int, budget):
     while off_line < 10:
         o = random_point(f2, rng, 4)
         stacked = [list(a.coords), list(b.coords), list(o.coords)]
-        from .kernel.linalg import rank as _rank
-
-        if _rank(stacked, f2) != 3 or pair_var.contains_point(o):
+        if rank(stacked, f2) != 3 or pair_var.contains_point(o):
             continue
         off_line += 1
         if not is_segre_point(pair_var, o, seed, budget).verdict:
@@ -544,8 +537,6 @@ def check_kernel_properties(field, seed: int, budget):
     )
 
     # hilbert invariance under 3 random coordinate changes
-    from .geometry import apply_linear_substitution
-
     ok_h = True
     base = samples[0]
     inv0 = hilbert_invariants(base, budget)
@@ -719,16 +710,8 @@ def run_check(check_id: str, tier: str, fn, cfg: RunConfig):
 def run_suite(cfg: RunConfig) -> SuiteReport:
     t0 = time.monotonic()
     all_records = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(run_check, cid, tier, fn, cfg) for cid, tier, fn in CHECKS
-            ]
-            for fut in futures:
-                all_records.extend(fut.result())
-    else:
-        for cid, tier, fn in CHECKS:
-            all_records.extend(run_check(cid, tier, fn, cfg))
+    for cid, tier, fn in CHECKS:
+        all_records.extend(run_check(cid, tier, fn, cfg))
     all_records.sort(key=lambda r: (r.check_id, r.seed))
     summary = {}
     per_check = {}
@@ -756,6 +739,5 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         "suite": cfg.suite,
         "max_pairs": cfg.max_pairs,
         "stretch_max_pairs": cfg.stretch_max_pairs,
-        "workers": cfg.workers,
     }
     return SuiteReport(cfg.suite, config, all_records, summary)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from entryloci.cli import main
 from entryloci.varfile import read_variety, write_variety
@@ -86,6 +89,35 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_key_is_usage_error(capsys):
     rc, _ = run_cli(capsys, "entry-locus", "--variety", "nonsense_key", "--seed", "1")
     assert rc == 2
+
+
+@pytest.mark.parametrize("field", ["fp:abc", "fp:4", "GF7"])
+def test_bad_field_is_usage_error(capsys, field):
+    rc = main(["entry-locus", "--variety", "scroll12", "--field", field])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+# sha256 of each report with its timings removed: refactors must keep these
+# bytes.  The commands cover the affine chart, the slice-and-count helper and Q.
+GOLDEN = [
+    (["entry-locus", "--variety", "scroll12", "--seed", "1"],
+     "8b32d9d84cd3a8b3294e779a95650cf3b636e93f535019b8cc4fa34b3cd1d3fa"),
+    (["decomp", "--variety", "rational_quartic3", "--seed", "1"],
+     "4c57397cad5bdce380888e871dd03e7139ac84ee0866581af46a1dc5d72e80ce"),
+    (["entry-locus", "--variety", "cone_twisted_cubic", "--seed", "1", "--field", "Q"],
+     "07c82e1a794ea658b67df006b04c4a57b0d738bce124a3a94cde200af479ba2d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[a[0] + ":" + a[2] for a, _ in GOLDEN])
+def test_golden_report_digest(capsys, argv, digest):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    report = json.loads(out)
+    report.pop("timings", None)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_budget_exhaustion_exit_code(capsys):

@@ -1,5 +1,7 @@
 from entryloci.catalog import build_catalog_variety
 from entryloci.entry_locus import (
+    _implicit_entry_locus,
+    _parametrized_entry_locus,
     classify_entry_locus,
     component_count,
     entry_locus_ideal,
@@ -91,8 +93,10 @@ def test_witness_closure_on_slice_points():
 def test_strategy_agreement_for_scroll():
     var = build_catalog_variety("scroll12", 1, FP)
     q = general_q(var, "scroll-q2", 2)
-    locus = entry_locus_ideal(var, q, strategy="both")
-    assert hilbert_invariants(locus).degree == 2
+    implicit = _implicit_entry_locus(var, q, None)
+    parametrized = _parametrized_entry_locus(var, q, None)
+    assert same_saturation(implicit, parametrized)
+    assert hilbert_invariants(irrelevant_saturate(implicit)).degree == 2
 
 
 def test_classify_scroll_full_report():

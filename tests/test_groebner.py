@@ -15,7 +15,6 @@ from entryloci.kernel import (
     verify_groebner_basis,
 )
 from entryloci.kernel.orders import GREVLEX, LEX, Block
-from entryloci.kernel.univar import u_resultant
 
 
 def test_single_generator_is_its_own_basis():
@@ -26,7 +25,7 @@ def test_single_generator_is_its_own_basis():
 
 def test_twisted_cubic_parameter_elimination():
     # oracle: substituting x = t^2, y = t^3 must kill every output generator,
-    # and the resultant of the two inputs with respect to t pins the eliminant
+    # and the eliminant must vanish at sample points of the curve
     ring = RingContext(("t", "x", "y"), QQ)
     gens = [ring.from_string("x - t^2"), ring.from_string("y - t^3")]
     out = eliminate(Ideal.of(ring, gens), 1)
@@ -35,13 +34,8 @@ def test_twisted_cubic_parameter_elimination():
     pring = RingContext(("t",), QQ)
     t = pring.variable(0)
     assert g.substitute([t**2, t**3], pring).is_zero()
-    # resultant oracle: Res_t(x - t^2, y - t^3) as univariate in t with the
-    # (x, y) evaluated at a sample point must vanish exactly on the curve
     for tv in (2, 3, 5):
         x, y = Fraction(tv * tv), Fraction(tv**3)
-        a = [x, Fraction(0), Fraction(-1)]  # x - t^2
-        b = [y, Fraction(0), Fraction(0), Fraction(-1)]  # y - t^3
-        assert u_resultant(a, b, QQ) == 0
         assert g.evaluate((x, y)) == 0
     # minimality: degree 3 with 2 affine solutions' worth of structure
     assert g.total_degree() == 3

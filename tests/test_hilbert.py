@@ -69,20 +69,6 @@ def test_invariance_under_coordinate_change():
         )
 
 
-def test_cross_checked_path_matches_certified():
-    from entryloci.kernel.hilbert import hilbert_invariants_cross_checked
-
-    ring = RingContext(("x0", "x1", "x2", "x3"), QQ)
-    base = twisted_cubic(ring)
-    certified = hilbert_invariants(base)
-    fast = hilbert_invariants_cross_checked(base, seed=5)
-    assert (fast.dimension, fast.degree, fast.hilbert_polynomial) == (
-        certified.dimension,
-        certified.degree,
-        certified.hilbert_polynomial,
-    )
-
-
 def test_rational_and_modular_invariants_agree():
     ring_q = RingContext(("x0", "x1", "x2", "x3"), QQ)
     base = twisted_cubic(ring_q)

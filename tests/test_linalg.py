@@ -6,7 +6,6 @@ from entryloci.kernel.linalg import (
     identity,
     kernel_basis,
     mat_inverse,
-    mat_mul,
     rank,
     row_space_intersection,
     solve,
@@ -43,7 +42,7 @@ def test_solve_and_inverse():
     x = solve(rows, [F(5), F(10)], QQ)
     assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
     inv = mat_inverse(rows, QQ)
-    assert mat_mul(rows, inv, QQ) == identity(2, QQ)
+    assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
     assert det(rows, QQ) == 5
 
 
