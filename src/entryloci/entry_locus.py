@@ -2,14 +2,14 @@
 (dimension, span, reduced degree, component count) and the two type
 classifications (irreducible vs not; stable vs moving under span points).
 
-The incidence construction fixes the base point q and parametrizes the second
-decomposition point as b = lam * a + mu * q; clearing mu (one added-variable
-saturation) removes exactly the diagonal branch b ~ a, and eliminating
-(lam : mu) projects onto the first factor.  This has the same zero set as the
-doubled-coordinate incidence variety and one Groebner run instead of a cascade
-of saturations.  A parametrized route substitutes a = phi(s), b = phi(u); it is
-kept as an independent reference that the tests compare the implicit route
-against.
+The incidence construction fixes the base point q and writes the second
+decomposition point as b = lam * a + q: with the second line coordinate fixed
+to 1, the diagonal branch b ~ a never appears, and eliminating lam projects
+onto the first factor in one Groebner run over one added variable
+(``rank_secant.incidence_generators`` builds the system and proves that this
+equals saturating by the second coordinate).  A parametrized route
+substitutes a = phi(s), b = phi(u); it is kept as an independent reference
+that the tests compare the implicit route against.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .kernel.ideals import (
     eliminate,
     groebner_basis,
     homogeneous_generators,
-    in_irrelevant_saturation,
+    ideal_contains,
     intersect,
     normal_form,
     saturate_wrt_variable,
@@ -51,7 +51,7 @@ from .kernel.linalg import kernel_basis
 from .kernel.orders import GREVLEX, Block
 from .kernel.poly import Polynomial, RingContext
 from .kernel.rng import seeded_rng
-from .rank_secant import secant_dims
+from .rank_secant import incidence_generators, secant_dims
 
 
 @dataclass
@@ -105,55 +105,32 @@ def entry_locus_ideal(
 
 def _implicit_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> Ideal:
     ring = X.ring
-    field = X.field
-    n = ring.nvars
-    names = ("w_", "lam_", "mu_") + ring.names
-    big = RingContext(names, field, Block(3))
-    w = big.variable(0)
-    lam = big.variable(1)
-    mu = big.variable(2)
-    a_vars = [big.variable(3 + i) for i in range(n)]
-    # the second decomposition point: b = lam * a + mu * q
-    b_imgs = [lam * a_vars[i] + mu.scale(q.coords[i]) for i in range(n)]
-    gens = [w * mu - big.one()]
-    pad = (0, 0, 0)
-    for g in X.ideal.gens:
-        gens.append(big.from_dict({pad + m: c for m, c in g.terms}))
-    for g in X.ideal.gens:
-        gens.append(g.substitute(b_imgs, big))
-    out = eliminate(Ideal.of(big, gens), 3, budget)
-    target = ring
-    out = Ideal.of(target, [Polynomial(target, g.terms) for g in out.gens])
-    return homogeneous_generators(out)
+    big = RingContext(("lam_",) + ring.names, X.field, Block(1))
+    a_vars = [big.variable(1 + i) for i in range(ring.nvars)]
+    gens = incidence_generators(X, q, big, a_vars, big.variable(0))
+    return homogeneous_generators(eliminate(Ideal.of(big, gens), 1, budget).map_ring(ring))
 
 
 def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> Ideal:
-    """Entry locus via a = phi(s), b = phi(u): eliminate u (with the line
-    coordinates), then implicitize the resulting parameter locus."""
+    """Entry locus via a = phi(s), b = phi(u) = lam * phi(s) + q: eliminate
+    lam and u, then implicitize the resulting parameter locus."""
     if X.param is None:
         raise DegenerateInputError("parametrized route needs a parametrization")
     pring = X.param.ring
     field = X.field
     m = pring.nvars
-    r = X.ambient
-    names = ("w_", "lam_", "mu_") + tuple(f"u{i}" for i in range(m)) + tuple(pring.names)
-    big = RingContext(names, field, Block(3 + m))
-    lam = big.variable(1)
-    mu = big.variable(2)
-    w = big.variable(0)
-    pad_u = (0, 0, 0)
-    pad_s = (0, 0, 0) + (0,) * m
-    forms_u = [
-        big.from_dict({pad_u + mm + (0,) * m: c for mm, c in f.terms}) for f in X.param.forms
+    names = ("lam_",) + tuple(f"u{i}" for i in range(m)) + tuple(pring.names)
+    big = RingContext(names, field, Block(1 + m))
+    lam = big.variable(0)
+    u_vars = [big.variable(1 + i) for i in range(m)]
+    s_vars = [big.variable(1 + m + i) for i in range(m)]
+    gens = [
+        f.substitute(u_vars, big) - lam * f.substitute(s_vars, big) - big.constant(c)
+        for f, c in zip(X.param.forms, q.coords)
     ]
-    forms_s = [big.from_dict({pad_s + mm: c for mm, c in f.terms}) for f in X.param.forms]
-    gens = [w * mu - big.one()]
-    for i in range(r + 1):
-        gens.append(forms_u[i] - lam * forms_s[i] - mu * big.constant(q.coords[i]))
-    s_locus = eliminate(Ideal.of(big, gens), 3 + m, budget)
+    s_locus = eliminate(Ideal.of(big, gens), 1 + m, budget)
     s_ring = RingContext(tuple(pring.names), field)
-    s_locus = Ideal.of(s_ring, [Polynomial(s_ring, g.terms) for g in s_locus.gens])
-    s_locus = homogeneous_generators(s_locus)
+    s_locus = homogeneous_generators(s_locus.map_ring(s_ring))
     # image of the parameter locus under phi
     rng = seeded_rng(("param-strategy", X.meta.get("key"), tuple(q.coords.__repr__())))
     return implicitize(X.param, field, budget, rng, locus=s_locus.gens)
@@ -263,14 +240,17 @@ def type_ab_test(
     """A / B / undetermined: does the entry locus stay the same for general
     points of its span?
 
-    Scheme equality of irrelevant-saturated ideals via two-sided saturation
-    membership; a B verdict needs failure in both directions.
+    Both loci come from :func:`entry_locus_ideal`, so they are already
+    saturated by the irrelevant ideal and scheme equality is plain ideal
+    equality: mutual containment, tested on GREVLEX bases.  A B verdict needs
+    containment to fail in both directions, and one B decides the test.
     """
     field = X.field
     span_basis = span_point_basis(locus, budget)
     if len(span_basis) < 2:
         raise DegenerateInputError("entry locus span is a point")
-    verdicts = []
+    locus_gb = groebner_basis(locus, GREVLEX, budget)
+    stable = True
     for trial in range(trials):
         rng = seeded_rng(("typeab", X.meta.get("key"), seed, trial))
         o = None
@@ -287,26 +267,19 @@ def type_ab_test(
                 o = cand
                 break
         if o is None:
-            verdicts.append("undetermined")
+            stable = False
             continue
         try:
             other = entry_locus_ideal(X, o, budget)
         except (DegenerateInputError, BudgetExceededError):
-            verdicts.append("undetermined")
+            stable = False
             continue
-        fwd = all(in_irrelevant_saturation(g, other, budget) for g in locus.gens)
-        bwd = all(in_irrelevant_saturation(g, locus, budget) for g in other.gens)
-        if fwd and bwd:
-            verdicts.append("A")
-        elif not fwd and not bwd:
-            verdicts.append("B")
-        else:
-            verdicts.append("undetermined")
-    if all(v == "A" for v in verdicts):
-        return "A"
-    if any(v == "B" for v in verdicts):
-        return "B"
-    return "undetermined"
+        fwd = ideal_contains(groebner_basis(other, GREVLEX, budget), locus, budget)
+        bwd = ideal_contains(locus_gb, other, budget)
+        if not fwd and not bwd:
+            return "B"
+        stable = stable and fwd and bwd
+    return "A" if stable else "undetermined"
 
 
 def classify_entry_locus(

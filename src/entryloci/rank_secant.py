@@ -151,21 +151,38 @@ def secant_dims(
     return SecantProfile(tuple(steps), r_gen)
 
 
-def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: random.Random):
-    """Affine incidence system for rank-2 decompositions through q.
+def incidence_generators(X: ProjectiveVariety, q: ProjectivePoint, ring, a_imgs, lam) -> list:
+    """Generators X(a) and X(lam * a + q) of the rank-2 incidence system
+    through q; ``a_imgs`` are the images in ``ring`` of the coordinates of a
+    and ``lam`` is a variable of ``ring``.
 
-    Points b on the line through a and q are written b = lam * a + q (the
-    second line coordinate is fixed to 1, which exactly removes the diagonal
-    branch b ~ a).  The a-block is dehomogenized on a seeded random chart.
-    Returns the system and the chart recovering a from a solution, whose last
-    coordinate is lam.
+    This is b = lam * a + mu * q at mu = 1.  As a is on X and q is not, b ~ a
+    forces mu = 0, where X(lam * a) vanishes for every a on X: mu = 1 drops
+    exactly that diagonal branch, and eliminating lam equals saturating by
+    mu.  Proof: let J in R = k[a, lam, mu] be the system with mu kept (for
+    the parametrized reference, phi(u) = lam * phi(s) + mu * q in
+    k[s, u, lam, mu], with s as a).  J is homogeneous when lam and mu weigh
+    e, the degree of the forms (e = 1 here), u weighs 1 and a weighs 0.  Over
+    T = R_mu[nu]/(nu^e - mu), lam = nu^e * lam', u = nu * u' is an
+    isomorphism onto A[nu, 1/nu], A = k[a, lam', u'], that fixes a and sends
+    a generator of weight w to nu^w times its value at mu = 1.  T is free,
+    hence faithfully flat, over R_mu, and so is A[nu, 1/nu] over A; so for f
+    in k[a]: f in (J : mu^inf) iff f in J R_mu iff f in JT iff f in
+    J|_{mu=1} (dehomogenization; Cox, Little and O'Shea, Ideals, Varieties,
+    and Algorithms, section 8.4).
     """
-    proj_gens = list(X.ideal.gens)
+    b_imgs = [lam * a + ring.constant(c) for a, c in zip(a_imgs, q.coords)]
+    gens = [g.substitute(a_imgs, ring) for g in X.ideal.gens]
+    return gens + [g.substitute(b_imgs, ring) for g in X.ideal.gens]
+
+
+def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: random.Random):
+    """Affine incidence system for rank-2 decompositions through q, with the
+    a-block dehomogenized on a seeded random chart.  Returns the system and
+    the chart recovering a from a solution, whose last coordinate is lam.
+    """
     aff, a_imgs, chart = affine_chart(X.ring, rng, ("lam",))
-    lam = aff.variable(aff.nvars - 1)
-    b_imgs = [lam * a_imgs[i] + aff.constant(c) for i, c in enumerate(q.coords)]
-    gens = [g.substitute(a_imgs, aff) for g in proj_gens]
-    gens += [g.substitute(b_imgs, aff) for g in proj_gens]
+    gens = incidence_generators(X, q, aff, a_imgs, aff.variable(aff.nvars - 1))
     return Ideal.of(aff, gens), chart
 
 

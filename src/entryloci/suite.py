@@ -35,7 +35,7 @@ from .geometry import (
     span_form_rows,
     zero_dim_slice,
 )
-from .kernel.errors import BudgetExceededError, DegenerateInputError, KernelError
+from .kernel.errors import BudgetExceededError, CoefficientError, DegenerateInputError, KernelError
 from .kernel.factor import absolute_factor_count, absolute_factor_degrees
 from .kernel.fields import PrimeField, field_from_descriptor, next_prime
 from .kernel.groebner import Budget
@@ -83,13 +83,21 @@ class RunConfig:
         )
 
 
+# each seeded random choice (base point, chart, projection, slice) is
+# degenerate with probability <= deg/p: smaller primes give wrong invariants
+MIN_PRIME = 2**16
+
+
 def resolve_field(field_desc: str, seed: int):
-    """Q, a fixed prime field, or a seeded random prime near 2^31 (fp:auto)."""
+    """Q, a fixed prime field (p >= MIN_PRIME), or a seeded random prime near 2^31 (fp:auto)."""
     desc = field_desc.strip().lower()
     if desc == "fp:auto":
         rng = seeded_rng(("fp-auto", seed))
         return PrimeField(next_prime(2**31 + rng.randrange(2**22)))
-    return field_from_descriptor(field_desc)
+    field = field_from_descriptor(field_desc)
+    if isinstance(field, PrimeField) and field.p < MIN_PRIME:
+        raise CoefficientError(f"prime {field.p} is below the minimum 2^16 = {MIN_PRIME}")
+    return field
 
 
 def prime_stream(seed: int):

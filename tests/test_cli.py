@@ -91,7 +91,7 @@ def test_unknown_key_is_usage_error(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("field", ["fp:abc", "fp:4", "GF7"])
+@pytest.mark.parametrize("field", ["fp:abc", "fp:4", "GF7", "fp:3", "fp:5"])
 def test_bad_field_is_usage_error(capsys, field):
     rc = main(["entry-locus", "--variety", "scroll12", "--field", field])
     assert rc == 2
@@ -99,7 +99,8 @@ def test_bad_field_is_usage_error(capsys, field):
 
 
 # sha256 of each report with its timings removed: refactors must keep these
-# bytes.  The commands cover the affine chart, the slice-and-count helper and Q.
+# bytes.  The commands cover the affine chart, the slice-and-count helper, Q
+# and an implicit type-B surface.
 GOLDEN = [
     (["entry-locus", "--variety", "scroll12", "--seed", "1"],
      "8b32d9d84cd3a8b3294e779a95650cf3b636e93f535019b8cc4fa34b3cd1d3fa"),
@@ -107,6 +108,8 @@ GOLDEN = [
      "4c57397cad5bdce380888e871dd03e7139ac84ee0866581af46a1dc5d72e80ce"),
     (["entry-locus", "--variety", "cone_twisted_cubic", "--seed", "1", "--field", "Q"],
      "07c82e1a794ea658b67df006b04c4a57b0d738bce124a3a94cde200af479ba2d"),
+    (["entry-locus", "--variety", "delpezzo4", "--seed", "1"],
+     "907d3ea2d0f90d7759e6433b5f659b0081b6b7ea2ec48b7bfb8f639224b9b0c6"),
 ]
 
 

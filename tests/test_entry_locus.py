@@ -1,3 +1,6 @@
+import pytest
+
+from entryloci import entry_locus
 from entryloci.catalog import build_catalog_variety
 from entryloci.entry_locus import (
     _implicit_entry_locus,
@@ -9,9 +12,11 @@ from entryloci.entry_locus import (
 )
 from entryloci.geometry import random_point
 from entryloci.kernel import (
+    Block,
     Ideal,
     PrimeField,
     RingContext,
+    eliminate,
     groebner_basis,
     normal_form,
     same_saturation,
@@ -97,6 +102,46 @@ def test_strategy_agreement_for_scroll():
     parametrized = _parametrized_entry_locus(var, q, None)
     assert same_saturation(implicit, parametrized)
     assert hilbert_invariants(irrelevant_saturate(implicit)).degree == 2
+
+
+def _mu_saturation_reference(var, q):
+    """The incidence system with b = lam * a + mu * q, saturated by mu through
+    the added generator w * mu - 1, then projected to the a-block."""
+    ring = var.ring
+    big = RingContext(("w_", "lam_", "mu_") + ring.names, var.field, Block(3))
+    w, lam, mu = big.variable(0), big.variable(1), big.variable(2)
+    a_vars = [big.variable(3 + i) for i in range(ring.nvars)]
+    b_imgs = [lam * a + mu.scale(c) for a, c in zip(a_vars, q.coords)]
+    gens = [w * mu - big.one()]
+    gens += [g.substitute(a_vars, big) for g in var.ideal.gens]
+    gens += [g.substitute(b_imgs, big) for g in var.ideal.gens]
+    return eliminate(Ideal.of(big, gens), 3).map_ring(ring)
+
+
+@pytest.mark.parametrize("key", ["scroll12", "cone_twisted_cubic", "delpezzo4"])
+def test_mu_one_equals_mu_saturation(key):
+    # setting mu = 1 gives the same reduced eliminated basis as saturating by mu
+    var = build_catalog_variety(key, 1, FP)
+    q = general_q(var, "mu-oracle", 1)
+    expected = _mu_saturation_reference(var, q)
+    got = _implicit_entry_locus(var, q, None)
+    assert [g.terms for g in got.gens] == [g.terms for g in expected.gens]
+
+
+@pytest.mark.parametrize("key,verdict,recomputations", [("delpezzo4", "B", 1), ("scroll12", "A", 3)])
+def test_type_ab_stops_at_first_b(monkeypatch, key, verdict, recomputations):
+    var = build_catalog_variety(key, 1, FP)
+    q = general_q(var, "ab-stop", 1)
+    locus = entry_locus_ideal(var, q)
+    calls = []
+
+    def counting(X, o, budget=None):
+        calls.append(o)
+        return entry_locus_ideal(X, o, budget)
+
+    monkeypatch.setattr(entry_locus, "entry_locus_ideal", counting)
+    assert entry_locus.type_ab_test(var, q, locus, seed=1) == verdict
+    assert len(calls) == recomputations
 
 
 def test_classify_scroll_full_report():
