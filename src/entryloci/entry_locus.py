@@ -10,6 +10,12 @@ onto the first factor in one Groebner run over one added variable
 equals saturating by the second coordinate).  A parametrized route
 substitutes a = phi(s), b = phi(u); it is kept as an independent reference
 that the tests compare the implicit route against.
+
+The entry locus is a closure, so every invariant is read off the ideal
+saturated by the irrelevant ideal.  That saturation is
+``kernel.ideals.irrelevant_saturate`` (re-exported here); the span is the
+linear part of the same saturation (``geometry.span_form_rows``), and plane
+models project through ``geometry.project_image``.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .geometry import (
+    LinearSubspace,
     ProjectivePoint,
     ProjectiveVariety,
-    apply_linear_substitution,
-    complete_to_basis,
     dehomogenize,
     implicitize,
+    project_image,
     random_linear_form,
     random_point,
     random_scalar,
@@ -43,9 +49,7 @@ from .kernel.ideals import (
     groebner_basis,
     homogeneous_generators,
     ideal_contains,
-    intersect,
-    normal_form,
-    saturate_wrt_variable,
+    irrelevant_saturate,
 )
 from .kernel.linalg import kernel_basis
 from .kernel.orders import GREVLEX, Block
@@ -136,28 +140,6 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) 
     return implicitize(X.param, field, budget, rng, locus=s_locus.gens)
 
 
-def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
-    """Saturation by the irrelevant ideal.
-
-    Fast path: if some single-variable saturation already sits inside the
-    ideal, the ideal is its own saturation.  Otherwise fold the per-variable
-    saturations through pairwise intersections.
-    """
-    if not ideal.gens:
-        return ideal
-    gb = groebner_basis(ideal, GREVLEX, budget)
-    parts = []
-    for var in range(ideal.ring.nvars):
-        sat = saturate_wrt_variable(ideal, var, budget)
-        if all(normal_form(g, gb, budget).is_zero() for g in sat.gens):
-            return Ideal.of(ideal.ring, gb.basis)
-        parts.append(sat)
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = homogeneous_generators(intersect(acc, nxt, budget))
-    return acc
-
-
 # -- component counting ----------------------------------------------------------
 
 
@@ -170,10 +152,11 @@ def plane_model(
     """Squarefree affine plane model of a projective curve under a seeded
     random projection to P^2 (re-projecting on detected collapse).
 
-    The projection defined by a random 3 x (r+1) matrix is realized through a
-    coordinate change adapted to its kernel, so the image arises from one
-    small block elimination (the attached-graph construction computes the same
-    image ideal but drags a junk component at the cone point).
+    The projection defined by a random 3 x (r+1) matrix is the projection
+    from its kernel, :func:`geometry.project_image`: a coordinate change
+    adapted to the center, so the image arises from one small block
+    elimination (the attached-graph construction computes the same image
+    ideal but drags a junk component at the cone point).
     """
     ring = curve.ring
     field = ring.field
@@ -183,11 +166,8 @@ def plane_model(
         center_rows = kernel_basis(matrix, field)
         if len(center_rows) != n - 3:
             continue
-        cols = complete_to_basis(field, center_rows, n)
-        B = [[cols[j][i] for j in range(n)] for i in range(n)]
-        moved = apply_linear_substitution(curve, B)
-        moved = Ideal.of(ring.with_order(Block(n - 3)), moved.gens)
-        image = eliminate(moved, n - 3, budget)
+        center = LinearSubspace.span(field, center_rows)
+        image = project_image(ProjectiveVariety(n - 1, curve, None, {}), center, budget).ideal
         if not image.gens:
             continue
         # a seeded random chart keeps every component affine w.h.p.
@@ -295,7 +275,7 @@ def classify_entry_locus(
     n = X.meta.get("n")
     d = X.meta.get("d")
     timings = {}
-    profile = secant_dims(X, 2, trials=3, seed=seed, budget=budget)
+    profile = secant_dims(X, 2, seed=seed, budget=budget)
     if profile.r_gen != 2:
         raise DegenerateInputError(f"generic rank is not 2: {profile.as_dict()}")
     dim_sigma1 = profile.dim(1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .kernel.errors import DegenerateInputError, HomogeneityError
+from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
@@ -20,15 +20,14 @@ from .kernel.ideals import (
     eliminate,
     groebner_basis,
     homogeneous_generators,
+    irrelevant_saturate,
     saturate_single,
-    saturate_wrt_variable,
 )
 from .kernel.linalg import (
     identity,
     kernel_basis,
     mat_inverse,
     rank,
-    row_space_intersection,
     rref,
 )
 from .kernel.orders import GREVLEX, Block
@@ -413,11 +412,11 @@ def reduced_dim_degree(
         return (-1, 0)
     if inv.dimension == 0:
         rng = seeded_rng((seed, "dim0"))
-        return (0, _count_on_slice(ideal, 0, rng, budget))
+        return (0, count_on_slice(ideal, 0, rng, budget))
     counts = []
     for round_idx in range(3):
         rng = seeded_rng((seed, "slice", round_idx))
-        counts.append(_count_on_slice(ideal, inv.dimension, rng, budget))
+        counts.append(count_on_slice(ideal, inv.dimension, rng, budget))
         if round_idx == 1 and counts[0] == counts[1]:
             return (inv.dimension, counts[0])
     best = max(set(counts), key=counts.count)
@@ -426,7 +425,9 @@ def reduced_dim_degree(
     return (inv.dimension, best)
 
 
-def _count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
+def count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
+    """Distinct points of V(I) on a seeded random slice by ``dim`` hyperplanes
+    (5 slices tried; DegenerateInputError when none is zero-dimensional)."""
     for _ in range(5):
         cut = zero_dim_slice(ideal, dim, rng, budget)
         if cut is not None:
@@ -451,29 +452,13 @@ def linear_part_rows(ideal: Ideal):
 
 
 def span_form_rows(ideal: Ideal, budget: Budget | None = None):
-    """Rows of the independent linear forms vanishing on the scheme after
-    irrelevant saturation: the intersection over variables of the degree-1
-    parts of the per-variable saturations."""
-    if not ideal.homogeneous:
-        raise HomogeneityError("span computation requires a homogeneous ideal")
-    ring = ideal.ring
-    field = ring.field
-    current = None
-    for var in range(ring.nvars):
-        sat = saturate_wrt_variable(ideal, var, budget)
-        if any(g.total_degree() == 0 for g in sat.gens):
-            continue  # unit ideal: degree-1 part is the whole space, no constraint
-        rows = linear_part_rows(sat)
-        if current is None:
-            current = rows
-        else:
-            current = row_space_intersection(current, rows, field)
-        if not current:
-            return []
-    if current is None:
-        # every single-variable saturation is the unit ideal: empty scheme
-        return identity(ring.nvars, field)
-    return current
+    """Rows of the independent linear forms vanishing on the scheme: the
+    degree-1 part of the irrelevant saturation, or every form when the
+    scheme is empty."""
+    sat = irrelevant_saturate(ideal, budget)
+    if any(g.total_degree() == 0 for g in sat.gens):
+        return identity(ideal.ring.nvars, ideal.ring.field)
+    return linear_part_rows(sat)
 
 
 def span_dim(ideal: Ideal, budget: Budget | None = None) -> int:

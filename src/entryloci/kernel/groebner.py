@@ -26,7 +26,6 @@ class Budget:
     max_pairs: int = 200_000
     max_reductions: int = 30_000_000
     max_seconds: float | None = None
-    label: str = "groebner"
 
     def fresh(self) -> "_Meter":
         return _Meter(self, time.monotonic())
@@ -42,15 +41,15 @@ class _Meter:
     def tick_pair(self):
         self.pairs += 1
         if self.pairs > self.budget.max_pairs:
-            raise BudgetExceededError(self.budget.label, f"{self.pairs} S-pairs")
+            raise BudgetExceededError("groebner", f"{self.pairs} S-pairs")
         limit = self.budget.max_seconds
         if limit is not None and time.monotonic() - self.started > limit:
-            raise BudgetExceededError(self.budget.label, f"wall time over {limit}s")
+            raise BudgetExceededError("groebner", f"wall time over {limit}s")
 
     def tick_reduction(self, n: int = 1):
         self.reductions += n
         if self.reductions > self.budget.max_reductions:
-            raise BudgetExceededError(self.budget.label, f"{self.reductions} reduction steps")
+            raise BudgetExceededError("groebner", f"{self.reductions} reduction steps")
 
 
 DEFAULT_BUDGET = Budget()
@@ -216,8 +215,6 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         meter.tick_pair()
         lt_i = basis[i][1]
         lt_j = basis[j][1]
-        if tuple(max(a, b) for a, b in zip(lt_i, lt_j)) != lcm:
-            continue  # stale pair (cannot happen without deletions; safety)
         # product criterion: coprime leading monomials
         if all(a == 0 or b == 0 for a, b in zip(lt_i, lt_j)):
             continue

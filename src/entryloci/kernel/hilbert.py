@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import HomogeneityError
 from .groebner import Budget
-from .ideals import GroebnerBasis, groebner_basis
+from .ideals import Ideal, groebner_basis
 from .orders import GREVLEX
 
 
@@ -133,19 +133,11 @@ def _poly_mul_frac(a, b):
     return out
 
 
-def hilbert_invariants(
-    ideal_or_gb, budget: Budget | None = None
-) -> HilbertInvariants:
+def hilbert_invariants(ideal: Ideal, budget: Budget | None = None) -> HilbertInvariants:
     """Projective dimension, degree and Hilbert polynomial of a homogeneous ideal."""
-    if isinstance(ideal_or_gb, GroebnerBasis):
-        gb = ideal_or_gb
-        if not gb.source.homogeneous:
-            raise HomogeneityError("hilbert invariants need a homogeneous ideal")
-    else:
-        ideal = ideal_or_gb
-        if not ideal.homogeneous:
-            raise HomogeneityError("hilbert invariants need a homogeneous ideal")
-        gb = groebner_basis(ideal, GREVLEX, budget)
+    if not ideal.homogeneous:
+        raise HomogeneityError("hilbert invariants need a homogeneous ideal")
+    gb = groebner_basis(ideal, GREVLEX, budget)
     nvars = gb.ring.nvars
     if not gb.basis:
         numerator = [1]

@@ -135,15 +135,11 @@ def _fresh_name(ring: RingContext, base: str) -> str:
     return name
 
 
-def extend_front(ideal: Ideal, count: int, base: str = "aux"):
-    """Embed the ideal into a ring with ``count`` fresh leading variables."""
+def extend_front(ideal: Ideal, base: str):
+    """Embed the ideal into a ring with one fresh leading variable."""
     ring = ideal.ring
-    fresh = []
-    for i in range(count):
-        fresh.append(_fresh_name(ring, f"{base}_{i}" if count > 1 else base))
-    big = ring.extend(fresh, front=True)
-    pad = (0,) * count
-    gens = [big.from_dict({pad + m: c for m, c in g.terms}) for g in ideal.gens]
+    big = ring.extend([_fresh_name(ring, base)], front=True)
+    gens = [big.from_dict({(0,) + m: c for m, c in g.terms}) for g in ideal.gens]
     return big, gens
 
 
@@ -151,8 +147,8 @@ def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
     """Two-ideal intersection via the u*I + (1-u)*J elimination trick."""
     if a.ring != b.ring:
         raise RingMismatchError("intersection of ideals in different rings")
-    big, a_gens = extend_front(a, 1, "u")
-    _, b_gens = extend_front(b, 1, "u")
+    big, a_gens = extend_front(a, "u")
+    _, b_gens = extend_front(b, "u")
     u = big.variable(0)
     one = big.one()
     mixed = [u * g for g in a_gens] + [(one - u) * g for g in b_gens]
@@ -162,7 +158,7 @@ def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
 
 def saturate_single(ideal: Ideal, g: Polynomial, budget: Budget | None = None) -> Ideal:
     """(I : g^infinity) via the added-variable trick: adjoin w, add w*g - 1."""
-    big, gens = extend_front(ideal, 1, "w")
+    big, gens = extend_front(ideal, "w")
     w = big.variable(0)
     g_big = big.from_dict({(0,) + m: c for m, c in g.terms})
     gens.append(w * g_big - big.one())
@@ -216,22 +212,45 @@ def saturate_wrt_variable(ideal: Ideal, var: int, budget: Budget | None = None) 
     return Ideal.of(ring, back)
 
 
-def in_irrelevant_saturation(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
-    """Membership of f in (I : (x_0..x_n)^infinity) = the intersection of the
-    per-variable saturations, tested variable by variable."""
+def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
+    """(I : (x_0..x_n)^infinity) for homogeneous I: the package's one
+    saturation by the irrelevant ideal.
+
+    Fast path: if some single-variable saturation already sits inside the
+    ideal, the ideal is its own saturation (returned as its reduced GREVLEX
+    basis).  Otherwise fold the per-variable saturations through pairwise
+    intersections: (I : m^infinity) is the intersection of the (I : x_i^infinity).
+    """
+    if not ideal.homogeneous:
+        raise HomogeneityError("irrelevant saturation requires a homogeneous ideal")
+    if not ideal.gens:
+        return ideal
+    gb = groebner_basis(ideal, GREVLEX, budget)
+    parts = []
     for var in range(ideal.ring.nvars):
         sat = saturate_wrt_variable(ideal, var, budget)
-        gb = groebner_basis(sat, GREVLEX, budget)
-        if not normal_form(f, gb, budget).is_zero():
-            return False
-    return True
+        if ideal_contains(gb, sat, budget):
+            return Ideal.of(ideal.ring, gb.basis)
+        parts.append(sat)
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = homogeneous_generators(intersect(acc, nxt, budget))
+    return acc
+
+
+def in_irrelevant_saturation(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
+    """Membership of f in (I : (x_0..x_n)^infinity)."""
+    gb = groebner_basis(irrelevant_saturate(ideal, budget), GREVLEX, budget)
+    return normal_form(f, gb, budget).is_zero()
 
 
 def same_saturation(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
-    """Scheme equality of the irrelevant-ideal saturations of two homogeneous
-    ideals, via mutual membership (no saturation intersections needed)."""
-    return all(in_irrelevant_saturation(g, b, budget) for g in a.gens) and all(
-        in_irrelevant_saturation(g, a, budget) for g in b.gens
+    """Scheme equality of two homogeneous ideals: their irrelevant-ideal
+    saturations contain each other."""
+    sat_a = irrelevant_saturate(a, budget)
+    sat_b = irrelevant_saturate(b, budget)
+    return ideal_contains(groebner_basis(sat_b, GREVLEX, budget), sat_a, budget) and ideal_contains(
+        groebner_basis(sat_a, GREVLEX, budget), sat_b, budget
     )
 
 
@@ -239,7 +258,7 @@ def radical_membership(f: Polynomial, ideal: Ideal, budget: Budget | None = None
     """f in rad(I) iff 1 in I + (w*f - 1)."""
     if f.is_zero():
         return True
-    big, gens = extend_front(ideal, 1, "w")
+    big, gens = extend_front(ideal, "w")
     w = big.variable(0)
     f_big = big.from_dict({(0,) + m: c for m, c in f.terms})
     gens.append(w * f_big - big.one())

@@ -15,7 +15,10 @@ from .poly import Polynomial, RingContext
 from .univar import u_degree, u_roots_prime_field, u_squarefree_part, u_trim
 
 
-def quotient_monomials(gb: GroebnerBasis, cap: int = 4096):
+QUOTIENT_CAP = 4096  # largest quotient basis the dense solvers accept
+
+
+def quotient_monomials(gb: GroebnerBasis):
     """Monomial basis of ring/I for a zero-dimensional I, else None."""
     ring = gb.ring
     n = ring.nvars
@@ -38,7 +41,7 @@ def quotient_monomials(gb: GroebnerBasis, cap: int = 4096):
     for m in monos:
         if not any(all(a >= b for a, b in zip(m, lt)) for lt in lts):
             out.append(m)
-        if len(out) > cap:
+        if len(out) > QUOTIENT_CAP:
             raise DegenerateInputError("quotient basis larger than cap")
     return out
 

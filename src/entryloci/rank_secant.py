@@ -35,6 +35,9 @@ from .kernel.zerodim import (
 )
 
 
+SECANT_TRIALS = 3  # independent samples; the secant ranks are maximized over them
+
+
 @dataclass(frozen=True)
 class SecantStep:
     s: int
@@ -109,7 +112,6 @@ def _implicit_tangent_rows(X: ProjectiveVariety, pt: ProjectivePoint):
 def secant_dims(
     X: ProjectiveVariety,
     s_max: int,
-    trials: int = 3,
     seed: int = 0,
     budget: Budget | None = None,
 ) -> SecantProfile:
@@ -125,7 +127,7 @@ def secant_dims(
     if n is None:
         n = hilbert_invariants(X.ideal, budget).dimension
     best = [0] * s_max
-    for trial in range(trials):
+    for trial in range(SECANT_TRIALS):
         rng = seeded_rng(("terracini", X.meta.get("key"), seed, trial))
         if X.param is not None:
             blocks = [_param_jacobian_rows(X, rng) for _ in range(s_max)]

@@ -1,7 +1,7 @@
 import pytest
 
 from entryloci import entry_locus
-from entryloci.catalog import build_catalog_variety
+from entryloci.catalog import build_catalog_variety, catalog_keys
 from entryloci.entry_locus import (
     _implicit_entry_locus,
     _parametrized_entry_locus,
@@ -10,7 +10,7 @@ from entryloci.entry_locus import (
     entry_locus_ideal,
     irrelevant_saturate,
 )
-from entryloci.geometry import random_point
+from entryloci.geometry import linear_part_rows, random_point, span_form_rows
 from entryloci.kernel import (
     Block,
     Ideal,
@@ -20,8 +20,10 @@ from entryloci.kernel import (
     groebner_basis,
     normal_form,
     same_saturation,
+    saturate_wrt_variable,
 )
 from entryloci.kernel.hilbert import hilbert_invariants
+from entryloci.kernel.linalg import identity, row_space_intersection
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_trim
 
@@ -230,3 +232,43 @@ def test_irrelevant_saturate_intersection_fallback():
     sat = irrelevant_saturate(junky)
     gb = groebner_basis(sat)
     assert [g.to_string() for g in gb.basis] == ["x"]
+
+
+def _per_variable_span_rows(ideal):
+    """Span rows by the per-variable route: the intersection over variables of
+    the degree-1 parts of (I : x_i^inf), unit saturations skipped, and every
+    form when all of them are the unit ideal."""
+    field = ideal.ring.field
+    current = None
+    for var in range(ideal.ring.nvars):
+        sat = saturate_wrt_variable(ideal, var)
+        if any(g.total_degree() == 0 for g in sat.gens):
+            continue
+        rows = linear_part_rows(sat)
+        current = rows if current is None else row_space_intersection(current, rows, field)
+    return identity(ideal.ring.nvars, field) if current is None else current
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("scroll12", None),
+        ("cone_twisted_cubic", None),
+        ("delpezzo4", None),
+        # (x) with an embedded point at the origin: only the saturation has x
+        ("x^2 x*y x*z", [[1, 0, 0]]),
+        # m-primary: the scheme is empty, so every linear form vanishes on it
+        ("x^2 y^2 z^2", identity(3, FP)),
+    ],
+)
+def test_span_rows_match_per_variable_route(case, expected):
+    if case in catalog_keys():
+        var = build_catalog_variety(case, 1, FP)
+        ideal = entry_locus_ideal(var, general_q(var, "span-oracle", 1))
+    else:
+        ring = RingContext(("x", "y", "z"), FP)
+        ideal = Ideal.of(ring, [ring.from_string(g) for g in case.split()])
+    rows = span_form_rows(ideal)
+    assert rows == _per_variable_span_rows(ideal)
+    if expected is not None:
+        assert rows == expected

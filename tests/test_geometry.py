@@ -16,7 +16,14 @@ from entryloci.geometry import (
     span_dim,
     witness_points,
 )
-from entryloci.kernel import QQ, DegenerateInputError, Ideal, PrimeField, RingContext
+from entryloci.kernel import (
+    QQ,
+    DegenerateInputError,
+    HomogeneityError,
+    Ideal,
+    PrimeField,
+    RingContext,
+)
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.rng import seeded_rng
 
@@ -148,6 +155,8 @@ def test_span_dims():
         [ring5.from_string("x3"), ring5.from_string("x4"), ring5.from_string("x0*x2 - x1^2")],
     )
     assert span_dim(conic) == 2
+    with pytest.raises(HomogeneityError):
+        span_dim(Ideal.of(ring, [ring.from_string("x0 - x1^2")]))
 
 
 @pytest.mark.parametrize("key", ["rnc3", "scroll12", "veronese5", "delpezzo4"])

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entryloci.kernel import (
     QQ,
@@ -115,3 +118,29 @@ def test_groebner_over_prime_field_matches_rational_leading_terms():
     assert [g.leading_monomial() for g in gb_q.basis] == [
         g.leading_monomial() for g in gb_p.basis
     ]
+
+
+SYMPY_P = 32003
+_SMALL_MONOMIALS = [
+    (a, b, c) for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
+]
+_small_generator = st.dictionaries(
+    st.sampled_from(_SMALL_MONOMIALS), st.integers(1, SYMPY_P - 1), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_small_generator, min_size=2, max_size=3))
+def test_reduced_grevlex_basis_matches_sympy(gens):
+    # independent oracle: sympy's reduced grevlex basis over F_p, whose
+    # symmetric residues are mapped into [0, p)
+    ring = RingContext(("x", "y", "z"), PrimeField(SYMPY_P))
+    gb = groebner_basis(Ideal.of(ring, [ring.from_dict(g) for g in gens]), GREVLEX)
+    ours = sorted(sorted(g.terms) for g in gb.basis)
+    x, y, z = sympy.symbols("x y z")
+    exprs = [sum(c * x**a * y**b * z**e for (a, b, e), c in g.items()) for g in gens]
+    theirs = sympy.groebner(exprs, x, y, z, order="grevlex", modulus=SYMPY_P)
+    expected = sorted(
+        sorted((m, int(c) % SYMPY_P) for m, c in p.terms()) for p in theirs.polys
+    )
+    assert ours == expected
