@@ -17,7 +17,6 @@ from .geometry import (
     cone_over,
     implicitize,
     project_image,
-    random_linear_form,
     random_scalar,
 )
 from .kernel.errors import DegenerateInputError
@@ -28,6 +27,7 @@ from .kernel.ideals import Ideal
 from .kernel.linalg import det
 from .kernel.poly import RingContext, _monomials_of_degree
 from .kernel.rng import seeded_rng
+from .kernel.zerodim import random_linear_combination
 from .segre import pencil_det_distinct_roots, quadric_pencil
 
 
@@ -243,7 +243,7 @@ def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random, budget):
             f"{key}: arithmetic genus {inv.arithmetic_genus}, expected {g_exp}"
         )
     if key in ("delpezzo4", "k3_23"):
-        slice_gens = list(var.ideal.gens) + [random_linear_form(var.ring, rng)]
+        slice_gens = list(var.ideal.gens) + [random_linear_combination(var.ring, rng)]
         sl = hilbert_invariants(Ideal.of(var.ring, slice_gens), budget)
         if (sl.dimension, sl.degree, sl.arithmetic_genus) != (1, d_exp, g_exp):
             raise DegenerateInputError(f"{key}: hyperplane slice genus check failed")

@@ -141,7 +141,7 @@ def _dispatch(args) -> int:
     except CoefficientError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    budget = Budget(max_pairs=args.max_pairs, max_seconds=getattr(args, 'time_limit', None))
+    budget = Budget(max_pairs=args.max_pairs, max_seconds=args.time_limit)
 
     if args.command == "entry-locus":
         var = _load_variety(args.variety, args.seed, field, budget)
@@ -207,7 +207,7 @@ def _dispatch(args) -> int:
             field_desc=args.field,
             seed=args.seed,
             max_pairs=args.max_pairs,
-            max_seconds=getattr(args, 'time_limit', None),
+            max_seconds=args.time_limit,
             stretch_max_pairs=args.stretch_max_pairs,
             suite=args.suite,
         )

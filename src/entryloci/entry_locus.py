@@ -13,9 +13,10 @@ that the tests compare the implicit route against.
 
 The entry locus is a closure, so every invariant is read off the ideal
 saturated by the irrelevant ideal.  That saturation is
-``kernel.ideals.irrelevant_saturate`` (re-exported here); the span is the
-linear part of the same saturation (``geometry.span_form_rows``), and plane
-models project through ``geometry.project_image``.
+``kernel.ideals.irrelevant_saturate`` (re-exported here); the span is its
+linear part, read once off the saturated locus's generators, and the
+component count comes from one degree-checked plane model
+(``component_count``), projected through ``geometry.project_image``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from .geometry import (
     ProjectiveVariety,
     dehomogenize,
     implicitize,
+    linear_part_rows,
     project_image,
-    random_linear_form,
     random_point,
     random_scalar,
     reduced_dim_degree,
-    span_dim,
-    span_point_basis,
 )
 from .kernel.errors import BudgetExceededError, DegenerateInputError
 from .kernel.factor import absolute_factor_count, squarefree_part, bivariate_gcd
@@ -51,10 +50,11 @@ from .kernel.ideals import (
     ideal_contains,
     irrelevant_saturate,
 )
-from .kernel.linalg import kernel_basis
+from .kernel.linalg import identity, kernel_basis
 from .kernel.orders import GREVLEX, Block
 from .kernel.poly import Polynomial, RingContext
 from .kernel.rng import seeded_rng
+from .kernel.zerodim import random_linear_combination
 from .rank_secant import incidence_generators, secant_dims
 
 
@@ -75,6 +75,10 @@ class EntryLocusReport:
     genus_recomputed: int | None
     primes: list
     timings: dict = dc_field(default_factory=dict)
+    # working artifacts for downstream checks; as_dict never emits them
+    locus: Ideal | None = dc_field(default=None, repr=False, compare=False)
+    span_rows: list | None = dc_field(default=None, repr=False, compare=False)
+    plane_model: Polynomial | None = dc_field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -146,11 +150,12 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) 
 def plane_model(
     curve: Ideal,
     rng: random.Random,
-    expected_degree: int | None = None,
+    expected_degree: int,
     budget: Budget | None = None,
 ) -> Polynomial:
-    """Squarefree affine plane model of a projective curve under a seeded
-    random projection to P^2 (re-projecting on detected collapse).
+    """Squarefree affine plane model of degree ``expected_degree`` of a
+    projective curve under a seeded random projection to P^2, redrawing the
+    projection while the degree falls short (see :func:`component_count`).
 
     The projection defined by a random 3 x (r+1) matrix is the projection
     from its kernel, :func:`geometry.project_image`: a coordinate change
@@ -181,29 +186,38 @@ def plane_model(
         if f.total_degree() < 1:
             continue
         sf = squarefree_part(f)
-        if expected_degree is not None and sf.total_degree() != expected_degree:
+        if sf.total_degree() != expected_degree:
             continue
         return sf
     raise DegenerateInputError("no non-collapsing plane projection found")
 
 
 def component_count(
-    curve: Ideal, seed: int, expected_degree: int | None = None, budget: Budget | None = None
-) -> int:
-    """Number of geometric components of a projective curve: the absolute
-    factor count of a plane model, maximized over 3 independent projections
-    (a special projection can only merge components)."""
-    best = 0
+    curve: Ideal, seed: int, expected_degree: int, budget: Budget | None = None
+) -> tuple[int, Polynomial]:
+    """(number of geometric components, plane model) of a projective curve of
+    reduced degree ``expected_degree``: the absolute factor count of the
+    first seeded plane model that passes :func:`plane_model`'s degree check.
+
+    One such model decides the count.  Let C_1..C_k be the components, with
+    degrees summing to d.  A projection maps C_i onto a plane curve of degree
+    deg pi(C_i) <= deg C_i, with equality exactly when the center misses C_i
+    and pi restricted to C_i is birational.  The squarefree image has degree
+    the sum of deg pi(C_i) over the distinct images, which is at most d, and
+    equality holds exactly when every C_i maps birationally onto a curve of
+    its own.  So at degree d the absolutely irreducible factors of the model
+    correspond one to one with the components (a chart whose line at
+    infinity is a component also drops the degree).  Later seeds run only
+    when a projection fails the check.
+    """
     for trial in range(3):
         rng = seeded_rng(("components", seed, trial))
         try:
-            f = plane_model(curve, rng, expected_degree, budget)
-            best = max(best, absolute_factor_count(f, rng))
+            model = plane_model(curve, rng, expected_degree, budget)
+            return absolute_factor_count(model, rng), model
         except DegenerateInputError:
             continue
-    if best == 0:
-        raise DegenerateInputError("all plane projections collapsed")
-    return best
+    raise DegenerateInputError("all plane projections collapsed")
 
 
 # -- classification ----------------------------------------------------------------
@@ -213,12 +227,13 @@ def type_ab_test(
     X: ProjectiveVariety,
     q: ProjectivePoint,
     locus: Ideal,
+    span_rows,
     trials: int = 3,
     seed: int = 0,
     budget: Budget | None = None,
 ) -> str:
     """A / B / undetermined: does the entry locus stay the same for general
-    points of its span?
+    points of its span (the kernel of the locus's ``span_rows``)?
 
     Both loci come from :func:`entry_locus_ideal`, so they are already
     saturated by the irrelevant ideal and scheme equality is plain ideal
@@ -226,7 +241,7 @@ def type_ab_test(
     containment to fail in both directions, and one B decides the test.
     """
     field = X.field
-    span_basis = span_point_basis(locus, budget)
+    span_basis = kernel_basis(span_rows, field) if span_rows else identity(X.ring.nvars, field)
     if len(span_basis) < 2:
         raise DegenerateInputError("entry locus span is a point")
     locus_gb = groebner_basis(locus, GREVLEX, budget)
@@ -304,22 +319,24 @@ def classify_entry_locus(
     timings["entry_locus_ideal_s"] = round(time.monotonic() - t1, 3)
 
     t2 = time.monotonic()
-    ell = span_dim(locus, budget)
+    # the locus is saturated and generated by forms: its linear generators cut out the span
+    span_rows = linear_part_rows(locus)
+    ell = X.ring.nvars - 1 - len(span_rows)
     _, red_degree = reduced_dim_degree(locus, seed, budget)
     timings["span_and_degree_s"] = round(time.monotonic() - t2, 3)
 
     t3 = time.monotonic()
     if gamma >= 1:
-        comps = component_count(locus, seed, expected_degree=red_degree, budget=budget)
+        comps, model = component_count(locus, seed, red_degree, budget)
     else:
-        comps = red_degree
+        comps, model = red_degree, None
     timings["components_s"] = round(time.monotonic() - t3, 3)
 
     genus_re = None
     degree_formula = {"applicable": False}
     if n == 2 and r == 4 and d is not None:
         rng = seeded_rng(("genus", X.meta.get("key"), seed))
-        slice_gens = list(X.ideal.gens) + [random_linear_form(X.ring, rng)]
+        slice_gens = list(X.ideal.gens) + [random_linear_combination(X.ring, rng)]
         sl = hilbert_invariants(Ideal.of(X.ring, slice_gens), budget)
         genus_re = sl.arithmetic_genus
         expected = (d - 1) * (d - 2) - 2 * genus_re
@@ -337,14 +354,14 @@ def classify_entry_locus(
 
     t4 = time.monotonic()
     if gamma >= 1 and ell >= 1:
-        ab = type_ab_test(X, q, locus, trials=ab_trials, seed=seed, budget=budget)
+        ab = type_ab_test(X, q, locus, span_rows, trials=ab_trials, seed=seed, budget=budget)
     else:
         ab = "undetermined"
     timings["type_ab_s"] = round(time.monotonic() - t4, 3)
     timings["total_s"] = round(time.monotonic() - t0, 3)
 
     primes = [field.p] if isinstance(field, PrimeField) else []
-    report = EntryLocusReport(
+    return EntryLocusReport(
         variety=X.meta.get("key", X.meta.get("name", "variety")),
         seed=seed,
         field=field.describe(),
@@ -360,7 +377,7 @@ def classify_entry_locus(
         genus_recomputed=genus_re,
         primes=primes,
         timings=timings,
+        locus=locus,
+        span_rows=span_rows,
+        plane_model=model,
     )
-    report.locus = locus  # working artifacts for downstream checks
-    report.q_point = q
-    return report

@@ -32,15 +32,13 @@ from .kernel.linalg import (
 )
 from .kernel.orders import GREVLEX, Block
 from .kernel.poly import Polynomial, RingContext, _monomials_of_degree
-from .kernel.rng import seeded_rng
+from .kernel.rng import QQ_HEIGHT, seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
     enumerate_points_prime_field,
     is_zero_dimensional,
     random_linear_combination,
 )
-
-QQ_HEIGHT = 1000  # height bound for "general" rational choices
 
 
 # -- basic types --------------------------------------------------------------
@@ -154,10 +152,6 @@ def random_point(field, rng: random.Random, n: int, off_coordinate_hyperplanes=F
         if off_coordinate_hyperplanes and any(c == field.zero for c in coords):
             continue
         return ProjectivePoint.make(field, coords)
-
-
-def random_linear_form(ring: RingContext, rng: random.Random) -> Polynomial:
-    return random_linear_combination(ring, rng, span=QQ_HEIGHT)
 
 
 def random_invertible_matrix(field, rng: random.Random, n: int):
@@ -386,7 +380,7 @@ def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
     missed every point, or the slice was not generic)."""
     gens = list(ideal.gens)
     for _ in range(cuts):
-        gens.append(random_linear_form(ideal.ring, rng))
+        gens.append(random_linear_combination(ideal.ring, rng))
     aring, agens, chart = dehomogenize(Ideal.of(ideal.ring, gens), rng)
     gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
     if gb.is_unit() or not is_zero_dimensional(gb):
@@ -436,8 +430,12 @@ def count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
 
 
 def linear_part_rows(ideal: Ideal):
-    """Coefficient rows of the degree-1 elements among the generators."""
+    """Coefficient rows of the degree-1 elements among the generators, or
+    every linear form when a generator is a constant.  For homogeneous
+    generators the rows span the ideal's degree-1 part."""
     ring = ideal.ring
+    if any(g.total_degree() == 0 for g in ideal.gens):
+        return identity(ring.nvars, ring.field)
     rows = []
     for g in ideal.gens:
         if g.is_zero() or g.total_degree() != 1:
@@ -455,24 +453,7 @@ def span_form_rows(ideal: Ideal, budget: Budget | None = None):
     """Rows of the independent linear forms vanishing on the scheme: the
     degree-1 part of the irrelevant saturation, or every form when the
     scheme is empty."""
-    sat = irrelevant_saturate(ideal, budget)
-    if any(g.total_degree() == 0 for g in sat.gens):
-        return identity(ideal.ring.nvars, ideal.ring.field)
-    return linear_part_rows(sat)
-
-
-def span_dim(ideal: Ideal, budget: Budget | None = None) -> int:
-    """Dimension of the linear span of the (saturated) scheme."""
-    return ideal.ring.nvars - 1 - len(span_form_rows(ideal, budget))
-
-
-def span_point_basis(ideal: Ideal, budget: Budget | None = None):
-    """Spanning points of the linear span (kernel of the span forms)."""
-    rows = span_form_rows(ideal, budget)
-    field = ideal.ring.field
-    if not rows:
-        return identity(ideal.ring.nvars, field)
-    return kernel_basis(rows, field)
+    return linear_part_rows(irrelevant_saturate(ideal, budget))
 
 
 def graded_piece_rows(ideal: Ideal, degree: int):

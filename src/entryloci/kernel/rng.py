@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+QQ_HEIGHT = 1000  # height bound for "general" rational choices
+
 
 def derive_seed(*parts) -> int:
     blob = "\x1f".join(repr(p) for p in parts).encode("utf-8")

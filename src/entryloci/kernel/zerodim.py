@@ -12,6 +12,7 @@ from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
 from .linalg import solve
 from .orders import GREVLEX
 from .poly import Polynomial, RingContext
+from .rng import QQ_HEIGHT
 from .univar import u_degree, u_roots_prime_field, u_squarefree_part, u_trim
 
 
@@ -90,12 +91,13 @@ def minimal_polynomial_of(
             raise DegenerateInputError("minimal polynomial iteration overran the quotient")
 
 
-def random_linear_combination(ring: RingContext, rng: random.Random, span: int = 1000):
+def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomial:
+    """Seeded nonzero linear form: residues mod p, or integers of height <= QQ_HEIGHT."""
     field = ring.field
     if isinstance(field, PrimeField):
         draw = lambda: rng.randrange(field.p)
     else:
-        draw = lambda: rng.randint(-span, span)
+        draw = lambda: rng.randint(-QQ_HEIGHT, QQ_HEIGHT)
     while True:
         coeffs = [field.coerce(draw()) for _ in range(ring.nvars)]
         if any(c != field.zero for c in coeffs):
@@ -169,19 +171,17 @@ def enumerate_points_prime_field(
 
 
 def _pin_coordinates(gb: GroebnerBasis, rng: random.Random, budget):
+    """Coordinates of the one support point of V(gb), each the root of the
+    squarefree minimal polynomial of x_i on this basis; None when the support
+    has more than one point or a coordinate is irrational."""
     ring = gb.ring
     field = ring.field
-    gens = list(gb.source.gens)
     coords = []
     for i in range(ring.nvars):
-        current = groebner_basis(Ideal.of(ring, gens), GREVLEX, budget)
-        if current.is_unit():
-            raise DegenerateInputError("inconsistent system while pinning coordinates")
-        mp = minimal_polynomial_of(ring.variable(i), current, budget)
+        mp = minimal_polynomial_of(ring.variable(i), gb, budget)
         sf = u_squarefree_part(mp, field)
         roots = u_roots_prime_field(sf, field, rng)
         if u_degree(sf) != 1 or len(roots) != 1:
             return None  # separating form failed or irrational coordinate
         coords.append(roots[0])
-        gens.append(ring.variable(i) - ring.constant(roots[0]))
     return coords

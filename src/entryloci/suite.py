@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .catalog import build_catalog_variety
-from .entry_locus import (
-    classify_entry_locus,
-    entry_locus_ideal,
-    plane_model,
-)
+from .entry_locus import classify_entry_locus, entry_locus_ideal
 from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
@@ -29,11 +25,9 @@ from .geometry import (
     apply_linear_substitution,
     count_on_slice,
     random_invertible_matrix,
-    random_linear_form,
     random_point,
     random_scalar,
     slice_by_span,
-    span_form_rows,
     zero_dim_slice,
 )
 from .kernel.errors import BudgetExceededError, CoefficientError, DegenerateInputError, KernelError
@@ -54,7 +48,7 @@ from .kernel.linalg import rank
 from .kernel.orders import GREVLEX
 from .kernel.poly import RingContext
 from .kernel.rng import derive_seed, seeded_rng
-from .kernel.zerodim import enumerate_points_prime_field
+from .kernel.zerodim import enumerate_points_prime_field, random_linear_combination
 from .rank_secant import secant_dims, two_decompositions
 from .segre import (
     is_segre_point,
@@ -278,9 +272,9 @@ def check_veronese_projection(field, seed: int, budget):
     }
     var, rep = classified("veronese_proj4", seed, field, budget)
     computed = report_fields(rep, ("reduced_degree", "component_count", "type_irreducibility"))
+    model = rep.plane_model
     rng = seeded_rng(("veronese-degrees", seed))
-    model = plane_model(rep.locus, rng, expected_degree=6, budget=budget)
-    computed["component_degrees"] = absolute_factor_degrees(model, rng)
+    computed["component_degrees"] = None if model is None else absolute_factor_degrees(model, rng)
     return expected, computed, computed == expected
 
 
@@ -298,7 +292,7 @@ def check_delpezzo(field, seed: int, budget):
     locus = rep.locus
 
     # entry locus vs hyperplane section of X, compared on a common slice
-    span_rows = span_form_rows(locus, budget)
+    span_rows = rep.span_rows
     match = False
     if len(span_rows) == 1:
         h_data = {}
@@ -310,7 +304,7 @@ def check_delpezzo(field, seed: int, budget):
         h_form = var.ring.from_dict(h_data)
         section = Ideal.of(var.ring, list(var.ideal.gens) + [h_form])
         rng = seeded_rng(("dp-slice", seed))
-        extra = random_linear_form(var.ring, rng)
+        extra = random_linear_combination(var.ring, rng)
         a_gens = list(locus.gens) + [extra]
         b_gens = list(section.gens) + [extra]
         a_sl = Ideal.of(var.ring, a_gens)

@@ -95,8 +95,3 @@ def write_variety(var: ProjectiveVariety) -> str:
     if meta_bits:
         lines.append("meta: " + " ".join(meta_bits))
     return "\n".join(lines) + "\n"
-
-
-def write_variety_file(var: ProjectiveVariety, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_variety(var))

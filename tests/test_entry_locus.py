@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from entryloci import entry_locus
@@ -9,10 +11,12 @@ from entryloci.entry_locus import (
     component_count,
     entry_locus_ideal,
     irrelevant_saturate,
+    plane_model,
 )
-from entryloci.geometry import linear_part_rows, random_point, span_form_rows
+from entryloci.geometry import linear_part_rows, random_point, reduced_dim_degree, span_form_rows
 from entryloci.kernel import (
     Block,
+    DegenerateInputError,
     Ideal,
     PrimeField,
     RingContext,
@@ -22,6 +26,7 @@ from entryloci.kernel import (
     same_saturation,
     saturate_wrt_variable,
 )
+from entryloci.kernel.factor import absolute_factor_count
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.linalg import identity, row_space_intersection
 from entryloci.kernel.rng import seeded_rng
@@ -142,7 +147,7 @@ def test_type_ab_stops_at_first_b(monkeypatch, key, verdict, recomputations):
         return entry_locus_ideal(X, o, budget)
 
     monkeypatch.setattr(entry_locus, "entry_locus_ideal", counting)
-    assert entry_locus.type_ab_test(var, q, locus, seed=1) == verdict
+    assert entry_locus.type_ab_test(var, q, locus, span_form_rows(locus), seed=1) == verdict
     assert len(calls) == recomputations
 
 
@@ -155,6 +160,7 @@ def test_classify_scroll_full_report():
     assert rep.degree_formula["pass"] and rep.dimension_formula["pass"]
     # the minimal-degree relation: span dimension exceeds locus dimension by one
     assert rep.ell == rep.gamma + 1
+    assert rep.span_rows == span_form_rows(rep.locus)
 
 
 def test_classify_cone_two_components():
@@ -170,6 +176,7 @@ def test_classify_delpezzo_type_b():
     assert (rep.gamma, rep.ell, rep.reduced_degree, rep.component_count) == (1, 3, 4, 1)
     assert rep.type_irreducibility == "I"
     assert rep.type_ab == "B"
+    assert rep.span_rows == span_form_rows(rep.locus)
 
 
 def test_seed_stability_of_invariants():
@@ -198,12 +205,71 @@ def test_component_count_two_skew_lines():
     union = Ideal.of(
         ring, [x0 * x2, x0 * x3, x1 * x2, x1 * x3]
     )
-    assert component_count(union, seed=1, expected_degree=2) == 2
+    count, model = component_count(union, seed=1, expected_degree=2)
+    assert (count, model.total_degree()) == (2, 2)
 
 
 def test_component_count_twisted_cubic_irreducible():
     var = build_catalog_variety("rnc3", 1, FP)
-    assert component_count(var.ideal, seed=1, expected_degree=3) == 1
+    count, model = component_count(var.ideal, seed=1, expected_degree=3)
+    assert (count, model.total_degree()) == (1, 3)
+
+
+class _ScriptedRandom(random.Random):
+    """A seeded stream whose first randrange values are scripted."""
+
+    def __init__(self, script, seed):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randrange(self, *args, **kwargs):
+        if self.script:
+            return self.script.pop(0)
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("expected_degree, factors", [(1, 1), (2, 2)])
+def test_plane_model_rejects_merging_projection(expected_degree, factors):
+    # two lines in the plane x3 = 0 meeting at [1:0:0:0]; the first projection
+    # matrix has kernel [0:1:1:0], a point of that plane, so both lines map
+    # onto one line of P^2
+    ring = RingContext(("x0", "x1", "x2", "x3"), FP)
+    curve = Ideal.of(ring, [ring.from_string("x3"), ring.from_string("x1*x2")])
+    rows = [1, 0, 0, 0, 0, 1, FP.p - 1, 0, 0, 0, 0, 1]
+    rng = _ScriptedRandom(rows, 7)
+    model = plane_model(curve, rng, expected_degree)
+    assert model.total_degree() == expected_degree
+    assert absolute_factor_count(model, rng) == factors
+
+
+def _max_of_three_count(curve, seed, expected_degree):
+    """The former count: the largest absolute factor count over the plane
+    models of three seeded projections."""
+    best = 0
+    for trial in range(3):
+        rng = seeded_rng(("components", seed, trial))
+        try:
+            f = plane_model(curve, rng, expected_degree)
+            best = max(best, absolute_factor_count(f, rng))
+        except DegenerateInputError:
+            continue
+    return best
+
+
+@pytest.mark.parametrize(
+    "key, components",
+    [("scroll12", 1), ("cone_twisted_cubic", 2), ("veronese_proj4", 3), ("delpezzo4", 1)],
+)
+def test_component_count_matches_max_of_three(key, components):
+    # the entry locus and reduced degree that classify_entry_locus computes at seed 1
+    var = build_catalog_variety(key, 1, FP)
+    rng = seeded_rng(("entrylocus-q", key, 1, 0))
+    q = random_point(FP, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
+    locus = entry_locus_ideal(var, q)
+    _, degree = reduced_dim_degree(locus, 1)
+    count, model = component_count(locus, 1, degree)
+    assert model.total_degree() == degree
+    assert count == _max_of_three_count(locus, 1, degree) == components
 
 
 def test_equidimensional_invariants_of_locus():

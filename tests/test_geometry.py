@@ -13,7 +13,7 @@ from entryloci.geometry import (
     random_point,
     reduced_dim_degree,
     sample_point,
-    span_dim,
+    span_form_rows,
     witness_points,
 )
 from entryloci.kernel import (
@@ -138,6 +138,11 @@ def test_reduced_degree_of_double_line():
 def test_reduced_degree_of_delpezzo():
     var = build_catalog_variety("delpezzo4", 1, FP)
     assert reduced_dim_degree(var.ideal, 2) == (2, 4)
+
+
+def span_dim(ideal):
+    """Projective dimension of the linear span of the scheme."""
+    return ideal.ring.nvars - 1 - len(span_form_rows(ideal))
 
 
 def test_span_dims():
