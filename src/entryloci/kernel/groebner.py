@@ -4,6 +4,16 @@ Strategy: normal selection (smallest lcm in the active order first), the
 product (coprime leading term) criterion and the chain criterion.  Budgets are
 hard limits; overruns raise :class:`BudgetExceededError` rather than returning
 a partial basis.
+
+Division is heap-based with lazy coefficients (Monagan & Pearce, CASC 2007).
+The working dict maps each monomial still on the heap to a coefficient that
+is unreduced: over F_p any int congruent to the true value, over Q the exact
+``Fraction``.  A reduction step subtracts ``c * gc`` with plain operators, and
+a coefficient is reduced mod p once, when its monomial is popped; a zero is
+dropped there, not when it cancels, so every monomial is pushed at most once.
+Basis elements are monic, so the leading term of a reducer and of both
+S-polynomial halves cancels exactly and is skipped, but it is still counted
+by ``tick_reduction``: budgets and work counters see every term.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import add, itemgetter, le, neg, sub
 
 from .errors import BudgetExceededError, RingMismatchError
 from .poly import Polynomial, RingContext
@@ -55,23 +66,27 @@ class _Meter:
 DEFAULT_BUDGET = Budget()
 
 
-def _memo_key(order):
-    """``order.key`` memoized per monomial, for one computation."""
-    raw_key = order.key
-    cache: dict = {}
+class _HeapKeys(dict):
+    """Negated ``order.key`` per monomial, memoized for one computation.
 
-    def key_of(m):
-        k = cache.get(m)
-        if k is None:
-            k = raw_key(m)
-            cache[m] = k
-        return k
+    Negated keys drive ``heapq`` (a min-heap) as a max-heap, and sorting terms
+    by them ascending puts the leading term first.  Keyed terms are
+    ``(negated key, monomial, coefficient)`` triples.
+    """
 
-    return key_of
+    __slots__ = ("_key",)
+
+    def __init__(self, order):
+        super().__init__()
+        self._key = order.key
+
+    def __missing__(self, mono):
+        nk = self[mono] = tuple(map(neg, self._key(mono)))
+        return nk
 
 
-def _keyed_terms(poly: Polynomial, key_of):
-    return [(key_of(m), m, c) for m, c in poly.terms]
+def _keyed_terms(poly: Polynomial, neg_key):
+    return [(neg_key[m], m, c) for m, c in poly.terms]
 
 
 def _monic_keyed(terms, field):
@@ -84,92 +99,75 @@ def _monic_keyed(terms, field):
 
 
 def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
-def _normal_form_terms(f_terms, basis, field, key_of, meter):
+def _normal_form_terms(f_terms, basis, field, neg_key, meter):
     """Full remainder of keyed term list ``f_terms`` modulo monic ``basis``.
 
-    ``basis`` entries are (terms, lt_mono).  The remainder is fully reduced:
-    no remainder monomial is divisible by any basis leading monomial.
+    ``basis`` entries are (terms, lt_mono) with the leading term first.
+    ``f_terms`` may repeat a monomial and, over F_p, hold any ints.  The
+    remainder is fully reduced (no remainder monomial is divisible by a basis
+    leading monomial), in decreasing order, with canonical coefficients.
     """
-    if not f_terms:
-        return []
-    zero = field.zero
-    sub = field.sub
-    mul = field.mul
+    p = field.char
     work = {}
     heap = []
     for k, m, c in f_terms:
         prev = work.get(m)
         if prev is None:
             work[m] = c
-            heap.append((tuple(-x for x in k), m))
+            heap.append((k, m))
         else:
-            s = field.add(prev, c)
-            if s == zero:
-                del work[m]
-            else:
-                work[m] = s
+            work[m] = prev + c
     heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     remainder = []
-    nvars_range = None
     while heap:
-        negk, mono = heapq.heappop(heap)
-        c = work.get(mono)
-        if c is None:
+        nk, mono = heappop(heap)
+        c = work.pop(mono)
+        if p:
+            c %= p
+        if not c:
             continue
-        reducer = None
         for g_terms, g_lt in basis:
-            if _divides(g_lt, mono):
-                reducer = (g_terms, g_lt)
+            if all(map(le, g_lt, mono)):  # _divides, inlined in the hot loop
                 break
-        if reducer is None:
-            del work[mono]
-            remainder.append((tuple(-x for x in negk), mono, c))
+        else:
+            remainder.append((nk, mono, c))
             continue
-        g_terms, g_lt = reducer
-        shift = tuple(a - b for a, b in zip(mono, g_lt))
         meter.tick_reduction(len(g_terms))
-        if nvars_range is None:
-            nvars_range = range(len(mono))
-        for _, gm, gc in g_terms:
-            m2 = tuple(gm[i] + shift[i] for i in nvars_range)
+        shift = tuple(map(sub, mono, g_lt))
+        for _, gm, gc in g_terms[1:]:
+            m2 = tuple(map(add, gm, shift))
             prev = work.get(m2)
-            delta = mul(c, gc)
             if prev is None:
-                nv = sub(zero, delta)
-                if nv != zero:
-                    work[m2] = nv
-                    heapq.heappush(heap, (tuple(-x for x in key_of(m2)), m2))
+                work[m2] = -c * gc
+                heappush(heap, (neg_key[m2], m2))
             else:
-                nv = sub(prev, delta)
-                if nv == zero:
-                    del work[m2]
-                else:
-                    work[m2] = nv
+                work[m2] = prev - c * gc
     return remainder
 
 
-def _spoly_terms(fi, fj, lcm, key_of, field, meter):
-    """S-polynomial of two monic keyed term lists with precomputed lcm."""
+def _spoly_terms(fi, fj, lcm, neg_key, meter):
+    """S-polynomial of two monic keyed term lists with precomputed lcm.
+
+    The leading terms cancel exactly and are left out, but still metered.
+    Monomials may repeat and coefficients are unreduced.
+    """
     terms_i, lt_i = fi
     terms_j, lt_j = fj
-    shift_i = tuple(a - b for a, b in zip(lcm, lt_i))
-    shift_j = tuple(a - b for a, b in zip(lcm, lt_j))
+    shift_i = tuple(map(sub, lcm, lt_i))
+    shift_j = tuple(map(sub, lcm, lt_j))
     meter.tick_reduction(len(terms_i) + len(terms_j))
     out = []
-    rng = range(len(lcm))
-    for _, m, c in terms_i:
-        m2 = tuple(m[i] + shift_i[i] for i in rng)
-        out.append((key_of(m2), m2, c))
-    neg = field.neg
-    for _, m, c in terms_j:
-        m2 = tuple(m[i] + shift_j[i] for i in rng)
-        out.append((key_of(m2), m2, neg(c)))
+    for _, m, c in terms_i[1:]:
+        m2 = tuple(map(add, m, shift_i))
+        out.append((neg_key[m2], m2, c))
+    for _, m, c in terms_j[1:]:
+        m2 = tuple(map(add, m, shift_j))
+        out.append((neg_key[m2], m2, -c))
     return out
 
 
@@ -182,7 +180,8 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
     field = ring.field
-    key_of = _memo_key(ring.order)
+    order_key = ring.order.key
+    neg_key = _HeapKeys(ring.order)
     basis = []
     for p in polys:
         if p.is_zero():
@@ -190,7 +189,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         if p.ring != ring:
             if p.ring.names != ring.names or p.ring.field != ring.field:
                 raise RingMismatchError("generator from a different ring")
-        terms = sorted(_keyed_terms(p, key_of), key=lambda t: t[0], reverse=True)
+        terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
         basis.append((_monic_keyed(terms, field), terms[0][1]))
     if not basis:
         return []
@@ -201,8 +200,8 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     def push_pair(i, j):
         lt_i = basis[i][1]
         lt_j = basis[j][1]
-        lcm = tuple(max(a, b) for a, b in zip(lt_i, lt_j))
-        heapq.heappush(pair_heap, (key_of(lcm), i, j, lcm))
+        lcm = tuple(map(max, lt_i, lt_j))
+        heapq.heappush(pair_heap, (order_key(lcm), i, j, lcm))
         pending.add((i, j))
 
     for j in range(len(basis)):
@@ -231,9 +230,8 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
                     break
         if skip:
             continue
-        s = _spoly_terms(basis[i], basis[j], lcm, key_of, field, meter)
-        s.sort(key=lambda t: t[0], reverse=True)
-        rem = _normal_form_terms(s, basis, field, key_of, meter)
+        s = _spoly_terms(basis[i], basis[j], lcm, neg_key, meter)
+        rem = _normal_form_terms(s, basis, field, neg_key, meter)
         if not rem:
             continue
         rem = _monic_keyed(rem, field)
@@ -242,10 +240,10 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         for k in range(new):
             push_pair(k, new)
 
-    return _interreduce(basis, ring, field, key_of, meter)
+    return _interreduce(basis, ring, field, neg_key, meter)
 
 
-def _interreduce(basis, ring, field, key_of, meter):
+def _interreduce(basis, ring, field, neg_key, meter):
     # drop elements whose leading monomial is divisible by another's
     keep = []
     for idx, (terms, lt) in enumerate(basis):
@@ -262,10 +260,11 @@ def _interreduce(basis, ring, field, key_of, meter):
     reduced = []
     for idx, (terms, lt) in enumerate(keep):
         others = [keep[j] for j in range(len(keep)) if j != idx]
-        rem = _normal_form_terms(terms, others, field, key_of, meter) if others else terms
+        rem = _normal_form_terms(terms, others, field, neg_key, meter) if others else terms
         rem = _monic_keyed(rem, field)
         reduced.append(rem)
-    reduced.sort(key=lambda t: t[0][0])
+    # increasing leading monomial is decreasing negated key
+    reduced.sort(key=lambda t: t[0][0], reverse=True)
     return [Polynomial(ring, tuple((m, c) for _, m, c in t)) for t in reduced]
 
 
@@ -275,17 +274,16 @@ def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Pol
     ring = f.ring
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
-    key_of = _memo_key(ring.order)
+    neg_key = _HeapKeys(ring.order)
     basis = []
     for p in basis_polys:
         if p.is_zero():
             continue
         if p.ring.names != ring.names or p.ring.field != ring.field:
             raise RingMismatchError("divisor from a different ring")
-        terms = sorted(_keyed_terms(p, key_of), key=lambda t: t[0], reverse=True)
+        terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
         basis.append((_monic_keyed(terms, ring.field), terms[0][1]))
-    f_terms = sorted(_keyed_terms(f, key_of), key=lambda t: t[0], reverse=True)
-    rem = _normal_form_terms(f_terms, basis, ring.field, key_of, meter)
+    rem = _normal_form_terms(_keyed_terms(f, neg_key), basis, ring.field, neg_key, meter)
     return Polynomial(ring, tuple((m, c) for _, m, c in rem))
 
 
@@ -294,21 +292,12 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if g.ring != ring:
         raise RingMismatchError("S-polynomial operands in different rings")
-    key_of = ring.order.key
+    neg_key = _HeapKeys(ring.order)
     meter = DEFAULT_BUDGET.fresh()
-    fi = sorted(_keyed_terms(f.monic(), key_of), key=lambda t: t[0], reverse=True)
-    gj = sorted(_keyed_terms(g.monic(), key_of), key=lambda t: t[0], reverse=True)
-    lcm = tuple(max(a, b) for a, b in zip(fi[0][1], gj[0][1]))
-    s = _spoly_terms((fi, fi[0][1]), (gj, gj[0][1]), lcm, key_of, ring.field, meter)
-    acc = {}
-    for _, m, c in s:
-        prev = acc.get(m)
-        if prev is None:
-            acc[m] = c
-        else:
-            v = ring.field.add(prev, c)
-            if v == ring.field.zero:
-                del acc[m]
-            else:
-                acc[m] = v
-    return ring.from_dict(acc)
+    fi = sorted(_keyed_terms(f.monic(), neg_key), key=itemgetter(0))
+    gj = sorted(_keyed_terms(g.monic(), neg_key), key=itemgetter(0))
+    lcm = tuple(map(max, fi[0][1], gj[0][1]))
+    s = _spoly_terms((fi, fi[0][1]), (gj, gj[0][1]), lcm, neg_key, meter)
+    # division by no divisors collects repeated monomials and reduces mod p
+    rem = _normal_form_terms(s, [], ring.field, neg_key, meter)
+    return Polynomial(ring, tuple((m, c) for _, m, c in rem))

@@ -3,9 +3,21 @@
 Matrices are plain lists of row lists holding field-element payloads
 (Fractions over Q, ints over F_p).  Everything here is Gaussian elimination;
 sizes stay small so no fraction-free cleverness is needed.
+
+Row operations use plain operators on the payloads, one comprehension per
+row: ``x * inv % p`` scales a pivot row and ``(x - f * y) % p`` eliminates
+(:func:`_row_minus`), so each new entry is reduced once.  Over Q
+(``field.char == 0``) the same comprehensions run without the ``% p``.
 """
 
 from __future__ import annotations
+
+
+def _row_minus(row, f, pivot_row, p):
+    """``row - f * pivot_row``, reduced mod ``p`` over F_p (``p == 0`` is Q)."""
+    if p:
+        return [(x - f * y) % p for x, y in zip(row, pivot_row)]
+    return [x - f * y for x, y in zip(row, pivot_row)]
 
 
 def rref(rows, field):
@@ -15,6 +27,7 @@ def rref(rows, field):
         return a, []
     m, n = len(a), len(a[0])
     zero = field.zero
+    p = field.char
     piv_cols = []
     r = 0
     for c in range(n):
@@ -29,12 +42,13 @@ def rref(rows, field):
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
+        if p:
+            row_r = a[r] = [x * inv % p for x in a[r]]
+        else:
+            row_r = a[r] = [x * inv for x in a[r]]
         for i in range(m):
             if i != r and a[i][c] != zero:
-                f = a[i][c]
-                row_r = a[r]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], row_r)]
+                a[i] = _row_minus(a[i], a[i][c], row_r, p)
         piv_cols.append(c)
         r += 1
     return a, piv_cols
@@ -85,6 +99,7 @@ def det(rows, field):
     a = [list(r) for r in rows]
     n = len(a)
     zero = field.zero
+    p = field.char
     sign_flip = False
     result = field.one
     for c in range(n):
@@ -102,8 +117,7 @@ def det(rows, field):
         inv = field.inv(a[c][c])
         for i in range(c + 1, n):
             if a[i][c] != zero:
-                f = field.mul(a[i][c], inv)
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[c])]
+                a[i] = _row_minus(a[i], field.mul(a[i][c], inv), a[c], p)
     return field.neg(result) if sign_flip else result
 
 

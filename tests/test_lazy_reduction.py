@@ -1,0 +1,445 @@
+"""The lazy-coefficient kernel against the field-method kernel it replaced.
+
+``_ref_normal_form_terms``, ``_ref_spoly_terms`` and ``_ref_rref`` are the
+former implementations, which reduced every product and difference through
+the field's methods and keyed terms by the order key itself.  The current
+ones must give term for term the same remainders, the same RREF rows and
+pivots and the same reduction counts, and every coefficient they return must
+be canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
+"""
+
+import heapq
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entryloci.catalog import build_catalog_variety
+from entryloci.geometry import random_point
+from entryloci.kernel import (
+    QQ,
+    Block,
+    Budget,
+    BudgetExceededError,
+    Ideal,
+    PrimeField,
+    RingContext,
+    groebner_basis,
+)
+from entryloci.kernel import ideals
+from entryloci.kernel.groebner import (
+    DEFAULT_BUDGET,
+    _HeapKeys,
+    _interreduce,
+    _keyed_terms,
+    _monic_keyed,
+    _normal_form_terms,
+    _spoly_terms,
+    buchberger,
+    normal_form,
+    spolynomial,
+)
+from entryloci.kernel.linalg import det, kernel_basis, rref, solve
+from entryloci.kernel.orders import GREVLEX, LEX
+from entryloci.kernel.rng import seeded_rng
+from entryloci.rank_secant import incidence_generators
+
+FIELDS = [QQ, PrimeField(32003), PrimeField(2147483659)]
+NAMES = ("x", "y", "z")
+ORDERS = [GREVLEX, LEX, Block(1)]
+
+
+# -- the former field-method kernel, kept as the reference --------------------
+
+
+def _ref_divides(a, b):
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def _ref_normal_form_terms(f_terms, basis, field, key_of, meter):
+    if not f_terms:
+        return []
+    zero = field.zero
+    sub = field.sub
+    mul = field.mul
+    work = {}
+    heap = []
+    for k, m, c in f_terms:
+        prev = work.get(m)
+        if prev is None:
+            work[m] = c
+            heap.append((tuple(-x for x in k), m))
+        else:
+            s = field.add(prev, c)
+            if s == zero:
+                del work[m]
+            else:
+                work[m] = s
+    heapq.heapify(heap)
+    remainder = []
+    nvars_range = None
+    while heap:
+        negk, mono = heapq.heappop(heap)
+        c = work.get(mono)
+        if c is None:
+            continue
+        reducer = None
+        for g_terms, g_lt in basis:
+            if _ref_divides(g_lt, mono):
+                reducer = (g_terms, g_lt)
+                break
+        if reducer is None:
+            del work[mono]
+            remainder.append((tuple(-x for x in negk), mono, c))
+            continue
+        g_terms, g_lt = reducer
+        shift = tuple(a - b for a, b in zip(mono, g_lt))
+        meter.tick_reduction(len(g_terms))
+        if nvars_range is None:
+            nvars_range = range(len(mono))
+        for _, gm, gc in g_terms:
+            m2 = tuple(gm[i] + shift[i] for i in nvars_range)
+            prev = work.get(m2)
+            delta = mul(c, gc)
+            if prev is None:
+                nv = sub(zero, delta)
+                if nv != zero:
+                    work[m2] = nv
+                    heapq.heappush(heap, (tuple(-x for x in key_of(m2)), m2))
+            else:
+                nv = sub(prev, delta)
+                if nv == zero:
+                    del work[m2]
+                else:
+                    work[m2] = nv
+    return remainder
+
+
+def _ref_spoly_terms(fi, fj, lcm, key_of, field, meter):
+    terms_i, lt_i = fi
+    terms_j, lt_j = fj
+    shift_i = tuple(a - b for a, b in zip(lcm, lt_i))
+    shift_j = tuple(a - b for a, b in zip(lcm, lt_j))
+    meter.tick_reduction(len(terms_i) + len(terms_j))
+    out = []
+    rng = range(len(lcm))
+    for _, m, c in terms_i:
+        m2 = tuple(m[i] + shift_i[i] for i in rng)
+        out.append((key_of(m2), m2, c))
+    neg = field.neg
+    for _, m, c in terms_j:
+        m2 = tuple(m[i] + shift_j[i] for i in rng)
+        out.append((key_of(m2), m2, neg(c)))
+    return out
+
+
+def _ref_rref(rows, field):
+    a = [list(r) for r in rows]
+    if not a:
+        return a, []
+    m, n = len(a), len(a[0])
+    zero = field.zero
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot = None
+        for i in range(r, m):
+            if a[i][c] != zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != zero:
+                f = a[i][c]
+                row_r = a[r]
+                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], row_r)]
+        piv_cols.append(c)
+        r += 1
+    return a, piv_cols
+
+
+# -- both kernels side by side ------------------------------------------------
+
+
+class _Both:
+    """One divisor list keyed for both kernels: the reference by the order
+    key, the current one by the memoized negated key."""
+
+    def __init__(self, ring, polys):
+        self.ring = ring
+        self.field = ring.field
+        self.key_of = ring.order.key
+        self.neg_key = _HeapKeys(ring.order)
+        self.ref_basis = [self._ref_monic(p) for p in polys]
+        self.basis = [self._monic(p) for p in polys]
+
+    def _ref_monic(self, poly):
+        terms = sorted(
+            ((self.key_of(m), m, c) for m, c in poly.terms), key=lambda t: t[0], reverse=True
+        )
+        return _monic_keyed(terms, self.field), terms[0][1]
+
+    def _monic(self, poly):
+        terms = sorted(_keyed_terms(poly, self.neg_key), key=lambda t: t[0])
+        return _monic_keyed(terms, self.field), terms[0][1]
+
+    def remainders(self, poly, ref_basis=None, basis=None):
+        """(reference, current) remainders and reduction counts of ``poly``."""
+        ref_meter, meter = DEFAULT_BUDGET.fresh(), DEFAULT_BUDGET.fresh()
+        ref_terms = sorted(
+            ((self.key_of(m), m, c) for m, c in poly.terms), key=lambda t: t[0], reverse=True
+        )
+        ref = _ref_normal_form_terms(
+            ref_terms, self.ref_basis if ref_basis is None else ref_basis,
+            self.field, self.key_of, ref_meter,
+        )
+        cur = _normal_form_terms(
+            _keyed_terms(poly, self.neg_key), self.basis if basis is None else basis,
+            self.field, self.neg_key, meter,
+        )
+        return _pairs(ref), ref_meter.reductions, _pairs(cur), meter.reductions
+
+    def spoly_remainders(self, i, j):
+        """(reference, current) remainders and counts of S(g_i, g_j) modulo
+        the whole list, and modulo nothing (the S-polynomial itself)."""
+        lcm = tuple(map(max, self.basis[i][1], self.basis[j][1]))
+        out = []
+        for divisors, ref_divisors in ((self.basis, self.ref_basis), ([], [])):
+            ref_meter, meter = DEFAULT_BUDGET.fresh(), DEFAULT_BUDGET.fresh()
+            s_ref = _ref_spoly_terms(
+                self.ref_basis[i], self.ref_basis[j], lcm, self.key_of, self.field, ref_meter
+            )
+            s_ref.sort(key=lambda t: t[0], reverse=True)
+            ref = _ref_normal_form_terms(s_ref, ref_divisors, self.field, self.key_of, ref_meter)
+            s = _spoly_terms(self.basis[i], self.basis[j], lcm, self.neg_key, meter)
+            cur = _normal_form_terms(s, divisors, self.field, self.neg_key, meter)
+            out.append((_pairs(ref), ref_meter.reductions, _pairs(cur), meter.reductions))
+        return out
+
+
+def _pairs(keyed):
+    return [(m, c) for _, m, c in keyed]
+
+
+_MONOMIALS = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
+
+
+def _coefficients(field):
+    if field.char == 0:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    p = field.char
+    # small values force cancellations; the full range covers large products
+    return st.one_of(st.integers(-3, 3), st.integers(-(p - 1), p - 1))
+
+
+def _polys(ring):
+    return st.dictionaries(
+        st.sampled_from(_MONOMIALS), _coefficients(ring.field), min_size=1, max_size=5
+    ).map(ring.from_dict)
+
+
+def _canonical(field, c):
+    if field.char == 0:
+        return isinstance(c, Fraction)
+    return isinstance(c, int) and 0 <= c < field.char
+
+
+# -- oracle: normal forms and S-polynomials -----------------------------------
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(ORDERS), st.data())
+def test_normal_forms_match_field_method_reference(field, order, data):
+    ring = RingContext(NAMES, field, order)
+    divisors = [g for g in data.draw(st.lists(_polys(ring), min_size=1, max_size=3)) if g.terms]
+    if not divisors:
+        return
+    both = _Both(ring, divisors)
+    f = data.draw(_polys(ring))
+    h = data.draw(_polys(ring))
+    # a plain dividend, and a multiple of the first divisor, whose remainder
+    # cancels to zero
+    for poly in (f, h * divisors[0]):
+        ref, ref_count, cur, count = both.remainders(poly)
+        assert cur == ref and count == ref_count
+        assert all(_canonical(field, c) for _, c in cur)
+    assert both.remainders(h * divisors[0])[2] == []
+    # _interreduce inputs: each element's own terms modulo the others
+    for i, g in enumerate(divisors):
+        ref_others = both.ref_basis[:i] + both.ref_basis[i + 1 :]
+        others = both.basis[:i] + both.basis[i + 1 :]
+        ref, ref_count, cur, count = both.remainders(g.monic(), ref_others, others)
+        assert cur == ref and count == ref_count
+    # S-polynomials, reduced and as they are
+    for j in range(len(divisors)):
+        for i in range(j):
+            for ref, ref_count, cur, count in both.spoly_remainders(i, j):
+                assert cur == ref and count == ref_count
+                assert all(_canonical(field, c) for _, c in cur)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_monomial_spolynomial_is_empty(field):
+    # a basis element that is a single monomial: both leading terms are
+    # skipped, so the S-polynomial has no terms, but both are still counted
+    ring = RingContext(NAMES, field)
+    both = _Both(ring, [ring.from_string("x*y"), ring.from_string("x*z")])
+    meter = DEFAULT_BUDGET.fresh()
+    lcm = (1, 1, 1)
+    assert _spoly_terms(both.basis[0], both.basis[1], lcm, both.neg_key, meter) == []
+    assert meter.reductions == 2
+    assert spolynomial(ring.from_string("x*y"), ring.from_string("x*z")).is_zero()
+    for ref, ref_count, cur, count in both.spoly_remainders(0, 1):
+        assert cur == ref == [] and count == ref_count == 2
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=str)
+def test_unreduced_dividend_with_repeated_monomials(field):
+    # terms as _spoly_terms hands them over: negative ints, repeated
+    # monomials, and a monomial whose coefficients sum to a multiple of p
+    p = field.char
+    ring = RingContext(NAMES, field)
+    both = _Both(ring, [ring.from_string("x^2 - y*z"), ring.from_string("y^2 + 3*z")])
+    k = both.neg_key
+    raw = [
+        (k[(2, 1, 0)], (2, 1, 0), -5),
+        (k[(0, 1, 1)], (0, 1, 1), p - 1),
+        (k[(2, 1, 0)], (2, 1, 0), 7 * p + 2),
+        (k[(0, 0, 2)], (0, 0, 2), -p),
+        (k[(0, 1, 1)], (0, 1, 1), -(p - 1)),
+        (k[(1, 0, 0)], (1, 0, 0), -1),
+    ]
+    canonical = ring.from_dict({(2, 1, 0): -3, (1, 0, 0): -1})
+    ref, ref_count, _, _ = both.remainders(canonical)
+    meter = DEFAULT_BUDGET.fresh()
+    cur = _pairs(_normal_form_terms(raw, both.basis, field, k, meter))
+    assert cur == ref and meter.reductions == ref_count
+    assert all(0 <= c < p for _, c in cur)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_interreduce_tail_reduces_against_reference(field):
+    ring = RingContext(NAMES, field)
+    polys = [
+        ring.from_string("x^2 - 2*y*z + z^2"),
+        ring.from_string("y*z - 3*z^2"),
+        ring.from_string("x^3 + x*y*z - 5"),  # dominated by x^2
+    ]
+    both = _Both(ring, polys)
+    out = _interreduce(both.basis, ring, field, both.neg_key, DEFAULT_BUDGET.fresh())
+    kept = both.ref_basis[:2]
+    expected = []
+    for i in range(2):
+        rem = _ref_normal_form_terms(
+            kept[i][0], kept[:i] + kept[i + 1 :], field, both.key_of, DEFAULT_BUDGET.fresh()
+        )
+        expected.append(_pairs(_monic_keyed(rem, field)))
+    expected.sort(key=lambda t: both.key_of(t[0][0]))
+    assert [list(g.terms) for g in out] == expected
+
+
+# -- oracle: rref -------------------------------------------------------------
+
+
+def _matrices(field):
+    entry = _coefficients(field) if field.char else st.fractions(-5, 5, max_denominator=4)
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_rref_matches_field_method_reference(field, data):
+    rows = data.draw(_matrices(field))
+    # a repeated row forces a zero row out of the elimination
+    rows = rows + rows[:1]
+    assert rref(rows, field) == _ref_rref(rows, field)
+
+
+# -- every coefficient returned is canonical ----------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_results_are_canonical(field):
+    ring = RingContext(NAMES, field)
+    gens = [
+        ring.from_string("x^2 - 3*x*y + x^2 - 5*z^2"),
+        ring.from_string("-y^2 + x*z - 7*y*z - y^2"),
+        ring.from_string("-x*y*z + 2*z^3 - 11"),
+    ]
+    gb = buchberger(gens, ring)
+    polys = list(gb)
+    polys.append(normal_form(ring.from_string("-x^3*y + y^4 - 13*x*z^2 - 1"), gens))
+    polys.append(normal_form(ring.from_string("-x^3*y - 4*z"), gb))
+    polys.append(
+        ideals.normal_form(
+            ring.from_string("-x^3 - 2*y*z^2 + 9"), groebner_basis(Ideal.of(ring, gens))
+        )
+    )
+    polys += [spolynomial(f, g) for f in gens for g in gens if f is not g]
+    coeffs = [c for g in polys for _, c in g.terms]
+    assert coeffs and all(_canonical(field, c) for c in coeffs)
+
+    entry = Fraction if field.char == 0 else int
+    rows = [
+        [entry(1), entry(-2), entry(3), entry(-4)],
+        [entry(-2), entry(4), entry(-6), entry(8)],
+        [entry(0), entry(-1), entry(5), entry(-7)],
+    ]
+    red, _ = rref(rows, field)
+    values = [x for r in red for x in r]
+    values += [x for v in kernel_basis(rows, field) for x in v]
+    values += solve(rows, [entry(-1), entry(2), entry(-3)], field)
+    values.append(det([r[:3] for r in rows[::2]] + [[entry(-1), entry(0), entry(-9)]], field))
+    values.append(det([[entry(-3)]], field))
+    assert all(_canonical(field, x) for x in values)
+
+
+# -- budgets see every term ---------------------------------------------------
+
+
+def _scroll_incidence_system():
+    field = PrimeField(2147483659)
+    var = build_catalog_variety("scroll12", 1, field)
+    rng = seeded_rng("scroll-q", 1)
+    while True:
+        q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
+        if not var.contains_point(q):
+            break
+    ring = var.ring
+    big = RingContext(("lam_",) + ring.names, field, Block(1))
+    a_vars = [big.variable(1 + i) for i in range(ring.nvars)]
+    gens = incidence_generators(var, q, big, a_vars, big.variable(0))
+    gens.sort(key=lambda p: (p.total_degree(), p.terms))
+    return gens, big
+
+
+class _RecordingBudget(Budget):
+    def fresh(self):
+        self.meter = super().fresh()
+        return self.meter
+
+
+def test_budget_counts_every_skipped_leading_term():
+    # the counts of the field-method kernel, which subtracted the leading
+    # terms instead of skipping them
+    gens, ring = _scroll_incidence_system()
+    budget = _RecordingBudget()
+    basis = buchberger(gens, ring, budget)
+    assert (budget.meter.pairs, budget.meter.reductions) == (91, 408)
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, ring, Budget(max_reductions=407))
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, ring, Budget(max_pairs=90))
+    assert buchberger(gens, ring, Budget(max_reductions=408, max_pairs=91)) == basis
