@@ -173,16 +173,7 @@ def apply_linear_substitution(ideal: Ideal, matrix) -> Ideal:
     """Ideal of generators f(B y): columns of ``matrix`` are the images of the
     new basis vectors (so points transform by x = B y)."""
     ring = ideal.ring
-    n = ring.nvars
-    gens_y = ring.gens()
-    images = []
-    for i in range(n):
-        form = ring.zero()
-        for j in range(n):
-            c = matrix[i][j]
-            if c != ring.field.zero:
-                form = form + gens_y[j].scale(c)
-        images.append(form)
+    images = [ring.linear_form(row) for row in matrix]
     return Ideal.of(ring, [g.substitute(images, ring) for g in ideal.gens])
 
 

@@ -80,10 +80,10 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.one / a
 
     def div(self, a, b):
-        return a / b
+        return self.coerce(a) / b
 
     def __repr__(self):
         return "QQ"

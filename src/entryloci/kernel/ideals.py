@@ -244,14 +244,17 @@ def in_irrelevant_saturation(f: Polynomial, ideal: Ideal, budget: Budget | None 
     return normal_form(f, gb, budget).is_zero()
 
 
+def same_ideal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
+    """Ideal equality: mutual containment, tested on GREVLEX bases."""
+    return ideal_contains(groebner_basis(b, GREVLEX, budget), a, budget) and ideal_contains(
+        groebner_basis(a, GREVLEX, budget), b, budget
+    )
+
+
 def same_saturation(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
     """Scheme equality of two homogeneous ideals: their irrelevant-ideal
-    saturations contain each other."""
-    sat_a = irrelevant_saturate(a, budget)
-    sat_b = irrelevant_saturate(b, budget)
-    return ideal_contains(groebner_basis(sat_b, GREVLEX, budget), sat_a, budget) and ideal_contains(
-        groebner_basis(sat_a, GREVLEX, budget), sat_b, budget
-    )
+    saturations are equal."""
+    return same_ideal(irrelevant_saturate(a, budget), irrelevant_saturate(b, budget), budget)
 
 
 def radical_membership(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:

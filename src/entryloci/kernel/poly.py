@@ -113,6 +113,11 @@ class RingContext:
     def from_string(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
 
+    def linear_form(self, row) -> "Polynomial":
+        """sum_i row[i] * x_i (the inverse of ``geometry.linear_part_rows``)."""
+        n = self.nvars
+        return self.from_dict({tuple(int(j == i) for j in range(n)): c for i, c in enumerate(row)})
+
 
 class Polynomial:
     """Immutable sparse polynomial: sorted ((exponents, coefficient), ...)."""

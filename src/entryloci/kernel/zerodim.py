@@ -102,13 +102,7 @@ def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomi
         coeffs = [field.coerce(draw()) for _ in range(ring.nvars)]
         if any(c != field.zero for c in coeffs):
             break
-    data = {}
-    for i, c in enumerate(coeffs):
-        if c != field.zero:
-            m = [0] * ring.nvars
-            m[i] = 1
-            data[tuple(m)] = c
-    return ring.from_dict(data)
+    return ring.linear_form(coeffs)
 
 
 def count_distinct_points(

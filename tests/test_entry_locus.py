@@ -13,7 +13,14 @@ from entryloci.entry_locus import (
     irrelevant_saturate,
     plane_model,
 )
-from entryloci.geometry import linear_part_rows, random_point, reduced_dim_degree, span_form_rows
+from entryloci.geometry import (
+    ProjectivePoint,
+    linear_part_rows,
+    random_point,
+    reduced_dim_degree,
+    span_form_rows,
+    zero_dim_slice,
+)
 from entryloci.kernel import (
     Block,
     DegenerateInputError,
@@ -31,6 +38,7 @@ from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.linalg import identity, row_space_intersection
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_trim
+from entryloci.kernel.zerodim import enumerate_points_prime_field
 
 FP = PrimeField(2147483659)
 
@@ -66,7 +74,7 @@ def test_witness_closure_on_slice_points():
     # for points a on a slice of the locus, the line through a and q must meet
     # the variety again away from a: the substituted binary forms share a root
     # besides the diagonal one
-    from entryloci.suite import _slice_points, prime_stream
+    from entryloci.suite import prime_stream
 
     found = None
     for attempt, p in zip(range(12), prime_stream(31)):
@@ -74,9 +82,11 @@ def test_witness_closure_on_slice_points():
         var = build_catalog_variety("scroll12", 1, F2)
         q = general_q(var, "scroll-qw", 3)
         locus = entry_locus_ideal(var, q)
-        pts = _slice_points(locus, seeded_rng("wslice", attempt), None)
-        if pts:
-            found = (F2, var, q, pts)
+        rng = seeded_rng("wslice", attempt)
+        cut = zero_dim_slice(locus, 1, rng, None)
+        raw = cut and enumerate_points_prime_field(cut[0], rng, None, require_all=True)
+        if raw:
+            found = (F2, var, q, [ProjectivePoint.make(F2, cut[1](v)) for v in raw])
             break
     assert found, "no splitting prime for the slice in the probe window"
     F2, var, q, pts = found

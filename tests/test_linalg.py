@@ -8,6 +8,7 @@ from entryloci.kernel.linalg import (
     mat_inverse,
     rank,
     row_space_intersection,
+    rref,
     solve,
 )
 
@@ -44,6 +45,15 @@ def test_solve_and_inverse():
     inv = mat_inverse(rows, QQ)
     assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
     assert det(rows, QQ) == 5
+
+
+def test_rational_rows_of_ints_stay_exact():
+    rows = [[2, 1], [1, 3]]
+    red, piv = rref(rows, QQ)
+    assert red == [[1, 0], [0, 1]] and piv == [0, 1]
+    assert all(type(x) is Fraction for row in red for x in row)
+    d = det(rows, QQ)
+    assert d == Fraction(5) and type(d) is Fraction
 
 
 def test_inconsistent_system_returns_none():

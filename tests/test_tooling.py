@@ -2,14 +2,17 @@
 functions by name from outside: a rename or move in the package must fail
 here instead of breaking the traced runs."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+from entryloci.kernel import ideals
 from entryloci.kernel.groebner import Budget
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SELFTEST = SPANS.parent / "selftest.py"
 
 
 def _load_spans(monkeypatch):
@@ -29,3 +32,31 @@ def test_traced_targets_resolve(monkeypatch):
         missing += [f"{mod}.{fn}" for fn in fns if not callable(getattr(module, fn, None))]
     assert missing == []
     assert callable(vars(Budget).get("fresh"))
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else []
+
+
+def test_selftest_ideals_references_resolve():
+    # parsed, not imported: the self-test's module-level imports stay unrun
+    tree = ast.parse(SELFTEST.read_text())
+    assert any(
+        isinstance(n, ast.ImportFrom) and n.module == "entryloci.kernel"
+        and [a.name for a in n.names] == ["ideals"]
+        for n in ast.walk(tree)
+    )
+    refs = {tuple(p[1:]) for n in ast.walk(tree) if (p := _dotted(n))[:1] == ["ideals"] and len(p) > 1}
+    assert ("_GB_CACHE", "clear") in refs
+    missing = []
+    for path in refs:
+        obj = ideals
+        for name in path:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(".".join(path))
+    assert missing == []
