@@ -125,7 +125,11 @@ def _dispatch(args) -> int:
 
     if args.command == "gb":
         var = read_variety_file(args.input)
-        order = order_from_name(args.order)
+        try:
+            order = order_from_name(args.order, var.ring.nvars)
+        except ValueError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return USAGE_ERROR
         budget = Budget(max_pairs=args.max_pairs)
         gb = groebner_basis(var.ideal, order, budget)
         data = {

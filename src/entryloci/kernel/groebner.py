@@ -1,9 +1,18 @@
 """Buchberger's algorithm: reduced Groebner bases with explicit budgets.
 
-Strategy: normal selection (smallest lcm in the active order first), the
-product (coprime leading term) criterion and the chain criterion.  Budgets are
-hard limits; overruns raise :class:`BudgetExceededError` rather than returning
-a partial basis.
+Strategy: the sugar selection of Giovini, Mora, Niesi, Robbiano & Traverso
+("One sugar cube, please", ISSAC 1991), the product (coprime leading term)
+criterion and the chain criterion.  Every basis element carries a sugar: an
+input's is its total degree, an S-pair's is
+``max(sugar_i + deg lcm - deg lt_i, sugar_j + deg lcm - deg lt_j)`` and a new
+element takes its pair's.  Pairs are popped by (sugar, order key of the lcm),
+so an inhomogeneous system or a block or lex order is worked through degree by
+degree, as if it were homogenised, instead of following the elimination
+order.  For homogeneous input under grevlex the sugar is the degree of the
+lcm and the pair order is normal selection's.  The selection changes only the
+order of the work: the reduced Groebner basis is unique, so the result is the
+same.  Budgets are hard limits; overruns raise :class:`BudgetExceededError`
+rather than returning a partial basis.
 
 Division is heap-based with lazy coefficients (Monagan & Pearce, CASC 2007).
 The working dict maps each monomial still on the heap to a coefficient that
@@ -183,6 +192,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     order_key = ring.order.key
     neg_key = _HeapKeys(ring.order)
     basis = []
+    sugar = []
     for p in polys:
         if p.is_zero():
             continue
@@ -191,6 +201,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
                 raise RingMismatchError("generator from a different ring")
         terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
         basis.append((_monic_keyed(terms, field), terms[0][1]))
+        sugar.append(p.total_degree())
     if not basis:
         return []
 
@@ -201,7 +212,9 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         lt_i = basis[i][1]
         lt_j = basis[j][1]
         lcm = tuple(map(max, lt_i, lt_j))
-        heapq.heappush(pair_heap, (order_key(lcm), i, j, lcm))
+        d = sum(lcm)
+        pair_sugar = max(sugar[i] + d - sum(lt_i), sugar[j] + d - sum(lt_j))
+        heapq.heappush(pair_heap, (pair_sugar, order_key(lcm), i, j, lcm))
         pending.add((i, j))
 
     for j in range(len(basis)):
@@ -209,7 +222,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
             push_pair(i, j)
 
     while pair_heap:
-        _, i, j, lcm = heapq.heappop(pair_heap)
+        pair_sugar, _, i, j, lcm = heapq.heappop(pair_heap)
         pending.discard((i, j))
         meter.tick_pair()
         lt_i = basis[i][1]
@@ -236,6 +249,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
             continue
         rem = _monic_keyed(rem, field)
         basis.append((rem, rem[0][1]))
+        sugar.append(pair_sugar)
         new = len(basis) - 1
         for k in range(new):
             push_pair(k, new)

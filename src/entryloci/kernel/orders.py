@@ -78,12 +78,17 @@ GREVLEX = GrevLex()
 LEX = Lex()
 
 
-def order_from_name(text: str):
+def order_from_name(text: str, nvars: int):
+    """The order named ``grevlex``, ``lex`` or ``block:k`` on ``nvars``
+    variables; ``block:k`` needs 0 <= k <= nvars.  Raises ValueError."""
     t = text.strip().lower()
     if t == "grevlex":
         return GREVLEX
     if t == "lex":
         return LEX
     if t.startswith("block:"):
-        return Block(int(t.split(":", 1)[1]))
+        k = t.split(":", 1)[1]
+        if k.isdigit() and int(k) <= nvars:
+            return Block(int(k))
+        raise ValueError(f"block size in {text!r} must be an integer from 0 to {nvars}")
     raise ValueError(f"unknown monomial order {text!r}")

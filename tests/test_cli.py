@@ -69,6 +69,20 @@ def test_gb_command_on_variety_file(capsys, tmp_path):
     assert rc == 0
     data = json.loads(out)
     assert len(data["basis"]) == 3
+    # block:nvars, the largest valid size, orders like grevlex
+    rc, out = run_cli(capsys, "gb", "--input", str(path), "--order", "block:4")
+    assert rc == 0 and json.loads(out)["basis"] == data["basis"]
+
+
+@pytest.mark.parametrize("order", ["foo", "block:abc", "block:-1", "block:5"])
+def test_bad_gb_order_is_usage_error(capsys, tmp_path, order):
+    # rnc3 lives in P^3: 4 variables, so block:0 to block:4 are the valid sizes
+    var = build_catalog_variety("rnc3", 1, PrimeField(2147483659))
+    path = tmp_path / "rnc3.var"
+    path.write_text(write_variety(var))
+    rc = main(["gb", "--input", str(path), "--order", order])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_entry_locus_accepts_variety_file(capsys, tmp_path):

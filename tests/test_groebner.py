@@ -129,18 +129,29 @@ _small_generator = st.dictionaries(
 )
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.lists(_small_generator, min_size=2, max_size=3))
-def test_reduced_grevlex_basis_matches_sympy(gens):
-    # independent oracle: sympy's reduced grevlex basis over F_p, whose
-    # symmetric residues are mapped into [0, p)
+def _assert_basis_matches_sympy(gens, order):
+    # independent oracle: sympy's reduced basis over F_p, whose symmetric
+    # residues are mapped into [0, p)
     ring = RingContext(("x", "y", "z"), PrimeField(SYMPY_P))
-    gb = groebner_basis(Ideal.of(ring, [ring.from_dict(g) for g in gens]), GREVLEX)
+    gb = groebner_basis(Ideal.of(ring, [ring.from_dict(g) for g in gens]), order)
     ours = sorted(sorted(g.terms) for g in gb.basis)
     x, y, z = sympy.symbols("x y z")
     exprs = [sum(c * x**a * y**b * z**e for (a, b, e), c in g.items()) for g in gens]
-    theirs = sympy.groebner(exprs, x, y, z, order="grevlex", modulus=SYMPY_P)
+    theirs = sympy.groebner(exprs, x, y, z, order=order.name, modulus=SYMPY_P)
     expected = sorted(
         sorted((m, int(c) % SYMPY_P) for m, c in p.terms()) for p in theirs.polys
     )
     assert ours == expected
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_small_generator, min_size=2, max_size=3))
+def test_reduced_grevlex_basis_matches_sympy(gens):
+    _assert_basis_matches_sympy(gens, GREVLEX)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_small_generator, min_size=2, max_size=3))
+def test_reduced_lex_basis_matches_sympy(gens):
+    # lex is where sugar and normal selection pick pairs most differently
+    _assert_basis_matches_sympy(gens, LEX)

@@ -1,4 +1,4 @@
-"""The lazy-coefficient kernel against the field-method kernel it replaced.
+"""The kernel against the implementations it replaced.
 
 ``_ref_normal_form_terms``, ``_ref_spoly_terms`` and ``_ref_rref`` are the
 former implementations, which reduced every product and difference through
@@ -6,6 +6,11 @@ the field's methods and keyed terms by the order key itself.  The current
 ones must give term for term the same remainders, the same RREF rows and
 pivots and the same reduction counts, and every coefficient they return must
 be canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
+
+``_ref_buchberger`` is the former pair loop, which took the pair with the
+smallest lcm in the active order next (normal selection).  The reduced basis
+is unique, so ``buchberger``, which selects by sugar, must return the same
+basis term for term.
 """
 
 import heapq
@@ -30,6 +35,7 @@ from entryloci.kernel import (
 from entryloci.kernel import ideals
 from entryloci.kernel.groebner import (
     DEFAULT_BUDGET,
+    _divides,
     _HeapKeys,
     _interreduce,
     _keyed_terms,
@@ -166,6 +172,64 @@ def _ref_rref(rows, field):
         piv_cols.append(c)
         r += 1
     return a, piv_cols
+
+
+def _ref_buchberger(polys, ring, budget=None):
+    """``buchberger`` with normal selection: pairs are popped by the order
+    key of their lcm alone."""
+    meter = (budget or DEFAULT_BUDGET).fresh()
+    field = ring.field
+    order_key = ring.order.key
+    neg_key = _HeapKeys(ring.order)
+    basis = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        terms = sorted(_keyed_terms(p, neg_key), key=lambda t: t[0])
+        basis.append((_monic_keyed(terms, field), terms[0][1]))
+    if not basis:
+        return []
+    pair_heap = []
+    pending = set()
+
+    def push_pair(i, j):
+        lcm = tuple(map(max, basis[i][1], basis[j][1]))
+        heapq.heappush(pair_heap, (order_key(lcm), i, j, lcm))
+        pending.add((i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push_pair(i, j)
+    while pair_heap:
+        _, i, j, lcm = heapq.heappop(pair_heap)
+        pending.discard((i, j))
+        meter.tick_pair()
+        lt_i = basis[i][1]
+        lt_j = basis[j][1]
+        if all(a == 0 or b == 0 for a, b in zip(lt_i, lt_j)):
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k == i or k == j:
+                continue
+            if _divides(basis[k][1], lcm):
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pending and b not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        sp = _spoly_terms(basis[i], basis[j], lcm, neg_key, meter)
+        rem = _normal_form_terms(sp, basis, field, neg_key, meter)
+        if not rem:
+            continue
+        rem = _monic_keyed(rem, field)
+        basis.append((rem, rem[0][1]))
+        new = len(basis) - 1
+        for k in range(new):
+            push_pair(k, new)
+    return _interreduce(basis, ring, field, neg_key, meter)
 
 
 # -- both kernels side by side ------------------------------------------------
@@ -432,14 +496,48 @@ class _RecordingBudget(Budget):
 
 
 def test_budget_counts_every_skipped_leading_term():
-    # the counts of the field-method kernel, which subtracted the leading
-    # terms instead of skipping them
+    # the counts of the sugar run; the field-method kernel, which subtracted
+    # the leading terms instead of skipping them, counted the same steps.
+    # The Block(1) elimination of lambda is inhomogeneous, and normal
+    # selection, which pops the pairs with the fewest lambda first whatever
+    # their degree, needs (91, 408) for the same basis.
     gens, ring = _scroll_incidence_system()
     budget = _RecordingBudget()
     basis = buchberger(gens, ring, budget)
+    assert (budget.meter.pairs, budget.meter.reductions) == (55, 235)
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, ring, Budget(max_reductions=234))
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, ring, Budget(max_pairs=54))
+    assert buchberger(gens, ring, Budget(max_reductions=235, max_pairs=55)) == basis
+    assert _ref_buchberger(gens, ring, budget) == basis
     assert (budget.meter.pairs, budget.meter.reductions) == (91, 408)
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_reductions=407))
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_pairs=90))
-    assert buchberger(gens, ring, Budget(max_reductions=408, max_pairs=91)) == basis
+
+
+# -- sugar selection against normal selection ---------------------------------
+
+
+_HOMOGENEOUS = {d: [m for m in _MONOMIALS if sum(m) == d] for d in (1, 2)}
+
+
+def _homogeneous_polys(ring):
+    return st.sampled_from((1, 2)).flatmap(
+        lambda d: st.dictionaries(
+            st.sampled_from(_HOMOGENEOUS[d]), _coefficients(ring.field), min_size=1, max_size=4
+        )
+    ).map(ring.from_dict)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(ORDERS + [Block(2)]), st.data())
+def test_sugar_basis_matches_normal_selection(field, order, data):
+    ring = RingContext(NAMES, field, order)
+    # inhomogeneous generators, and under a block order also homogeneous
+    # ones, the shape of a plane-model elimination
+    polys = _polys(ring)
+    if order.block_size:
+        polys = st.one_of(polys, _homogeneous_polys(ring))
+    gens = data.draw(st.lists(polys, min_size=1, max_size=4))
+    expected = _ref_buchberger(gens, ring)
+    basis = buchberger(gens, ring)
+    assert [list(g.terms) for g in basis] == [list(g.terms) for g in expected]
