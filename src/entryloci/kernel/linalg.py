@@ -1,30 +1,84 @@
 """Exact dense linear algebra over Q or a prime field.
 
 Matrices are plain lists of row lists holding field-element payloads
-(Fractions over Q, ints over F_p).  Everything here is Gaussian elimination;
-sizes stay small so no fraction-free cleverness is needed.
+(Fractions over Q, ints over F_p).  Everything here is Gaussian elimination.
 
-Row operations use plain operators on the payloads, one comprehension per
-row: ``x * inv % p`` scales a pivot row and ``(x - f * y) % p`` eliminates
-(:func:`_row_minus`), so each new entry is reduced once.  Over Q
-(``field.char == 0``) the same comprehensions run without the ``% p``.
+Over F_p, row operations use plain operators on the payloads, one
+comprehension per row: ``x * inv % p`` scales a pivot row and
+``(x - f * y) % p`` eliminates (:func:`_row_minus`), so each new entry is
+reduced once.
+
+Over Q (``field.char == 0``) no ``Fraction`` arithmetic runs inside an
+elimination; both routines first scale each row by the lcm of its
+denominators.  :func:`rref` then eliminates by integer cross-multiplication,
+``row_i <- (pv/g) * row_i - (f/g) * row_r`` with ``g = gcd(pv, f)``, divides
+every new row by its content, and only at the end divides each pivot row by
+its pivot.  The reduced row echelon form is unique, so rows and pivots are
+those of field arithmetic.  :func:`det` runs Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) and divides by the row scales once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 
 def _row_minus(row, f, pivot_row, p):
-    """``row - f * pivot_row``, reduced mod ``p`` over F_p (``p == 0`` is Q)."""
-    if p:
-        return [(x - f * y) % p for x, y in zip(row, pivot_row)]
-    return [x - f * y for x, y in zip(row, pivot_row)]
+    """``row - f * pivot_row``, reduced mod ``p``."""
+    return [(x - f * y) % p for x, y in zip(row, pivot_row)]
+
+
+def _cleared(row):
+    """(integer row, scale): ``row`` times the lcm ``scale`` of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _primitive(row):
+    """An integer row divided by its content (a zero row stays as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_rational(rows):
+    a = [_primitive(_cleared(r)[0]) for r in rows]
+    m, n = len(a), len(a[0])
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot = None
+        for i in range(r, m):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        row_r = a[r]
+        pv = row_r[c]
+        for i in range(m):
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                a[i] = _primitive([s * x - t * y for x, y in zip(a[i], row_r)])
+        piv_cols.append(c)
+        r += 1
+    zero = Fraction(0)
+    out = [[zero if not x else Fraction(x, row[c]) for x in row] for row, c in zip(a, piv_cols)]
+    return out + [[zero] * n for _ in range(m - r)], piv_cols
 
 
 def rref(rows, field):
     """Reduced row echelon form. Returns (new rows, pivot column list)."""
+    if not rows:
+        return [], []
+    if not field.char:
+        return _rref_rational(rows)
     a = [list(r) for r in rows]
-    if not a:
-        return a, []
     m, n = len(a), len(a[0])
     zero = field.zero
     p = field.char
@@ -42,10 +96,7 @@ def rref(rows, field):
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = field.inv(a[r][c])
-        if p:
-            row_r = a[r] = [x * inv % p for x in a[r]]
-        else:
-            row_r = a[r] = [x * inv for x in a[r]]
+        row_r = a[r] = [x * inv % p for x in a[r]]
         for i in range(m):
             if i != r and a[i][c] != zero:
                 a[i] = _row_minus(a[i], a[i][c], row_r, p)
@@ -95,7 +146,39 @@ def solve(rows, rhs, field):
     return x
 
 
+def _det_rational(rows):
+    a = []
+    scale = 1
+    for row in rows:
+        ints, s = _cleared(row)
+        a.append(ints)
+        scale *= s
+    n = len(a)
+    sign = 1
+    prev = 1
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        row_c = a[c]
+        pv = row_c[c]
+        for i in range(c + 1, n):
+            f = a[i][c]
+            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], row_c)]
+        prev = pv
+    return Fraction(sign * prev, scale)
+
+
 def det(rows, field):
+    if not field.char:
+        return _det_rational(rows)
     a = [list(r) for r in rows]
     n = len(a)
     zero = field.zero

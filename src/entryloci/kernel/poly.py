@@ -318,10 +318,12 @@ class Polynomial:
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         field = target.field
-        result = target.zero()
+        acc = {}
         cache = [dict() for _ in images]
+        one = target.one()
         for m, c in self.terms:
-            part = target.constant(self.ring_coeff_to(field, c))
+            c = self.ring_coeff_to(field, c)
+            part = one
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -329,9 +331,10 @@ class Polynomial:
                 if powed is None:
                     powed = images[i] ** e
                     cache[i][e] = powed
-                part = part * powed
-            result = result + part
-        return result
+                part = powed if part is one else part * powed
+            for mono, d in part.terms:
+                acc[mono] = acc.get(mono, 0) + c * d
+        return target.from_dict(acc)
 
     def ring_coeff_to(self, field, c):
         """Move a coefficient between identical fields (no cross-field maps here)."""

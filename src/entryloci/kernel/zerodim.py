@@ -1,5 +1,17 @@
 """Zero-dimensional ideal tools: quotient bases, minimal polynomials of ring
-elements, distinct-point counts and rational-point enumeration over F_p."""
+elements, distinct-point counts and rational-point enumeration over F_p.
+
+Everything works in the quotient ring/I through normal forms on the monomial
+basis of :func:`quotient_monomials`.  :func:`_krylov` finds the minimal
+polynomial of an element t from its Krylov vectors NF(1), NF(t), NF(t^2), ...
+When the squarefree part of that polynomial has degree D = dim ring/I, the
+ideal is radical and t separates its points (shape position): the Krylov
+vectors are a basis of the quotient, one ``rref`` writes every coordinate as
+a polynomial g_i(t), and each root tau of the minimal polynomial is the point
+(g_0(tau), ..., g_{n-1}(tau)) (the rational univariate representation,
+Rouillier, AAECC 9, 1999).  Other systems pin each root's point through a
+Groebner basis of I + (t - tau).
+"""
 
 from __future__ import annotations
 
@@ -9,41 +21,52 @@ from .errors import DegenerateInputError
 from .fields import PrimeField
 from .groebner import Budget
 from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
-from .linalg import solve
+from .linalg import rref, solve
 from .orders import GREVLEX
 from .poly import Polynomial, RingContext
 from .rng import QQ_HEIGHT
-from .univar import u_degree, u_roots_prime_field, u_squarefree_part, u_trim
+from .univar import u_degree, u_roots_prime_field, u_squarefree_part
 
 
 QUOTIENT_CAP = 4096  # largest quotient basis the dense solvers accept
 
 
 def quotient_monomials(gb: GroebnerBasis):
-    """Monomial basis of ring/I for a zero-dimensional I, else None."""
-    ring = gb.ring
-    n = ring.nvars
+    """Monomial basis of ring/I for a zero-dimensional I, else None.
+
+    The staircase is walked depth first, in lexicographic order with the
+    first variable most significant; a prefix divisible by a leading monomial
+    ends its branch, and the walk raises as soon as it passes the cap.
+    """
+    n = gb.ring.nvars
     lts = [g.leading_monomial() for g in gb.basis]
     if any(sum(m) == 0 for m in lts):
         return []
-    bounds = [None] * n
+    # leading monomials grouped by their last variable: the only ones a
+    # prefix can newly become divisible by when that variable grows
+    by_last = [[] for _ in range(n)]
     for m in lts:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
-        return None
-    monos = [()]
-    for b in bounds:
-        monos = [m + (e,) for m in monos for e in range(b)]
+        by_last[max(i for i, e in enumerate(m) if e)].append(m)
+    if any(not any(m[i] == sum(m) for m in by_last[i]) for i in range(n)):
+        return None  # some variable has no pure power among the leading terms
     out = []
-    for m in monos:
-        if not any(all(a >= b for a, b in zip(m, lt)) for lt in lts):
-            out.append(m)
-        if len(out) > QUOTIENT_CAP:
-            raise DegenerateInputError("quotient basis larger than cap")
+
+    def walk(prefix):
+        k = len(prefix)
+        if k == n:
+            out.append(prefix)
+            if len(out) > QUOTIENT_CAP:
+                raise DegenerateInputError("quotient basis larger than cap")
+            return
+        e = 0
+        while True:
+            mono = prefix + (e,)
+            if any(all(a >= b for a, b in zip(mono, lt)) for lt in by_last[k]):
+                return  # x_k^e divides into the ideal; so does every larger e
+            walk(mono)
+            e += 1
+
+    walk(())
     return out
 
 
@@ -59,6 +82,29 @@ def _nf_vector(f: Polynomial, gb: GroebnerBasis, index, budget=None):
     return vec
 
 
+def _krylov(f: Polynomial, gb: GroebnerBasis, monos, budget: Budget | None):
+    """(minimal polynomial of multiplication by f on ring/I, Krylov vectors).
+
+    The vectors are NF(f^k) on the basis ``monos`` for k below the degree of
+    the minimal polynomial, which is monic and little-endian.
+    """
+    field = gb.ring.field
+    index = {m: i for i, m in enumerate(monos)}
+    power = gb.ring.one()
+    vectors = [_nf_vector(power, gb, index, budget)]
+    while True:
+        power = normal_form(power * f, gb, budget)
+        vec = [field.zero] * len(monos)
+        for m, c in power.terms:
+            vec[index[m]] = c
+        sol = solve(list(map(list, zip(*vectors))), vec, field)
+        if sol is not None:
+            return [field.neg(c) for c in sol] + [field.one], vectors
+        vectors.append(vec)
+        if len(vectors) > len(monos) + 1:
+            raise DegenerateInputError("minimal polynomial iteration overran the quotient")
+
+
 def minimal_polynomial_of(
     f: Polynomial, gb: GroebnerBasis, budget: Budget | None = None
 ):
@@ -69,26 +115,9 @@ def minimal_polynomial_of(
     monos = quotient_monomials(gb)
     if monos is None:
         raise DegenerateInputError("ideal is not zero-dimensional")
-    field = gb.ring.field
     if not monos:
-        return [field.one]  # unit ideal: minimal polynomial of anything is 1
-    index = {m: i for i, m in enumerate(monos)}
-    ring = gb.ring
-    power = ring.one()
-    vectors = [_nf_vector(power, gb, index, budget)]
-    while True:
-        power = normal_form(power * f, gb, budget)
-        vec = [field.zero] * len(monos)
-        for m, c in power.terms:
-            vec[index[m]] = c
-        cols = list(map(list, zip(*vectors)))
-        sol = solve(cols, vec, field)
-        if sol is not None:
-            coeffs = [field.neg(c) for c in sol] + [field.one]
-            return u_trim(coeffs, field) or [field.one]
-        vectors.append(vec)
-        if len(vectors) > len(monos) + 1:
-            raise DegenerateInputError("minimal polynomial iteration overran the quotient")
+        return [gb.ring.field.one]  # unit ideal: minimal polynomial of anything is 1
+    return _krylov(f, gb, monos, budget)[0]
 
 
 def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomial:
@@ -130,9 +159,12 @@ def enumerate_points_prime_field(
     """F_p-rational points of a zero-dimensional system.
 
     With ``require_all`` (the default), returns None unless every point of the
-    system is rational; otherwise returns whatever rational points exist.
-    Works component by component: pin a separating-form value, then pin each
-    coordinate through its (necessarily linear-rooted) minimal polynomial.
+    system is rational; otherwise returns whatever rational points exist, in
+    the order of the separating form's roots.  In shape position the points
+    are read off the Krylov basis (:func:`_shape_coordinates`); otherwise each
+    root's point is pinned on a Groebner basis of I + (t - tau), one
+    coordinate at a time through its (necessarily linear-rooted) minimal
+    polynomial.  Both routes make the same draws from ``rng``.
     """
     ring = gb.ring
     field = ring.field
@@ -144,11 +176,14 @@ def enumerate_points_prime_field(
     if not monos:
         return []
     sep = random_linear_combination(ring, rng)
-    mp = minimal_polynomial_of(sep, gb, budget)
+    mp, krylov = _krylov(sep, gb, monos, budget)
     sf = u_squarefree_part(mp, field)
     roots = u_roots_prime_field(sf, field, rng)
     if require_all and len(roots) != u_degree(sf):
         return None  # separating values live in an extension
+    if u_degree(sf) == len(monos):
+        shape = _shape_coordinates(gb, monos, krylov, budget)
+        return [tuple(_horner(g, tau, field.p) for g in shape) for tau in roots]
     points = []
     for tau in roots:
         gens = list(gb.source.gens) + [
@@ -162,6 +197,25 @@ def enumerate_points_prime_field(
             continue
         points.append(tuple(coords))
     return points
+
+
+def _shape_coordinates(gb: GroebnerBasis, monos, krylov, budget):
+    """Each coordinate x_i as a little-endian polynomial g_i with
+    x_i = g_i(t) mod I, when the Krylov vectors NF(t^k), k < D, are a basis
+    of the D-dimensional quotient."""
+    ring = gb.ring
+    index = {m: i for i, m in enumerate(monos)}
+    coords = [_nf_vector(ring.variable(i), gb, index, budget) for i in range(ring.nvars)]
+    red, _ = rref(list(zip(*krylov, *coords)), ring.field)
+    d = len(monos)
+    return [[row[d + i] for row in red] for i in range(ring.nvars)]
+
+
+def _horner(coeffs, x, p):
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % p
+    return value
 
 
 def _pin_coordinates(gb: GroebnerBasis, rng: random.Random, budget):

@@ -1,11 +1,13 @@
 """The kernel against the implementations it replaced.
 
-``_ref_normal_form_terms``, ``_ref_spoly_terms`` and ``_ref_rref`` are the
-former implementations, which reduced every product and difference through
-the field's methods and keyed terms by the order key itself.  The current
-ones must give term for term the same remainders, the same RREF rows and
-pivots and the same reduction counts, and every coefficient they return must
-be canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
+``_ref_normal_form_terms``, ``_ref_spoly_terms``, ``_ref_rref`` and
+``_ref_det`` are the former implementations, which reduced every product and
+difference through the field's methods and keyed terms by the order key
+itself; over Q they are the ``Fraction`` eliminations that integer
+Gauss-Jordan and Bareiss replaced.  The current ones must give term for term
+the same remainders, the same RREF rows and pivots, the same determinants
+and the same reduction counts, and every coefficient they return must be
+canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
 
 ``_ref_buchberger`` is the former pair loop, which took the pair with the
 smallest lcm in the active order next (normal selection).  The reduced basis
@@ -416,7 +418,15 @@ def test_interreduce_tail_reduces_against_reference(field):
 
 
 def _matrices(field):
-    entry = _coefficients(field) if field.char else st.fractions(-5, 5, max_denominator=4)
+    if field.char:
+        entry = _coefficients(field)
+    else:
+        # small entries force cancellations; numerators up to 10^12 over
+        # denominators up to 10^6 make the integer rows grow
+        entry = st.one_of(
+            st.fractions(-5, 5, max_denominator=4),
+            st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+        )
     return st.integers(1, 6).flatmap(
         lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6)
     )
@@ -428,7 +438,48 @@ def test_rref_matches_field_method_reference(field, data):
     rows = data.draw(_matrices(field))
     # a repeated row forces a zero row out of the elimination
     rows = rows + rows[:1]
+    # a combination of two rows adds one more dependent row
+    i, j = data.draw(st.tuples(*[st.integers(0, len(rows) - 1)] * 2))
+    s = field.coerce(data.draw(st.integers(-3, 3)))
+    co = field.coerce
+    rows.append([field.add(co(x), field.mul(s, co(y))) for x, y in zip(rows[i], rows[j])])
     assert rref(rows, field) == _ref_rref(rows, field)
+    # a zero column never holds a pivot
+    col = data.draw(st.integers(0, len(rows[0])))
+    rows = [r[:col] + [field.zero] + r[col:] for r in rows]
+    assert rref(rows, field) == _ref_rref(rows, field)
+
+
+def _ref_det(rows, field):
+    """Field-method elimination: the product of the pivots, one sign per swap."""
+    a = [list(r) for r in rows]
+    result = field.one
+    for c in range(len(a)):
+        pivot = next((i for i in range(c, len(a)) if a[i][c] != field.zero), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            result = field.neg(result)
+        result = field.mul(result, a[c][c])
+        inv = field.inv(a[c][c])
+        for i in range(c + 1, len(a)):
+            f = field.mul(a[i][c], inv)
+            a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[c])]
+    return result
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_det_matches_field_method_reference(field, data):
+    rows = [[field.coerce(x) for x in r] for r in data.draw(_matrices(field))]
+    n = min(len(rows), len(rows[0]))
+    square = [r[:n] for r in rows[:n]]
+    # reversed rows force swaps; the first row in place of the last makes
+    # a singular matrix
+    for a in (square, square[::-1], square[:-1] + square[:1]):
+        d = det(a, field)
+        assert d == _ref_det(a, field) and _canonical(field, d)
 
 
 # -- every coefficient returned is canonical ----------------------------------

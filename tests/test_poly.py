@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entryloci.kernel import (
     QQ,
@@ -73,6 +75,35 @@ def test_substitute_composition(ring):
     s, t = pring.gens()
     img = f.substitute([s * s, s * t, t * t], pring)
     assert img.is_zero()
+
+
+def _ref_substitute(f, images, target):
+    """The former loop: one sorted partial result per source term."""
+    result = target.zero()
+    for m, c in f.terms:
+        part = target.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                part = part * images[i] ** e
+        result = result + part
+    return result
+
+
+def _sub_polys(ring, max_exp):
+    monos = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    coeff = st.fractions(-4, 4, max_denominator=3) if ring.field.char == 0 else st.integers(-3, 3)
+    coeff = st.one_of(coeff, st.integers(-(10**12), 10**12))
+    return st.dictionaries(monos, coeff, max_size=6).map(ring.from_dict)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(32003), PrimeField(2147483659)]), st.data())
+def test_substitute_matches_former_loop(field, data):
+    source = RingContext(("x0", "x1", "x2"), field)
+    target = RingContext(("s", "t"), field)
+    f = data.draw(_sub_polys(source, 3))
+    images = data.draw(st.lists(_sub_polys(target, 2), min_size=3, max_size=3))
+    assert f.substitute(images, target).terms == _ref_substitute(f, images, target).terms
 
 
 def test_homogeneous_components(ring):
