@@ -10,14 +10,12 @@ from __future__ import annotations
 import random
 
 from .geometry import (
-    LinearSubspace,
     Parametrization,
     ProjectiveVariety,
     ambient_ring,
     cone_over,
     implicitize,
     project_image,
-    random_scalar,
 )
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import QQ
@@ -26,7 +24,7 @@ from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal
 from .kernel.linalg import det
 from .kernel.poly import RingContext, _monomials_of_degree
-from .kernel.rng import seeded_rng
+from .kernel.rng import random_scalar, seeded_rng
 from .kernel.zerodim import random_linear_combination
 from .segre import pencil_det_distinct_roots, quadric_pencil
 
@@ -155,8 +153,7 @@ def _veronese_proj4(field, rng: random.Random, budget) -> ProjectiveVariety:
             break
     else:
         raise DegenerateInputError("no center off the secant cubic found")
-    center = LinearSubspace.span(field, [coords])
-    out = project_image(v5, center, budget=budget, rng=rng)
+    out = project_image(v5, [coords], budget=budget, rng=rng)
     out.meta.update(catalog_metadata("veronese_proj4"))
     out.meta["name"] = "veronese_proj4"
     out.meta["key"] = "veronese_proj4"

@@ -216,11 +216,7 @@ def _dispatch(args) -> int:
             suite=args.suite,
         )
         report = run_suite(cfg)
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        print(text)
+        _emit(report.as_dict(), args.out)
         summary = report.summary
         for cid, status in sorted(summary["checks"].items()):
             print(f"{cid}: {status}", file=sys.stderr)

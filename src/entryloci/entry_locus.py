@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .geometry import (
-    LinearSubspace,
     ProjectivePoint,
     ProjectiveVariety,
     dehomogenize,
@@ -34,7 +33,6 @@ from .geometry import (
     linear_part_rows,
     project_image,
     random_point,
-    random_scalar,
     reduced_dim_degree,
 )
 from .kernel.errors import BudgetExceededError, DegenerateInputError
@@ -53,7 +51,7 @@ from .kernel.ideals import (
 from .kernel.linalg import identity, kernel_basis
 from .kernel.orders import GREVLEX, Block
 from .kernel.poly import Polynomial, RingContext
-from .kernel.rng import seeded_rng
+from .kernel.rng import random_scalar, seeded_rng
 from .kernel.zerodim import random_linear_combination
 from .rank_secant import incidence_generators, secant_dims
 
@@ -171,8 +169,7 @@ def plane_model(
         center_rows = kernel_basis(matrix, field)
         if len(center_rows) != n - 3:
             continue
-        center = LinearSubspace.span(field, center_rows)
-        image = project_image(ProjectiveVariety(n - 1, curve, None, {}), center, budget).ideal
+        image = project_image(ProjectiveVariety(n - 1, curve, None, {}), center_rows, budget).ideal
         if not image.gens:
             continue
         # a seeded random chart keeps every component affine w.h.p.

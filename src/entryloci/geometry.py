@@ -32,7 +32,7 @@ from .kernel.linalg import (
 )
 from .kernel.orders import GREVLEX, Block
 from .kernel.poly import Polynomial, RingContext, _monomials_of_degree
-from .kernel.rng import QQ_HEIGHT, seeded_rng
+from .kernel.rng import random_coords, random_scalar, seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
     enumerate_points_prime_field,
@@ -67,30 +67,6 @@ class ProjectivePoint:
 
 
 @dataclass(frozen=True)
-class LinearSubspace:
-    """Span of the row points; rows are linearly independent."""
-
-    rows: tuple  # tuple of coordinate tuples
-    field: object
-
-    @staticmethod
-    def span(field, rows) -> "LinearSubspace":
-        rows = [[field.coerce(c) for c in r] for r in rows]
-        if rank(rows, field) != len(rows):
-            raise ValueError("spanning rows are linearly dependent")
-        return LinearSubspace(tuple(tuple(r) for r in rows), field)
-
-    @property
-    def dim(self) -> int:
-        """Projective dimension."""
-        return len(self.rows) - 1
-
-    def contains_point(self, pt: ProjectivePoint) -> bool:
-        stacked = [list(r) for r in self.rows] + [list(pt.coords)]
-        return rank(stacked, self.field) == len(self.rows)
-
-
-@dataclass(frozen=True)
 class Parametrization:
     ring: RingContext  # parameter ring s0..sm
     forms: tuple  # r+1 forms of a common degree
@@ -112,7 +88,7 @@ class ProjectiveVariety:
     ambient: int  # r: lives in P^r
     ideal: Ideal  # homogeneous, in x0..xr
     param: Parametrization | None
-    meta: dict  # name, key, seed, n, d, g, frame, ...
+    meta: dict  # name, key, seed, n, d, g, ...
 
     @property
     def ring(self) -> RingContext:
@@ -131,19 +107,6 @@ class ProjectiveVariety:
 
 
 # -- seeded random helpers -----------------------------------------------------
-
-
-def random_scalar(field, rng: random.Random):
-    if isinstance(field, PrimeField):
-        return rng.randrange(field.p)
-    return rng.randint(-QQ_HEIGHT, QQ_HEIGHT)
-
-
-def random_coords(field, rng: random.Random, n: int):
-    while True:
-        coords = [field.coerce(random_scalar(field, rng)) for _ in range(n)]
-        if any(c != field.zero for c in coords):
-            return coords
 
 
 def random_point(field, rng: random.Random, n: int, off_coordinate_hyperplanes=False):
@@ -179,7 +142,8 @@ def apply_linear_substitution(ideal: Ideal, matrix) -> Ideal:
 
 def complete_to_basis(field, rows, n: int):
     """Extend independent rows to an invertible n x n matrix, deterministically
-    preferring standard basis vectors."""
+    preferring standard basis vectors (DegenerateInputError when fewer than
+    n rows are dependent)."""
     base = [list(r) for r in rows]
     for i in range(n):
         cand = [field.one if j == i else field.zero for j in range(n)]
@@ -245,25 +209,26 @@ def implicitize(
 
 def project_image(
     X: ProjectiveVariety,
-    center: LinearSubspace,
+    center_rows,
     budget: Budget | None = None,
     rng: random.Random | None = None,
 ) -> ProjectiveVariety:
-    """Closure of the image of X under linear projection from ``center``.
+    """Closure of the image of X under linear projection from the span of
+    the independent coordinate rows ``center_rows``.
 
-    Coordinates are changed so the center is a coordinate subspace (the change
-    is recorded in the result metadata), then the center block is eliminated.
+    Coordinates are changed so the center is a coordinate subspace, then the
+    center block is eliminated.
     """
     rng = rng or random.Random(0)
     field = X.field
     r = X.ambient
-    k = len(center.rows)
+    k = len(center_rows)
+    cols = complete_to_basis(field, center_rows, r + 1)
     if X.param is not None:
         for i in range(5):
             pt = sample_point(X, rng)
-            if center.contains_point(pt):
+            if rank([*center_rows, pt.coords], field) == k:
                 raise DegenerateInputError("projection center meets the variety")
-    cols = complete_to_basis(field, center.rows, r + 1)
     B = [[cols[j][i] for j in range(r + 1)] for i in range(r + 1)]  # columns = basis
     moved = apply_linear_substitution(X.ideal, B)
     moved = Ideal.of(X.ring.with_order(Block(k)), moved.gens)
@@ -283,10 +248,7 @@ def project_image(
                     f = f + form.scale(c)
             forms.append(f)
         new_param = Parametrization(X.param.ring, tuple(forms))
-    meta = dict(X.meta)
-    meta["frame"] = tuple(tuple(row) for row in B)
-    meta["name"] = meta.get("name", "variety") + "_proj"
-    return ProjectiveVariety(new_r, ideal, new_param, meta)
+    return ProjectiveVariety(new_r, ideal, new_param, dict(X.meta))
 
 
 def cone_over(B: ProjectiveVariety) -> ProjectiveVariety:

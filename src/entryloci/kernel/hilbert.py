@@ -25,14 +25,6 @@ class HilbertInvariants:
     hilbert_polynomial: tuple  # Fraction coefficients, low degree first
     arithmetic_genus: int | None  # 1 - HP(0) when dimension == 1
 
-    def as_dict(self):
-        return {
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "hilbert_polynomial": [str(c) for c in self.hilbert_polynomial],
-            "arithmetic_genus": self.arithmetic_genus,
-        }
-
 
 def _minimalize(gens):
     out = []

@@ -7,7 +7,11 @@ root extraction over prime fields.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from .fields import PrimeField
+from .linalg import _cleared, _primitive
 
 
 def u_trim(c, field):
@@ -83,11 +87,41 @@ def u_monic(a, field):
 
 
 def u_gcd(a, b, field):
+    """Monic gcd; over Q by a primitive pseudo-remainder sequence over Z."""
+    if field.char == 0:
+        return _u_gcd_rational(a, b)
     a, b = list(a), list(b)
     while b:
         _, r = u_divmod(a, b, field)
         a, b = b, r
     return u_monic(a, field)
+
+
+def _u_gcd_rational(a, b):
+    # Euclid on Fractions lets the remainders' heights blow up; dividing each
+    # integer pseudo-remainder by its content keeps its coefficients small
+    a, b = (_primitive(_cleared(c)[0]) for c in (a, b))
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [Fraction(x, a[-1]) for x in a]
+
+
+def _pseudo_remainder(a, b):
+    """An integer multiple of the remainder of ``a`` by ``b`` over Q, kept
+    integral by cross-multiplying each step (integer rows without trailing
+    zeros, ``b`` nonzero)."""
+    a = list(a)
+    lb = b[-1]
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        g = gcd(a[-1], lb)
+        f, lead = lb // g, a[-1] // g
+        a = [f * x for x in a[:-1]]
+        for i, y in enumerate(b[:-1]):
+            a[shift + i] -= lead * y
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
 def u_derivative(a, field):

@@ -24,7 +24,7 @@ from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
 from .linalg import rref, solve
 from .orders import GREVLEX
 from .poly import Polynomial, RingContext
-from .rng import QQ_HEIGHT
+from .rng import random_coords
 from .univar import u_degree, u_roots_prime_field, u_squarefree_part
 
 
@@ -121,17 +121,8 @@ def minimal_polynomial_of(
 
 
 def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomial:
-    """Seeded nonzero linear form: residues mod p, or integers of height <= QQ_HEIGHT."""
-    field = ring.field
-    if isinstance(field, PrimeField):
-        draw = lambda: rng.randrange(field.p)
-    else:
-        draw = lambda: rng.randint(-QQ_HEIGHT, QQ_HEIGHT)
-    while True:
-        coeffs = [field.coerce(draw()) for _ in range(ring.nvars)]
-        if any(c != field.zero for c in coeffs):
-            break
-    return ring.linear_form(coeffs)
+    """Seeded nonzero linear form (coefficients from :func:`rng.random_coords`)."""
+    return ring.linear_form(random_coords(ring.field, rng, ring.nvars))
 
 
 def count_distinct_points(

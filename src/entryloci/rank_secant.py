@@ -17,7 +17,6 @@ from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
     affine_chart,
-    random_coords,
     witness_points,
 )
 from .kernel.errors import DegenerateInputError
@@ -27,7 +26,7 @@ from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal, groebner_basis
 from .kernel.linalg import kernel_basis, rank
 from .kernel.orders import GREVLEX
-from .kernel.rng import seeded_rng
+from .kernel.rng import random_coords, seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
     enumerate_points_prime_field,

@@ -14,10 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .geometry import (
-    LinearSubspace,
     ProjectivePoint,
     ProjectiveVariety,
-    ambient_ring,
     graded_piece_rows,
     project_image,
     reduced_dim_degree,
@@ -27,28 +25,16 @@ from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.ideals import Ideal, radical_membership
-from .kernel.linalg import det, kernel_basis, rank, row_space_intersection
-from .kernel.poly import _monomials_of_degree
+from .kernel.linalg import det, kernel_basis, row_space_intersection
 from .kernel.rng import seeded_rng
 from .kernel.univar import u_degree, u_interpolate, u_roots_prime_field, u_squarefree_part, u_trim
 
 
 @dataclass(frozen=True)
 class SegreVerdict:
-    point: tuple
-    curve: str
     verdict: bool
     image_degree: int
     source_degree: int
-
-    def as_dict(self):
-        return {
-            "point": [str(c) for c in self.point],
-            "curve": self.curve,
-            "verdict": self.verdict,
-            "image_degree": self.image_degree,
-            "source_degree": self.source_degree,
-        }
 
 
 @dataclass(frozen=True)
@@ -158,31 +144,6 @@ def pencil_vertices(pencil: QuadricPencil, rng: random.Random):
     return vertices
 
 
-def points_variety(field, pts, name: str = "points") -> ProjectiveVariety:
-    """The reduced variety of a finite point set, with forms through degree 2."""
-    n = len(pts[0].coords)
-    ring = ambient_ring(n - 1, field)
-    gens = []
-    for degree in (1, 2):
-        monos = _monomials_of_degree(n, degree)
-        rows = []
-        for p in pts:
-            row = []
-            for m in monos:
-                v = field.one
-                for i, e in enumerate(m):
-                    for _ in range(e):
-                        v = field.mul(v, p.coords[i])
-                row.append(v)
-            rows.append(row)
-        for vec in kernel_basis(rows, field):
-            data = {m: c for m, c in zip(monos, vec) if c != field.zero}
-            if data:
-                gens.append(ring.from_dict(data))
-    meta = {"name": name, "key": name, "points": tuple(pts), "n": 0, "d": len(pts)}
-    return ProjectiveVariety(n - 1, Ideal.of(ring, gens), None, meta)
-
-
 def is_segre_point(
     Y: ProjectiveVariety,
     o: ProjectivePoint,
@@ -190,37 +151,17 @@ def is_segre_point(
     budget: Budget | None = None,
     source_degree: int | None = None,
 ) -> SegreVerdict:
-    """Does projection away from o identify points of Y?
-
-    Curves: compare the reduced image degree with the curve degree.  Finite
-    pairs {a, b}: true exactly when o lies on their line, away from both.
-    """
+    """Does projection away from o identify points of the curve Y?  True when
+    the reduced image degree falls below the curve degree."""
     if Y.contains_point(o):
         raise DegenerateInputError("candidate Segre point lies on the curve")
-    field = Y.field
-    pts = Y.meta.get("points")
-    if pts is not None:
-        if len(pts) != 2:
-            raise DegenerateInputError("finite-set variant expects exactly two points")
-        a, b = pts
-        stacked = [list(a.coords), list(b.coords), list(o.coords)]
-        on_line = rank(stacked, field) == 2
-        verdict = on_line and o.coords != a.coords and o.coords != b.coords
-        return SegreVerdict(tuple(o.coords), Y.meta.get("key", "points"), verdict, 1 if verdict else 2, 2)
     if source_degree is None:
         source_degree = Y.meta.get("d")
     if source_degree is None:
         _, source_degree = reduced_dim_degree(Y.ideal, seed, budget)
-    center = LinearSubspace.span(field, [list(o.coords)])
-    image = project_image(Y, center, budget=budget, rng=seeded_rng(("segre", seed)))
+    image = project_image(Y, [o.coords], budget=budget, rng=seeded_rng(("segre", seed)))
     _, img_degree = reduced_dim_degree(image.ideal, seed, budget)
-    return SegreVerdict(
-        tuple(o.coords),
-        Y.meta.get("key", Y.meta.get("name", "curve")),
-        img_degree < source_degree,
-        img_degree,
-        source_degree,
-    )
+    return SegreVerdict(img_degree < source_degree, img_degree, source_degree)
 
 
 def segre_count_elliptic_quartic(
@@ -272,11 +213,9 @@ def pair_segre_test(
         raise DegenerateInputError("candidate point lies on one of the curves")
     if not union_span_is_ambient(Y, T, budget):
         raise DegenerateInputError("the two curves do not span the ambient space")
-    field = Y.field
-    center = LinearSubspace.span(field, [list(o.coords)])
     rng = seeded_rng(("pair-segre", seed))
-    img_y = project_image(Y, center, budget=budget, rng=rng)
-    img_t = project_image(T, center, budget=budget, rng=rng)
+    img_y = project_image(Y, [o.coords], budget=budget, rng=rng)
+    img_t = project_image(T, [o.coords], budget=budget, rng=rng)
     # V(J_T) subset of V(J_Y)  <=>  every generator of J_Y vanishes on V(J_T)
     fwd = all(radical_membership(g, img_t.ideal, budget) for g in img_y.ideal.gens)
     if not fwd:

@@ -2,9 +2,9 @@ import pytest
 
 from entryloci.catalog import build_catalog_variety, catalog_keys, catalog_metadata
 from entryloci.geometry import (
-    LinearSubspace,
     Parametrization,
     ProjectivePoint,
+    ProjectiveVariety,
     ambient_ring,
     cone_over,
     dehomogenize,
@@ -86,8 +86,7 @@ def test_implicitize_veronese_quadrics():
 def test_project_twisted_cubic_to_plane_cubic():
     var = build_catalog_variety("rnc3", 1, FP)
     rng = seeded_rng("proj-test")
-    center = LinearSubspace.span(FP, [random_point(FP, rng, 4).coords])
-    image = project_image(var, center, rng=rng)
+    image = project_image(var, [random_point(FP, rng, 4).coords], rng=rng)
     dim, deg = reduced_dim_degree(image.ideal, 5)
     assert (dim, deg) == (1, 3)
 
@@ -95,17 +94,25 @@ def test_project_twisted_cubic_to_plane_cubic():
 def test_project_rejects_center_on_sampled_point():
     var = build_catalog_variety("rnc3", 1, FP)
     pt = sample_point(var, seeded_rng("on-curve"))
-    center = LinearSubspace.span(FP, [pt.coords])
     # the guard samples X from the same seeded stream, so it meets the center
     with pytest.raises(DegenerateInputError):
-        project_image(var, center, rng=seeded_rng("on-curve"))
+        project_image(var, [pt.coords], rng=seeded_rng("on-curve"))
+
+
+@pytest.mark.parametrize("parametrized", [True, False])
+def test_project_rejects_dependent_center_rows(parametrized):
+    var = build_catalog_variety("rnc3", 1, FP)
+    if not parametrized:
+        var = ProjectiveVariety(var.ambient, var.ideal, None, var.meta)
+    row = random_point(FP, seeded_rng("dependent"), 4).coords
+    twice = [FP.mul(2, c) for c in row]
+    with pytest.raises(DegenerateInputError, match="could not complete basis"):
+        project_image(var, [row, twice], rng=seeded_rng("dependent"))
 
 
 def test_cone_over_conic_is_rank3_quadric():
     ring = ambient_ring(2, QQ)
     conic = Ideal.of(ring, [ring.from_string("x0*x2 - x1^2")])
-    from entryloci.geometry import ProjectiveVariety
-
     base = ProjectiveVariety(2, conic, None, {"name": "conic", "d": 2, "n": 1})
     cone = cone_over(base)
     assert cone.ambient == 3

@@ -9,6 +9,10 @@ the same remainders, the same RREF rows and pivots, the same determinants
 and the same reduction counts, and every coefficient they return must be
 canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
 
+``_ref_u_gcd`` is Euclid's algorithm on ``Fraction``s, which ``u_gcd`` over Q
+replaced with a primitive pseudo-remainder sequence over Z; the monic gcd is
+unique, so both must return it coefficient for coefficient.
+
 ``_ref_buchberger`` is the former pair loop, which took the pair with the
 smallest lcm in the active order next (normal selection).  The reduced basis
 is unique, so ``buchberger``, which selects by sugar, must return the same
@@ -51,6 +55,7 @@ from entryloci.kernel.groebner import (
 from entryloci.kernel.linalg import det, kernel_basis, rref, solve
 from entryloci.kernel.orders import GREVLEX, LEX
 from entryloci.kernel.rng import seeded_rng
+from entryloci.kernel.univar import u_divmod, u_gcd, u_monic, u_mul, u_trim
 from entryloci.rank_secant import incidence_generators
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(2147483659)]
@@ -480,6 +485,37 @@ def test_det_matches_field_method_reference(field, data):
     for a in (square, square[::-1], square[:-1] + square[:1]):
         d = det(a, field)
         assert d == _ref_det(a, field) and _canonical(field, d)
+
+
+# -- oracle: univariate gcd over Q -------------------------------------------
+
+
+def _ref_u_gcd(a, b, field):
+    """Euclid's algorithm on ``Fraction`` coefficients, made monic."""
+    a, b = list(a), list(b)
+    while b:
+        _, r = u_divmod(a, b, field)
+        a, b = b, r
+    return u_monic(a, field)
+
+
+def _q_univariates(max_degree):
+    # zero (the empty list) and constants included; numerators up to 10^9
+    entry = st.one_of(
+        st.fractions(-5, 5, max_denominator=4),
+        st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**3)),
+    )
+    return st.lists(entry, max_size=max_degree + 1).map(lambda c: u_trim(c, QQ))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_q_univariates(3), _q_univariates(5), _q_univariates(5))
+def test_u_gcd_over_q_matches_euclid(g, a, b):
+    # a common factor g makes the gcd nontrivial whenever g has positive degree
+    for x, y in ((a, b), (u_mul(a, g, QQ), u_mul(b, g, QQ)), (g, a), (a, [])):
+        got = u_gcd(x, y, QQ)
+        assert got == _ref_u_gcd(x, y, QQ)
+        assert all(type(c) is Fraction for c in got)
 
 
 # -- every coefficient returned is canonical ----------------------------------

@@ -16,7 +16,6 @@ from entryloci.segre import (
     is_segre_point,
     pair_segre_test,
     pencil_det_distinct_roots,
-    points_variety,
     quadric_pencil,
     segre_count_elliptic_quartic,
 )
@@ -96,16 +95,6 @@ def test_image_degree_divides_for_vertex_projection():
     assert verdict.verdict
     assert verdict.image_degree == 2 and verdict.source_degree == 4
     assert verdict.source_degree % verdict.image_degree == 0
-
-
-def test_finite_pair_variant():
-    a = ProjectivePoint.make(FP, [1, 0, 0, 0])
-    b = ProjectivePoint.make(FP, [0, 1, 0, 0])
-    pair = points_variety(FP, [a, b])
-    on_line = ProjectivePoint.make(FP, [1, 5, 0, 0])
-    off_line = ProjectivePoint.make(FP, [1, 5, 1, 0])
-    assert is_segre_point(pair, on_line, seed=1).verdict
-    assert not is_segre_point(pair, off_line, seed=1).verdict
 
 
 def test_pair_segre_skew_lines_always_false():

@@ -13,19 +13,20 @@ from entryloci.kernel.groebner import Budget
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SELFTEST = SPANS.parent / "selftest.py"
+CHILD = SPANS.parent / "child.py"
 
 
-def _load_spans(monkeypatch):
+def _load(monkeypatch, path):
     # read-only: no bytecode cache is written next to the benchmark
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_targets_resolve(monkeypatch):
-    spans = _load_spans(monkeypatch)
+    spans = _load(monkeypatch, SPANS)
     missing = []
     for mod, fns in spans.TARGETS.items():
         module = importlib.import_module(f"{spans.PACKAGE}.{mod}")
@@ -60,3 +61,14 @@ def test_selftest_ideals_references_resolve():
         if obj is None:
             missing.append(".".join(path))
     assert missing == []
+
+
+def test_benchmark_child_runs_a_check_and_a_command(monkeypatch):
+    # the child calls the suite's (id, tier, fn) triples, RunConfig, budget(),
+    # resolve_field and cli.main directly
+    child = _load(monkeypatch, CHILD)
+    status, note, _ = child._run_check("08_secant_defectivity", "fp:auto", 1)
+    assert (status, note) == ("pass", "")
+    argv = ["decomp", "--variety", "rnc3", "--seed", "2"]
+    status, note, _ = child._run_cli(argv, {"count": 1, "positive_dimensional": False})
+    assert (status, note) == ("pass", "")
