@@ -1,21 +1,29 @@
-"""Exact dense linear algebra over Q or a prime field.
+"""Exact linear algebra over Q or a prime field.
 
 Matrices are plain lists of row lists holding field-element payloads
 (Fractions over Q, ints over F_p).  Everything here is Gaussian elimination.
 
-Over F_p, row operations use plain operators on the payloads, one
-comprehension per row: ``x * inv % p`` scales a pivot row and
-``(x - f * y) % p`` eliminates (:func:`_row_minus`), so each new entry is
-reduced once.
+:func:`rref` is one sparse Gauss-Jordan loop.  Each row is a ``{column:
+value}`` dict of its nonzero entries.  For each column in turn, the live row
+with the fewest entries that holds the column becomes the pivot (Markowitz,
+Management Science 3, 1957) and clears the column from every other live row
+and from every earlier pivot row; a row operation walks only the pivot row's
+entries.  The reduced row echelon form is unique, so the rows and pivots are
+those of a dense elimination in any pivot order.  Two row operations share
+the loop:
 
-Over Q (``field.char == 0``) no ``Fraction`` arithmetic runs inside an
-elimination; both routines first scale each row by the lcm of its
-denominators.  :func:`rref` then eliminates by integer cross-multiplication,
-``row_i <- (pv/g) * row_i - (f/g) * row_r`` with ``g = gcd(pv, f)``, divides
-every new row by its content, and only at the end divides each pivot row by
-its pivot.  The reduced row echelon form is unique, so rows and pivots are
-those of field arithmetic.  :func:`det` runs Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) and divides by the row scales once.
+* over F_p the pivot row is scaled by its inverse and a row ``x`` loses
+  ``f`` times it as ``(x - f * y) % p``, so each new entry is reduced once;
+* over Q (``field.char == 0``) no ``Fraction`` arithmetic runs inside the
+  elimination.  Each row is first scaled by the lcm of its denominators, a
+  row operation is the integer cross-multiplication ``row_i <- (pv/g) *
+  row_i - (f/g) * row_r`` with ``g = gcd(pv, f)``, every changed row is
+  divided by its content, and each finished pivot row is divided by its
+  pivot once.
+
+:func:`det` stays dense: over F_p it eliminates with :func:`_row_minus`, and
+over Q it runs Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+and divides by the row scales once.
 """
 
 from __future__ import annotations
@@ -41,68 +49,91 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_rational(rows):
-    a = [_primitive(_cleared(r)[0]) for r in rows]
-    m, n = len(a), len(a[0])
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot = None
-        for i in range(r, m):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        row_r = a[r]
-        pv = row_r[c]
-        for i in range(m):
-            f = a[i][c]
-            if i != r and f:
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                a[i] = _primitive([s * x - t * y for x, y in zip(a[i], row_r)])
-        piv_cols.append(c)
-        r += 1
-    zero = Fraction(0)
-    out = [[zero if not x else Fraction(x, row[c]) for x in row] for row, c in zip(a, piv_cols)]
-    return out + [[zero] * n for _ in range(m - r)], piv_cols
+def _sparse(row):
+    """The ``{column: value}`` dict of a row's nonzero entries."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _clear_mod_p(row, c, pivot_items, p):
+    """Clear column ``c`` of ``row`` with a pivot row whose pivot is 1."""
+    f = row[c]
+    for j, y in pivot_items:
+        x = (row.get(j, 0) - f * y) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _clear_integer(row, c, pivot_items, pv):
+    """Clear column ``c`` of an integer ``row`` with a pivot row whose pivot
+    is ``pv``, then divide the row by its content."""
+    f = row[c]
+    g = gcd(pv, f)
+    s, t = pv // g, f // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, y in pivot_items:
+        x = row.get(j, 0) - t * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def rref(rows, field):
     """Reduced row echelon form. Returns (new rows, pivot column list)."""
     if not rows:
         return [], []
-    if not field.char:
-        return _rref_rational(rows)
-    a = [list(r) for r in rows]
-    m, n = len(a), len(a[0])
-    zero = field.zero
+    m, n = len(rows), len(rows[0])
     p = field.char
-    piv_cols = []
-    r = 0
+    if p:
+        live = [_sparse(row) for row in rows]
+    else:
+        live = [_sparse(_primitive(_cleared(row)[0])) for row in rows]
+    live = [row for row in live if row]
+    pivots = []
     for c in range(n):
-        if r >= m:
+        if not live:
             break
-        pivot = None
-        for i in range(r, m):
-            if a[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
+        holders = [row for row in live if c in row]
+        if not holders:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = field.inv(a[r][c])
-        row_r = a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != zero:
-                a[i] = _row_minus(a[i], a[i][c], row_r, p)
-        piv_cols.append(c)
-        r += 1
-    return a, piv_cols
+        pivot = min(holders, key=len)
+        if p:
+            inv = field.inv(pivot[c])
+            for j in pivot:
+                pivot[j] = pivot[j] * inv % p
+            clear, arg = _clear_mod_p, p
+        else:
+            clear, arg = _clear_integer, pivot[c]
+        items = tuple(pivot.items())
+        for row in holders:
+            if row is not pivot:
+                clear(row, c, items, arg)
+        for _, row in pivots:
+            if c in row:
+                clear(row, c, items, arg)
+        live = [row for row in live if row and row is not pivot]
+        pivots.append((c, pivot))
+    zero = field.zero
+    out = []
+    for c, row in pivots:
+        dense = [zero] * n
+        if p:
+            for j, x in row.items():
+                dense[j] = x
+        else:
+            pv = row[c]
+            for j, x in row.items():
+                dense[j] = Fraction(x, pv)
+        out.append(dense)
+    return out + [[zero] * n for _ in range(m - len(out))], [c for c, _ in pivots]
 
 
 def rank(rows, field) -> int:

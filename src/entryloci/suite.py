@@ -46,7 +46,13 @@ from .kernel.orders import GREVLEX
 from .kernel.poly import RingContext
 from .kernel.rng import derive_seed, random_scalar, seeded_rng
 from .rank_secant import secant_dims, two_decompositions
-from .segre import pair_segre_test, segre_count_elliptic_quartic
+from .segre import (
+    pair_segre_test,
+    pencil_det_distinct_roots,
+    pencil_vertices,
+    quadric_pencil,
+    segre_count_elliptic_quartic,
+)
 
 
 @dataclass
@@ -255,6 +261,13 @@ def _vertices_roundtrip(seed: int, budget) -> bool:
         for sub_seed in (seed, seed + 101):
             try:
                 curve = build_catalog_variety("elliptic4", sub_seed, f2, budget)
+                # the pencil decides first whether the quartic splits (about
+                # 1 candidate in 24); only a split one pays for the full count
+                pencil = quadric_pencil(curve, budget)
+                if pencil_det_distinct_roots(pencil) != 4 or (
+                    pencil_vertices(pencil, seeded_rng(("vertices", sub_seed))) is None
+                ):
+                    continue
                 count, vertices = segre_count_elliptic_quartic(curve, sub_seed, budget)
             except (DegenerateInputError, BudgetExceededError):
                 continue

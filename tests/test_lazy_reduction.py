@@ -9,6 +9,11 @@ the same remainders, the same RREF rows and pivots, the same determinants
 and the same reduction counts, and every coefficient they return must be
 canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
 
+The sparse Gauss-Jordan ``rref`` is also checked against ``_ref_rref`` on
+mostly-zero matrices and on Gao's PDE systems, the matrices it was made
+for: a degree-6 product of three conics over a prime near 2^31 and a
+degree-4 product of two conics over Q with large coefficients.
+
 ``_ref_u_gcd`` is Euclid's algorithm on ``Fraction``s, which ``u_gcd`` over Q
 replaced with a primitive pseudo-remainder sequence over Z; the monic gcd is
 unique, so both must return it coefficient for coefficient.
@@ -38,7 +43,7 @@ from entryloci.kernel import (
     RingContext,
     groebner_basis,
 )
-from entryloci.kernel import ideals
+from entryloci.kernel import ideals, linalg
 from entryloci.kernel.groebner import (
     DEFAULT_BUDGET,
     _divides,
@@ -52,11 +57,13 @@ from entryloci.kernel.groebner import (
     normal_form,
     spolynomial,
 )
+from entryloci.kernel.factor import _pde_kernel
 from entryloci.kernel.linalg import det, kernel_basis, rref, solve
 from entryloci.kernel.orders import GREVLEX, LEX
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_divmod, u_gcd, u_monic, u_mul, u_trim
 from entryloci.rank_secant import incidence_generators
+from entryloci.suite import resolve_field
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(2147483659)]
 NAMES = ("x", "y", "z")
@@ -453,6 +460,98 @@ def test_rref_matches_field_method_reference(field, data):
     col = data.draw(st.integers(0, len(rows[0])))
     rows = [r[:col] + [field.zero] + r[col:] for r in rows]
     assert rref(rows, field) == _ref_rref(rows, field)
+
+
+def _sparse_entry(field, rnd):
+    if field.char:
+        # small values force cancellations; the full range covers large products
+        p = field.char
+        return rnd.choice([rnd.randint(-3, 3) or 1, rnd.randint(-(p - 1), p - 1) or 1])
+    if rnd.random() < 0.5:
+        return Fraction(rnd.randint(-5, 5) or 1, rnd.randint(1, 4))
+    # numerators up to 10^12 over denominators up to 10^6
+    return Fraction(rnd.randint(-(10**12), 10**12) or 1, rnd.randint(1, 10**6))
+
+
+def _sparse_matrices(field):
+    """Mostly-zero matrices up to 30x30: each cell is nonzero with a drawn
+    probability of 3 to 35 percent."""
+
+    def build(args):
+        m, n, density, rnd = args
+        return [
+            [_sparse_entry(field, rnd) if rnd.random() < density else field.zero for _ in range(n)]
+            for _ in range(m)
+        ]
+
+    return st.tuples(
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.sampled_from([0.03, 0.1, 0.2, 0.35]),
+        st.randoms(use_true_random=True),
+    ).map(build)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_sparse_rref_matches_field_method_reference(field, data):
+    rows = data.draw(_sparse_matrices(field))
+    m, n = len(rows), len(rows[0])
+    co = field.coerce
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
+        s = co(data.draw(st.integers(-3, 3)))
+        rows.append([field.add(co(x), field.mul(s, co(y))) for x, y in zip(rows[i], rows[j])])
+        rows.insert(data.draw(st.integers(0, len(rows))), list(rows[i]))
+    rows.insert(data.draw(st.integers(0, len(rows))), [field.zero] * n)
+    col = data.draw(st.integers(0, n))
+    rows = [r[:col] + [field.zero] + r[col:] for r in rows]
+    red, piv = rref(rows, field)
+    assert (red, piv) == _ref_rref(rows, field)
+    assert len(red) == len(rows) and col not in piv
+    assert all(_canonical(field, x) for r in red for x in r)
+
+
+def _pde_matrices(monkeypatch, plane):
+    """Kernel of Gao's PDE system for ``plane``, and every matrix that
+    ``rref`` saw while computing it."""
+    seen = []
+    real = linalg.rref
+
+    def recording(rows, field):
+        seen.append([list(r) for r in rows])
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    kernel, _, _ = _pde_kernel(plane)
+    monkeypatch.undo()
+    return kernel, seen
+
+
+@pytest.mark.parametrize(
+    "field,conics", [(resolve_field("fp:auto", 1), 3), (QQ, 2)], ids=["fp-degree6", "Q-degree4"]
+)
+def test_pde_system_of_conics_matches_reference(monkeypatch, field, conics):
+    # over Q the coefficients have numerators up to 10^12 over denominators up to 10^6
+    ring = RingContext(("x", "y"), field)
+    rng = seeded_rng(("pde-conics", conics))
+    monos = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+    plane = ring.one()
+    for _ in range(conics):
+        if field.char:
+            coeffs = [rng.randrange(1, field.char) for _ in monos]
+        else:
+            coeffs = [Fraction(rng.randrange(1, 10**12), rng.randrange(1, 10**6)) for _ in monos]
+        plane = plane * ring.from_dict(dict(zip(monos, coeffs)))
+    d = 2 * conics
+    kernel, seen = _pde_matrices(monkeypatch, plane)
+    assert len(kernel) == conics
+    # one unknown per coefficient of g (deg_x < d) and of h (deg_y < d)
+    assert len(seen) == 1 and len(seen[0][0]) == 2 * d * (d + 1)
+    red, piv = rref(seen[0], field)
+    assert (red, piv) == _ref_rref(seen[0], field)
+    assert all(_canonical(field, x) for r in red for x in r)
+    assert all(_canonical(field, x) for v in kernel for x in v)
 
 
 def _ref_det(rows, field):

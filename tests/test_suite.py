@@ -1,16 +1,20 @@
 """Checks 02 and 04 decide their claims on the saturated entry locus.  The
 sampled routes they replaced (rational points of a random slice, and point
 counts plus radical membership on a common slice) are kept here as oracles
-on the seeds where they run."""
+on the seeds where they run.  So is the former candidate search of check
+04's vertex round trip, which ran the full Segre count on every candidate
+before it learnt whether the pencil splits."""
 
 import pytest
 
 from entryloci import suite
+from entryloci.catalog import build_catalog_variety
 from entryloci.geometry import ProjectivePoint, ambient_ring, count_on_slice, zero_dim_slice
 from entryloci.kernel import (
     QQ,
     Budget,
     BudgetExceededError,
+    DegenerateInputError,
     Ideal,
     PrimeField,
     RingContext,
@@ -20,6 +24,7 @@ from entryloci.kernel import (
 )
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.zerodim import enumerate_points_prime_field, random_linear_combination
+from entryloci.segre import segre_count_elliptic_quartic
 
 FP = PrimeField(2147483659)
 BUDGET = suite.RunConfig().budget()
@@ -123,3 +128,32 @@ def test_classify_cache_keys_on_every_budget_limit(tight):
     suite.classified("scroll12", 1, field, Budget())
     with pytest.raises(BudgetExceededError):
         suite.classified("scroll12", 1, field, tight)
+
+
+def _ref_split_candidate(seed):
+    """The former search: the first (prime, sub-seed) whose full Segre count
+    finds 4 cones with vertices over the prime field."""
+    for _, p in zip(range(150), suite.prime_stream(suite.derive_seed("vertices", seed))):
+        field = PrimeField(p)
+        for sub_seed in (seed, seed + 101):
+            try:
+                curve = build_catalog_variety("elliptic4", sub_seed, field, BUDGET)
+                count, vertices = segre_count_elliptic_quartic(curve, sub_seed, BUDGET)
+            except (DegenerateInputError, BudgetExceededError):
+                continue
+            if count == 4 and vertices is not None:
+                return p, sub_seed
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_vertex_roundtrip_counts_only_the_split_candidate(monkeypatch, seed):
+    calls = []
+
+    def counting(curve, sub_seed, budget):
+        calls.append((curve.field.p, sub_seed))
+        return segre_count_elliptic_quartic(curve, sub_seed, budget)
+
+    monkeypatch.setattr(suite, "segre_count_elliptic_quartic", counting)
+    assert suite._vertices_roundtrip(seed, BUDGET)
+    assert calls == [_ref_split_candidate(seed)]
