@@ -140,10 +140,11 @@ def apply_linear_substitution(ideal: Ideal, matrix) -> Ideal:
     return Ideal.of(ring, [g.substitute(images, ring) for g in ideal.gens])
 
 
-def complete_to_basis(field, rows, n: int):
-    """Extend independent rows to an invertible n x n matrix, deterministically
-    preferring standard basis vectors (DegenerateInputError when fewer than
-    n rows are dependent)."""
+def projection_frame(field, rows, n: int):
+    """Invertible n x n matrix B whose first columns are the independent
+    ``rows``, completed deterministically by standard basis vectors, so that
+    under x = B y the rows become the first coordinate points
+    (DegenerateInputError when the rows are dependent)."""
     base = [list(r) for r in rows]
     for i in range(n):
         cand = [field.one if j == i else field.zero for j in range(n)]
@@ -154,7 +155,7 @@ def complete_to_basis(field, rows, n: int):
             break
     if len(base) != n:
         raise DegenerateInputError("could not complete basis")
-    return base
+    return [[base[j][i] for j in range(n)] for i in range(n)]
 
 
 # -- implicitization -----------------------------------------------------------
@@ -216,20 +217,21 @@ def project_image(
     """Closure of the image of X under linear projection from the span of
     the independent coordinate rows ``center_rows``.
 
-    Coordinates are changed so the center is a coordinate subspace, then the
-    center block is eliminated.
+    Coordinates are changed by x = B y with B = ``projection_frame(field,
+    center_rows, r + 1)``, so the center is the span of the first k coordinate
+    points, then the center block is eliminated: the image ring's variables
+    are y_k..y_r, the forms given by rows k..r of B^-1.
     """
     rng = rng or random.Random(0)
     field = X.field
     r = X.ambient
     k = len(center_rows)
-    cols = complete_to_basis(field, center_rows, r + 1)
+    B = projection_frame(field, center_rows, r + 1)
     if X.param is not None:
         for i in range(5):
             pt = sample_point(X, rng)
             if rank([*center_rows, pt.coords], field) == k:
                 raise DegenerateInputError("projection center meets the variety")
-    B = [[cols[j][i] for j in range(r + 1)] for i in range(r + 1)]  # columns = basis
     moved = apply_linear_substitution(X.ideal, B)
     moved = Ideal.of(X.ring.with_order(Block(k)), moved.gens)
     out = eliminate(moved, k, budget)
@@ -441,8 +443,7 @@ def slice_by_span(ideal: Ideal, span_rows, budget: Budget | None = None) -> Idea
     if c == 0:
         return ideal
     point_basis = kernel_basis([list(r) for r in span_rows], field)
-    cols = point_basis + complete_to_basis(field, point_basis, ring.nvars)[len(point_basis):]
-    B = [[cols[j][i] for j in range(ring.nvars)] for i in range(ring.nvars)]
+    B = projection_frame(field, point_basis, ring.nvars)
     moved = apply_linear_substitution(ideal, B)
     keep = ring.nvars - c
     target = ambient_ring(keep - 1, field)

@@ -175,8 +175,19 @@ def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return ring.from_dict(q)
 
 
+def _repeated_part(plane: Polynomial) -> Polynomial:
+    """gcd(f, df/dy, df/dx) of a plane polynomial f: the product of p^(e-1)
+    over its factors p^e (characteristic 0 or above deg f).  One partial
+    alone would miss the factors free of its variable.  The second gcd runs
+    on the first, which is usually constant."""
+    g = bivariate_gcd(plane, plane.derivative(1))
+    if g.total_degree() > 0:
+        g = bivariate_gcd(g, plane.derivative(0))
+    return g
+
+
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """f / gcd(f, df/dv) for a variable v on which f depends (<= 2 effective vars)."""
+    """f / gcd(f, df/dy, df/dx), monic (<= 2 effective vars)."""
     field = f.ring.field
     if field.char != 0 and field.char <= f.total_degree():
         raise CharacteristicError(
@@ -185,10 +196,7 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if f.is_zero() or f.total_degree() == 0:
         return f.monic() if not f.is_zero() else f
     plane, used = compress_to_plane(f)
-    v = 1 if plane.degree_in(1) > 0 else 0
-    deriv = plane.derivative(v)
-    g = bivariate_gcd(plane, deriv)
-    result = poly_exact_div(plane, g).monic()
+    result = poly_exact_div(plane, _repeated_part(plane)).monic()
     # map back into the original ring
     out = {}
     n = f.ring.nvars
@@ -204,8 +212,7 @@ def squarefree_part(f: Polynomial) -> Polynomial:
 
 def is_squarefree(f: Polynomial) -> bool:
     plane, _ = compress_to_plane(f)
-    v = 1 if plane.degree_in(1) > 0 else 0
-    return bivariate_gcd(plane, plane.derivative(v)).total_degree() == 0
+    return _repeated_part(plane).total_degree() == 0
 
 
 def _random_affine_image(plane: Polynomial, rng: random.Random):

@@ -18,6 +18,7 @@ from .geometry import (
     ProjectiveVariety,
     graded_piece_rows,
     project_image,
+    projection_frame,
     reduced_dim_degree,
     span_form_rows,
 )
@@ -25,7 +26,7 @@ from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.ideals import Ideal, radical_membership
-from .kernel.linalg import det, kernel_basis, row_space_intersection
+from .kernel.linalg import det, kernel_basis, mat_inverse, row_space_intersection
 from .kernel.rng import seeded_rng
 from .kernel.univar import u_degree, u_interpolate, u_roots_prime_field, u_squarefree_part, u_trim
 
@@ -205,8 +206,17 @@ def pair_segre_test(
     seed: int = 0,
     budget: Budget | None = None,
 ) -> bool:
-    """True when the projections of T and Y away from o coincide as sets
-    (tested through reduced containment of the image ideals)."""
+    """True when the projections of T and Y away from o coincide as sets,
+    tested through reduced containment of the image ideals J_Y and J_T.
+
+    The forward containment V(J_T) subset V(J_Y) is decided on T's own ideal
+    I_T, so T is projected only when it holds.  Lemma: with x = B y the frame
+    of ``project_image``, J_T = I_T(B y) meet k[y_1..y_r], and for g in
+    k[y_1..y_r],  g in rad(J_T)  <=>  g(B^-1 x) in rad(I_T).
+    Proof: g^m lies in k[y_1..y_r], so g^m is in J_T exactly when it is in
+    I_T(B y); and h(y) is in I_T(B y) exactly when h(B^-1 x) is in I_T.
+    So the verdict is the one the two images give, on every input.
+    """
     if Y.ideal.gens == T.ideal.gens:
         raise DegenerateInputError("pair test needs two distinct curves")
     if Y.contains_point(o) or T.contains_point(o):
@@ -215,10 +225,13 @@ def pair_segre_test(
         raise DegenerateInputError("the two curves do not span the ambient space")
     rng = seeded_rng(("pair-segre", seed))
     img_y = project_image(Y, [o.coords], budget=budget, rng=rng)
-    img_t = project_image(T, [o.coords], budget=budget, rng=rng)
-    # V(J_T) subset of V(J_Y)  <=>  every generator of J_Y vanishes on V(J_T)
-    fwd = all(radical_membership(g, img_t.ideal, budget) for g in img_y.ideal.gens)
-    if not fwd:
+    # V(J_T) subset of V(J_Y): every generator of J_Y, pulled back to P^r,
+    # vanishes on T
+    field = T.field
+    binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
+    ys = [T.ring.linear_form(row) for row in binv[1:]]
+    pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
+    if not all(radical_membership(f, T.ideal, budget) for f in pulled):
         return False
-    bwd = all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
-    return fwd and bwd
+    img_t = project_image(T, [o.coords], budget=budget, rng=rng)
+    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)

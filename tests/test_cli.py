@@ -124,6 +124,10 @@ GOLDEN = [
      "07c82e1a794ea658b67df006b04c4a57b0d738bce124a3a94cde200af479ba2d"),
     (["entry-locus", "--variety", "delpezzo4", "--seed", "1"],
      "907d3ea2d0f90d7759e6433b5f659b0081b6b7ea2ec48b7bfb8f639224b9b0c6"),
+    (["pair-segre", "--y", "rnc3", "--t", "rational_quartic3", "--seed", "1"],
+     "1488c418299d1ef7ddf269c503e13b35bc1c6f40237f01b96508fa569c183701"),
+    (["pair-segre", "--y", "rnc3", "--t", "rational_quartic3", "--seed", "1", "--field", "Q"],
+     "42a122c70b17b156ab73e45306bf40b306165380ca0e8a5ce864b83e5e7e8f37"),
 ]
 
 

@@ -1,4 +1,7 @@
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entryloci.kernel import (
     QQ,
@@ -11,11 +14,13 @@ from entryloci.kernel.factor import (
     absolute_factor_count,
     absolute_factor_degrees,
     bivariate_gcd,
+    is_squarefree,
     poly_exact_div,
     squarefree_part,
 )
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_gcd
+from entryloci.suite import resolve_field
 
 
 @pytest.fixture
@@ -108,3 +113,56 @@ def test_factor_count_small_characteristic_guard():
     ring = RingContext(("x", "y"), PrimeField(5))
     with pytest.raises(CharacteristicError):
         absolute_factor_count(ring.from_string("x^3 - y^3 + x*y"))
+
+
+# A factor free of one variable vanishes under that partial derivative, so
+# gcd(f, df/dy) alone takes it for a repeated factor.
+SQF_FIELDS = [resolve_field("fp:auto", 1), QQ]
+
+
+@pytest.mark.parametrize("field", SQF_FIELDS, ids=["fp:auto", "Q"])
+def test_squarefree_part_keeps_factors_free_of_a_variable(field):
+    ring = RingContext(("x", "y"), field)
+    x, y = ring.gens()
+    assert squarefree_part(x * y) == x * y
+    assert squarefree_part(x * y * y) == x * y
+    assert squarefree_part(x * x * y) == x * y
+    assert is_squarefree(x * y)
+    assert not is_squarefree(x * y * y)
+    assert absolute_factor_count(x * y) == 2
+    with pytest.raises(NotSquarefreeError):
+        absolute_factor_count(x * x * y)
+
+
+@pytest.mark.parametrize("field", SQF_FIELDS, ids=["fp:auto", "Q"])
+def test_squarefree_part_in_two_of_three_variables(field):
+    # compress_to_plane maps (y, z) to the plane's (x, y) and back
+    ring = RingContext(("x", "y", "z"), field)
+    x, y, z = ring.gens()
+    assert squarefree_part(y * z * z) == y * z
+    assert squarefree_part((y + z) ** 2 * z) == ((y + z) * z).monic()
+    assert is_squarefree(x * z) and not is_squarefree(x * x * z)
+
+
+_PLANE_MONOMIALS = [(a, b) for a in range(3) for b in range(3 - a)]
+_small_factor = st.dictionaries(
+    st.sampled_from(_PLANE_MONOMIALS), st.integers(-3, 3).filter(bool), min_size=1, max_size=4
+).filter(lambda d: any(sum(m) for m in d))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_small_factor, st.integers(1, 3)), min_size=1, max_size=3))
+def test_squarefree_part_matches_sympy(factors):
+    # independent oracle: sympy's sqf_part over Q, equal up to a scalar
+    ring = RingContext(("x", "y"), QQ)
+    sx, sy = sympy.symbols("x y")
+    f = ring.one()
+    expr = sympy.Integer(1)
+    for terms, e in factors:
+        f = f * ring.from_dict(terms) ** e
+        expr *= sum(c * sx**a * sy**b for (a, b), c in terms.items()) ** e
+    theirs = sympy.Poly(sympy.sqf_part(sympy.expand(expr)), sx, sy)
+    expected = ring.from_dict({m: int(c) for m, c in theirs.terms()})
+    ours = squarefree_part(f)
+    assert ours.proportional_to(expected)
+    assert is_squarefree(ours)

@@ -1,15 +1,18 @@
 import pytest
 
+from entryloci import segre
 from entryloci.catalog import build_catalog_variety
 from entryloci.geometry import (
     ProjectivePoint,
     ProjectiveVariety,
     ambient_ring,
     apply_linear_substitution,
+    project_image,
     random_invertible_matrix,
     random_point,
 )
-from entryloci.kernel import DegenerateInputError, Ideal, PrimeField
+from entryloci.kernel import QQ, DegenerateInputError, Ideal, PrimeField
+from entryloci.kernel.ideals import radical_membership
 from entryloci.kernel.rng import seeded_rng
 from entryloci.rank_secant import two_decompositions
 from entryloci.segre import (
@@ -19,7 +22,7 @@ from entryloci.segre import (
     quadric_pencil,
     segre_count_elliptic_quartic,
 )
-from entryloci.suite import prime_stream
+from entryloci.suite import prime_stream, resolve_field
 
 FP = PrimeField(2147483659)
 
@@ -171,3 +174,112 @@ def test_pair_segre_rejects_missing_span():
     o = ProjectivePoint.make(FP, [1, 1, 1, 1])
     with pytest.raises(DegenerateInputError):
         pair_segre_test(c1, c2, o, seed=1)
+
+
+# -- the two-image route as the oracle for pair_segre_test ----------------------
+
+
+def _ref_pair_segre_test(Y, T, o, seed=0, budget=None):
+    """The former route: project both curves from o, then compare the images
+    by reduced containment both ways."""
+    rng = seeded_rng(("pair-segre", seed))
+    img_y = project_image(Y, [o.coords], budget=budget, rng=rng)
+    img_t = project_image(T, [o.coords], budget=budget, rng=rng)
+    if not all(radical_membership(g, img_t.ideal, budget) for g in img_y.ideal.gens):
+        return False
+    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
+
+
+PAIR_FIELDS = [resolve_field("fp:auto", 1), QQ]
+
+
+def _curve(ring, gens, name):
+    return ProjectiveVariety(ring.nvars - 1, Ideal.of(ring, gens), None, {"name": name, "key": name})
+
+
+def _points_off(field, rng, curves, count):
+    n = curves[0].ambient + 1
+    points = []
+    while len(points) < count:
+        o = random_point(field, rng, n)
+        if not any(c.contains_point(o) for c in curves):
+            points.append(o)
+    return points
+
+
+def _check10_pairs(field):
+    """The pairs of suite check 10: skew lines, the conic and its cone
+    section (from the vertex), and a plane conic against rnc4 in P^4."""
+    rng = seeded_rng(("pair-oracle", field.describe()))
+    r3 = ambient_ring(3, field)
+    x0, x1, x2, x3 = r3.gens()
+    l1 = _curve(r3, [x2, x3], "l1")
+    l2 = _curve(r3, [x0, x1], "l2")
+    pairs = [(l1, l2, o) for o in _points_off(field, rng, [l1, l2], 3)]
+    conic_y = _curve(r3, [x3 - x0, x0 * x2 - x1 * x1], "conic_y")
+    conic_t = _curve(r3, [x3 - x0 - x1, x0 * x2 - x1 * x1], "conic_t")
+    pairs.append((conic_y, conic_t, ProjectivePoint.make(field, [0, 0, 0, 1])))
+    r4 = ambient_ring(4, field)
+    y0, y1, y2, y3, y4 = r4.gens()
+    conic5 = _curve(r4, [y3, y4, y0 * y2 - y1 * y1], "plane_conic")
+    rnc4 = build_catalog_variety("rnc4", 1, field)
+    pairs += [(conic5, rnc4, o) for o in _points_off(field, rng, [conic5, rnc4], 3)]
+    return pairs
+
+
+@pytest.mark.parametrize("field", PAIR_FIELDS, ids=["fp:auto", "Q"])
+def test_pair_segre_matches_two_image_reference(field):
+    verdicts = []
+    for Y, T, o in _check10_pairs(field):
+        verdict = pair_segre_test(Y, T, o, seed=1)
+        assert verdict == _ref_pair_segre_test(Y, T, o, seed=1)
+        verdicts.append(verdict)
+    assert verdicts == [False] * 3 + [True] + [False] * 3
+
+
+def _lines_and_a_line_in_their_cone(field):
+    """Y = two skew lines, o off Y, and T a line of the plane spanned by o
+    and the first line: T projects onto the image of that line, so only
+    V(J_T) subset V(J_Y) holds."""
+    r3 = ambient_ring(3, field)
+    x0, x1, x2, x3 = r3.gens()
+    lines = _curve(r3, [x0 * x2, x0 * x3, x1 * x2, x1 * x3], "two_lines")
+    o = ProjectivePoint.make(field, [1, 0, 1, 0])
+    t = _curve(r3, [x3, x1 - x2], "line_in_plane")  # in span(o, V(x2, x3)) = V(x3)
+    assert not lines.contains_point(o) and not t.contains_point(o)
+    return lines, t, o
+
+
+def _counting_projections(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].meta.get("name"))
+        return project_image(*args, **kwargs)
+
+    monkeypatch.setattr(segre, "project_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", PAIR_FIELDS, ids=["fp:auto", "Q"])
+def test_pair_segre_one_inclusion_in_both_orders(field, monkeypatch):
+    lines, t, o = _lines_and_a_line_in_their_cone(field)
+    calls = _counting_projections(monkeypatch)
+    # forward holds (T's image lies in the two image lines), backward fails
+    assert not pair_segre_test(lines, t, o, seed=1)
+    assert calls == ["two_lines", "line_in_plane"]
+    assert not _ref_pair_segre_test(lines, t, o, seed=1)
+    calls.clear()
+    # forward fails at once: the second curve is never projected
+    assert not pair_segre_test(t, lines, o, seed=1)
+    assert calls == ["line_in_plane"]
+    assert not _ref_pair_segre_test(t, lines, o, seed=1)
+
+
+def test_pair_segre_projects_once_when_forward_fails(monkeypatch):
+    field = PAIR_FIELDS[0]
+    calls = _counting_projections(monkeypatch)
+    for Y, T, o in _check10_pairs(field):
+        calls.clear()
+        verdict = pair_segre_test(Y, T, o, seed=1)
+        assert len(calls) == (2 if verdict else 1)
