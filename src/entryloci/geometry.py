@@ -9,7 +9,7 @@ made generic a posteriori by sanity checks with bounded resampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
@@ -89,6 +89,7 @@ class ProjectiveVariety:
     ideal: Ideal  # homogeneous, in x0..xr
     param: Parametrization | None
     meta: dict  # name, key, seed, n, d, g, ...
+    _span_rows: list | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ring(self) -> RingContext:
@@ -104,6 +105,13 @@ class ProjectiveVariety:
     def contains_point(self, pt: ProjectivePoint) -> bool:
         zero = self.field.zero
         return all(g.evaluate(pt.coords) == zero for g in self.ideal.gens)
+
+    def span_rows(self, budget: Budget | None = None):
+        """``span_form_rows`` of the ideal, computed on the first call and
+        kept on this variety."""
+        if self._span_rows is None:
+            self._span_rows = span_form_rows(self.ideal, budget)
+        return self._span_rows
 
 
 # -- seeded random helpers -----------------------------------------------------

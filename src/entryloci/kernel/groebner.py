@@ -282,22 +282,43 @@ def _interreduce(basis, ring, field, neg_key, meter):
     return [Polynomial(ring, tuple((m, c) for _, m, c in t)) for t in reduced]
 
 
+class Divisors:
+    """A divisor list prepared once for repeated division in ``ring``: each
+    polynomial keyed in the ring's order, sorted and made monic, with a
+    negated-key memo that every division against it shares.  Zero
+    polynomials are dropped.  ``ideals.GroebnerBasis.divisors`` keeps one per
+    basis, so a loop of normal forms against one basis prepares it once.
+    """
+
+    __slots__ = ("ring", "basis", "neg_key")
+
+    def __init__(self, polys, ring: RingContext):
+        self.ring = ring
+        self.neg_key = neg_key = _HeapKeys(ring.order)
+        self.basis = []
+        for p in polys:
+            if p.is_zero():
+                continue
+            if p.ring.names != ring.names or p.ring.field != ring.field:
+                raise RingMismatchError("divisor from a different ring")
+            terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
+            self.basis.append((_monic_keyed(terms, ring.field), terms[0][1]))
+
+
 def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Polynomial:
     """Remainder of ``f`` on division by ``basis_polys`` (a Groebner basis for
-    ideal-membership semantics, any divisor list otherwise)."""
-    ring = f.ring
-    budget = budget or DEFAULT_BUDGET
-    meter = budget.fresh()
-    neg_key = _HeapKeys(ring.order)
-    basis = []
-    for p in basis_polys:
-        if p.is_zero():
-            continue
-        if p.ring.names != ring.names or p.ring.field != ring.field:
-            raise RingMismatchError("divisor from a different ring")
-        terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
-        basis.append((_monic_keyed(terms, ring.field), terms[0][1]))
-    rem = _normal_form_terms(_keyed_terms(f, neg_key), basis, ring.field, neg_key, meter)
+    ideal-membership semantics, any divisor list otherwise).
+
+    ``basis_polys`` is a sequence of polynomials, divided in ``f``'s ring, or
+    a prepared :class:`Divisors`, divided in its ring, which ``f`` then has
+    to share names and field with; the remainder lives in that ring."""
+    divisors = basis_polys if isinstance(basis_polys, Divisors) else Divisors(basis_polys, f.ring)
+    ring = divisors.ring
+    if f.ring.names != ring.names or f.ring.field != ring.field:
+        raise RingMismatchError("polynomial and divisors live in different rings")
+    meter = (budget or DEFAULT_BUDGET).fresh()
+    neg_key = divisors.neg_key
+    rem = _normal_form_terms(_keyed_terms(f, neg_key), divisors.basis, ring.field, neg_key, meter)
     return Polynomial(ring, tuple((m, c) for _, m, c in rem))
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HomogeneityError, RingMismatchError
-from .groebner import Budget, buchberger, normal_form as nf_terms, spolynomial
+from .groebner import Budget, Divisors, buchberger, normal_form as nf_terms, spolynomial
 from .orders import GREVLEX, Block
 from .poly import Polynomial, RingContext
 
@@ -47,6 +48,12 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].total_degree() == 0
 
+    @cached_property
+    def divisors(self) -> Divisors:
+        """The basis prepared for division, built on first use and kept on
+        this object for every later normal form against it."""
+        return Divisors(self.basis, self.ring)
+
 
 _GB_CACHE: dict = {}
 _GB_CACHE_LIMIT = 512
@@ -72,12 +79,8 @@ def groebner_basis(ideal: Ideal, order=None, budget: Budget | None = None) -> Gr
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget | None = None) -> Polynomial:
-    ring = gb.ring
-    if f.ring.names != ring.names or f.ring.field != ring.field:
-        raise RingMismatchError("polynomial and basis live in different rings")
-    g = Polynomial(ring, f.terms) if f.ring != ring else f
-    g = ring.from_dict(dict(g.terms))
-    return nf_terms(g, gb.basis, budget)
+    """Remainder of ``f`` modulo ``gb``, in the basis's ring."""
+    return nf_terms(f, gb.divisors, budget)
 
 
 def ideal_contains(gb: GroebnerBasis, other: Ideal, budget: Budget | None = None) -> bool:
@@ -91,7 +94,7 @@ def verify_groebner_basis(gb: GroebnerBasis, budget: Budget | None = None) -> bo
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = spolynomial(basis[i], basis[j])
-            if not nf_terms(s, basis, budget).is_zero():
+            if not nf_terms(s, gb.divisors, budget).is_zero():
                 return False
     for g in basis:
         if g.is_zero() or g.leading_coeff() != gb.ring.field.one:

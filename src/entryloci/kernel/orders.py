@@ -4,11 +4,21 @@ Every order exposes ``key(exponents) -> tuple[int, ...]`` such that comparing
 keys with Python's tuple ordering realizes the monomial order.  Keys are flat
 integer tuples, so they can also be negated componentwise to drive a min-heap
 as a max-heap.
+
+Grevlex keys, which block keys are made of, are memoized in one bounded
+least-recently-used cache: one computation keys the same few hundred
+monomials many times over, and the bound keeps the memory of a long process
+flat.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 
+KEY_CACHE_SIZE = 4096  # grevlex keys memoized
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def _grevlex_key(exps):
     # degree first; ties broken so the rightmost unequal exponent decides,
     # smaller exponent winning (classic grevlex).
@@ -18,9 +28,7 @@ def _grevlex_key(exps):
 class GrevLex:
     name = "grevlex"
     block_size = 0
-
-    def key(self, exps):
-        return _grevlex_key(exps)
+    key = staticmethod(_grevlex_key)
 
     def __repr__(self):
         return "grevlex"

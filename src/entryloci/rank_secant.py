@@ -26,6 +26,7 @@ from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal, groebner_basis
 from .kernel.linalg import kernel_basis, rank
 from .kernel.orders import GREVLEX
+from .kernel.poly import Polynomial
 from .kernel.rng import random_coords, seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
@@ -153,9 +154,9 @@ def secant_dims(
 
 
 def incidence_generators(X: ProjectiveVariety, q: ProjectivePoint, ring, a_imgs, lam) -> list:
-    """Generators X(a) and X(lam * a + q) of the rank-2 incidence system
-    through q; ``a_imgs`` are the images in ``ring`` of the coordinates of a
-    and ``lam`` is a variable of ``ring``.
+    """Generators of the rank-2 incidence system through q, the ideal of
+    X(a) and X(lam * a + q); ``a_imgs`` are the images in ``ring`` of the
+    coordinates of a (free of ``lam``) and ``lam`` is a variable of ``ring``.
 
     This is b = lam * a + mu * q at mu = 1.  As a is on X and q is not, b ~ a
     forces mu = 0, where X(lam * a) vanishes for every a on X: mu = 1 drops
@@ -171,10 +172,47 @@ def incidence_generators(X: ProjectiveVariety, q: ProjectivePoint, ring, a_imgs,
     in k[a]: f in (J : mu^inf) iff f in J R_mu iff f in JT iff f in
     J|_{mu=1} (dehomogenization; Cox, Little and O'Shea, Ideals, Varieties,
     and Algorithms, section 8.4).
+
+    The generators returned are smaller than the g(a), g(lam * a + q) they
+    replace, but generate the same ideal, so every reduced Groebner basis
+    of the system, under every order, is unchanged.  Proof: for each
+    generator g of degree e >= 1, h = g(lam * a + q) - lam^e * g(a) differs
+    from g(lam * a + q) by a multiple of the generator g(a), so the g(a) and
+    the h generate the ideal.  Every term of h but its lam^0 term carries
+    lam, and that term is the scalar c = g(q).  Let p be the first index
+    with c_p != 0 (there is one, as q is not on X): h_p = lam * u + c_p, so
+    lam * (-u / c_p) = 1 modulo the ideal, and lam is a unit there.  For
+    j != p, w_j = c_p * h_j - c_j * h_p has no lam^0 term, so w_j / lam is
+    a polynomial; it lies in the ideal because lam is a unit, and
+    h_j = (lam * (w_j / lam) + c_j * h_p) / c_p is recovered from it.  So
+    the g(a), h_p and the nonzero w_j / lam generate the same ideal.  For a
+    variety cut by quadrics, h = lam * B(a, q) + g(q) with B the polar
+    form, and w_j / lam = c_p * B_j(a, q) - c_j * B_p(a, q) is linear in a.
     """
     b_imgs = [lam * a + ring.constant(c) for a, c in zip(a_imgs, q.coords)]
     gens = [g.substitute(a_imgs, ring) for g in X.ideal.gens]
-    return gens + [g.substitute(b_imgs, ring) for g in X.ideal.gens]
+    hs = []
+    for g, g_a in zip(X.ideal.gens, gens):
+        e = g.total_degree()
+        if e > 0:  # a constant g leaves h = 0
+            hs.append(g.substitute(b_imgs, ring) - lam ** e * g_a)
+    cs = [h.constant_value() for h in hs]
+    p = next((i for i, c in enumerate(cs) if c != ring.field.zero), None)
+    if p is None:
+        raise DegenerateInputError("base point lies on the variety")
+    h_p, c_p = hs[p], cs[p]
+    li = lam.leading_monomial().index(1)
+    out = gens + [h_p]
+    for j, (h, c) in enumerate(zip(hs, cs)):
+        if j == p:
+            continue
+        w = h.scale(c_p) - h_p.scale(c)
+        if not w.is_zero():
+            # dividing every term by lam keeps them in order
+            out.append(Polynomial(ring, tuple(
+                (m[:li] + (m[li] - 1,) + m[li + 1:], v) for m, v in w.terms
+            )))
+    return out
 
 
 def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: random.Random):

@@ -20,7 +20,6 @@ from .geometry import (
     project_image,
     projection_frame,
     reduced_dim_degree,
-    span_form_rows,
 )
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
@@ -190,9 +189,10 @@ def segre_count_elliptic_quartic(
 
 
 def union_span_is_ambient(Y: ProjectiveVariety, T: ProjectiveVariety, budget=None) -> bool:
-    """span(Y u T) = P^r, via the intersection of the span form spaces."""
-    rows_y = span_form_rows(Y.ideal, budget)
-    rows_t = span_form_rows(T.ideal, budget)
+    """span(Y u T) = P^r, via the intersection of the span form spaces (each
+    curve's span rows are computed once and kept on the curve)."""
+    rows_y = Y.span_rows(budget)
+    rows_t = T.span_rows(budget)
     if not rows_y or not rows_t:
         return True
     both = row_space_intersection(rows_y, rows_t, Y.field)

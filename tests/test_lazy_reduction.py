@@ -366,6 +366,30 @@ def test_normal_forms_match_field_method_reference(field, order, data):
                 assert all(_canonical(field, c) for _, c in cur)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(ORDERS), st.data())
+def test_prepared_basis_normal_forms_match_plain_division(field, order, data):
+    # ideals.normal_form divides by the basis prepared once on the
+    # GroebnerBasis; groebner.normal_form on the plain polynomial list
+    # prepares it afresh, and both must give the same remainder and count
+    ring = RingContext(NAMES, field, order)
+    gens = data.draw(st.lists(_polys(ring), min_size=1, max_size=3))
+    gb = groebner_basis(Ideal.of(ring, gens))
+    other = ring.with_order(LEX if order == GREVLEX else GREVLEX)
+    for _ in range(3):
+        f = data.draw(_polys(ring))
+        # a divisor list that is no basis is made monic when it is prepared
+        assert normal_form(f, gens) == normal_form(f, [g.monic() for g in gens])
+        prepared, plain = _RecordingBudget(), _RecordingBudget()
+        got = ideals.normal_form(f, gb, prepared)
+        want = normal_form(f, list(gb.basis), plain)
+        assert got.ring == gb.ring and got.terms == want.terms
+        assert prepared.meter.reductions == plain.meter.reductions
+        # a dividend from a ring with another order is divided in gb's ring
+        assert ideals.normal_form(other.from_dict(dict(f.terms)), gb).terms == want.terms
+    assert gb.divisors is gb.divisors
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_monomial_spolynomial_is_empty(field):
     # a basis element that is a single monomial: both leading terms are
@@ -659,7 +683,9 @@ def test_kernel_results_are_canonical(field):
 # -- budgets see every term ---------------------------------------------------
 
 
-def _scroll_incidence_system():
+def _scroll_incidence_system(raw=True):
+    # raw: the system g(a), g(lam * a + q) as first written, which keeps the
+    # pinned counts below independent of how incidence_generators shrinks it
     field = PrimeField(2147483659)
     var = build_catalog_variety("scroll12", 1, field)
     rng = seeded_rng("scroll-q", 1)
@@ -670,7 +696,13 @@ def _scroll_incidence_system():
     ring = var.ring
     big = RingContext(("lam_",) + ring.names, field, Block(1))
     a_vars = [big.variable(1 + i) for i in range(ring.nvars)]
-    gens = incidence_generators(var, q, big, a_vars, big.variable(0))
+    lam = big.variable(0)
+    if raw:
+        b_imgs = [lam * a + big.constant(c) for a, c in zip(a_vars, q.coords)]
+        gens = [g.substitute(a_vars, big) for g in var.ideal.gens]
+        gens += [g.substitute(b_imgs, big) for g in var.ideal.gens]
+    else:
+        gens = incidence_generators(var, q, big, a_vars, lam)
     gens.sort(key=lambda p: (p.total_degree(), p.terms))
     return gens, big
 
@@ -698,6 +730,17 @@ def test_budget_counts_every_skipped_leading_term():
     assert buchberger(gens, ring, Budget(max_reductions=235, max_pairs=55)) == basis
     assert _ref_buchberger(gens, ring, budget) == basis
     assert (budget.meter.pairs, budget.meter.reductions) == (91, 408)
+
+
+def test_incidence_generators_cut_the_scroll_counts():
+    # the same instance through incidence_generators: the same basis for
+    # less than half the reduction steps of the raw system above
+    raw, ring = _scroll_incidence_system()
+    gens, _ = _scroll_incidence_system(raw=False)
+    budget = _RecordingBudget()
+    basis = buchberger(gens, ring, budget)
+    assert (budget.meter.pairs, budget.meter.reductions) == (28, 100)
+    assert basis == buchberger(raw, ring)
 
 
 # -- sugar selection against normal selection ---------------------------------

@@ -1,13 +1,22 @@
 import pytest
 
-from entryloci.catalog import build_catalog_variety
-from entryloci.geometry import random_point
-from entryloci.kernel import Ideal, PrimeField, groebner_basis
+from entryloci.catalog import build_catalog_variety, catalog_keys
+from entryloci.geometry import affine_chart, random_point, sample_point
+from entryloci.kernel import (
+    GREVLEX,
+    QQ,
+    Block,
+    DegenerateInputError,
+    Ideal,
+    PrimeField,
+    RingContext,
+    groebner_basis,
+)
 from entryloci.kernel.linalg import rank
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
-from entryloci.rank_secant import secant_dims, two_decompositions
-from entryloci.suite import prime_stream
+from entryloci.rank_secant import incidence_generators, secant_dims, two_decompositions
+from entryloci.suite import prime_stream, resolve_field
 
 FP = PrimeField(2147483659)
 
@@ -108,3 +117,65 @@ def test_decomposition_rejects_point_on_variety():
     pt = sample_point(var, seeded_rng("onx"))
     with pytest.raises(DegenerateInputError):
         two_decompositions(var, pt, seed=1)
+
+
+# -- the incidence generators against the raw system --------------------------
+
+
+def _raw_incidence(var, q, ring, a_imgs, lam):
+    b_imgs = [lam * a + ring.constant(c) for a, c in zip(a_imgs, q.coords)]
+    gens = [g.substitute(a_imgs, ring) for g in var.ideal.gens]
+    return gens + [g.substitute(b_imgs, ring) for g in var.ideal.gens]
+
+
+def _incidence_systems(var, ring, a_imgs, lam, q):
+    raw = Ideal.of(ring, _raw_incidence(var, q, ring, a_imgs, lam))
+    new = Ideal.of(ring, incidence_generators(var, q, ring, a_imgs, lam))
+    return raw, new
+
+
+# K3 over Q takes about 5 s for the two bases, so only its F_p case runs
+@pytest.mark.parametrize(
+    "field_desc,key",
+    [("fp:auto", k) for k in catalog_keys()]
+    + [("Q", k) for k in catalog_keys() if k != "k3_23"],
+)
+def test_incidence_generators_give_the_raw_reduced_bases(field_desc, key):
+    # the same ideal, so the same reduced basis under the Block(1)
+    # elimination of the entry locus and under GREVLEX on a decomposition chart
+    field = resolve_field(field_desc, 1)
+    var = build_catalog_variety(key, 1, field)
+    rng = seeded_rng("incidence-q", key)
+    q = random_point(field, rng, var.ambient + 1)
+    while var.contains_point(q):
+        q = random_point(field, rng, var.ambient + 1)
+    big = RingContext(("lam_",) + var.ring.names, field, Block(1))
+    a_vars = [big.variable(1 + i) for i in range(var.ring.nvars)]
+    raw, new = _incidence_systems(var, big, a_vars, big.variable(0), q)
+    assert len(new.gens) <= len(raw.gens)
+    assert groebner_basis(new).basis == groebner_basis(raw).basis
+    aff, a_imgs, _ = affine_chart(var.ring, rng, ("lam",))
+    raw, new = _incidence_systems(var, aff, a_imgs, aff.variable(aff.nvars - 1), q)
+    assert groebner_basis(new, GREVLEX).basis == groebner_basis(raw, GREVLEX).basis
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=str)
+def test_incidence_generators_for_quadrics_are_linear_in_a(field):
+    # delpezzo4 is cut by two quadrics: g(a), g'(a), one h = lam * B(a, q) + c
+    # and one linear form in a
+    var = build_catalog_variety("delpezzo4", 1, field)
+    q = random_point(field, seeded_rng("lin-q"), var.ambient + 1)
+    big = RingContext(("lam_",) + var.ring.names, field, Block(1))
+    a_vars = [big.variable(1 + i) for i in range(var.ring.nvars)]
+    gens = incidence_generators(var, q, big, a_vars, big.variable(0))
+    assert [g.total_degree() for g in gens] == [2, 2, 2, 1]
+    assert gens[2].degree_in(0) == 1 and gens[3].degree_in(0) == 0
+
+
+def test_incidence_generators_reject_a_point_on_the_variety():
+    var = build_catalog_variety("scroll12", 1, FP)
+    pt = sample_point(var, seeded_rng("onx"))
+    big = RingContext(("lam_",) + var.ring.names, FP, Block(1))
+    a_vars = [big.variable(1 + i) for i in range(var.ring.nvars)]
+    with pytest.raises(DegenerateInputError):
+        incidence_generators(var, pt, big, a_vars, big.variable(0))

@@ -1,6 +1,6 @@
 import pytest
 
-from entryloci import segre
+from entryloci import geometry, segre
 from entryloci.catalog import build_catalog_variety
 from entryloci.geometry import (
     ProjectivePoint,
@@ -10,6 +10,7 @@ from entryloci.geometry import (
     project_image,
     random_invertible_matrix,
     random_point,
+    span_form_rows,
 )
 from entryloci.kernel import QQ, DegenerateInputError, Ideal, PrimeField
 from entryloci.kernel.ideals import radical_membership
@@ -283,3 +284,30 @@ def test_pair_segre_projects_once_when_forward_fails(monkeypatch):
         calls.clear()
         verdict = pair_segre_test(Y, T, o, seed=1)
         assert len(calls) == (2 if verdict else 1)
+
+
+def test_pair_segre_reads_each_curves_span_once(monkeypatch):
+    calls = []
+
+    def counted(ideal, budget=None):
+        calls.append(ideal)
+        return span_form_rows(ideal, budget)
+
+    monkeypatch.setattr(geometry, "span_form_rows", counted)
+    pairs = _check10_pairs(PAIR_FIELDS[0])
+    verdicts = [pair_segre_test(Y, T, o, seed=1) for Y, T, o in pairs]
+    assert verdicts == [False] * 3 + [True] + [False] * 3
+    # six distinct curves over seven centres
+    curves = {id(c): c for Y, T, _ in pairs for c in (Y, T)}
+    assert len(calls) == len(curves) == 6
+    assert all(c.span_rows() == span_form_rows(c.ideal) for c in curves.values())
+    # the spanning guard still runs on every call, from the kept rows
+    ring = ambient_ring(3, FP)
+    x0, x1, x2, x3 = ring.gens()
+    c1 = _curve(ring, [x3, x0 * x2 - x1 * x1], "c1")
+    c2 = _curve(ring, [x3, x0 * x2 - 2 * x1 * x1], "c2")
+    calls.clear()
+    for o in ([1, 1, 1, 1], [1, 2, 3, 4]):
+        with pytest.raises(DegenerateInputError):
+            pair_segre_test(c1, c2, ProjectivePoint.make(FP, o), seed=1)
+    assert len(calls) == 2
