@@ -153,7 +153,7 @@ def _veronese_proj4(field, rng: random.Random, budget) -> ProjectiveVariety:
             break
     else:
         raise DegenerateInputError("no center off the secant cubic found")
-    out = project_image(v5, [coords], budget=budget, rng=rng)
+    out = project_image(v5, [coords], budget)
     out.meta.update(catalog_metadata("veronese_proj4"))
     out.meta["name"] = "veronese_proj4"
     out.meta["key"] = "veronese_proj4"

@@ -193,7 +193,7 @@ def _dispatch(args) -> int:
         t = _load_variety(args.t, args.seed, field, budget)
         rng = seeded_rng(("cli-pair", args.seed))
         o = random_point(field, rng, y.ambient + 1)
-        verdict = pair_segre_test(y, t, o, args.seed, budget)
+        verdict = pair_segre_test(y, t, o, budget)
         _emit(
             {
                 "y": args.y,

@@ -30,13 +30,13 @@ from .geometry import (
     ProjectiveVariety,
     dehomogenize,
     implicitize,
-    linear_part_rows,
+    graded_piece_rows,
     project_image,
     random_point,
     reduced_dim_degree,
 )
 from .kernel.errors import BudgetExceededError, DegenerateInputError
-from .kernel.factor import absolute_factor_count, squarefree_part, bivariate_gcd
+from .kernel.factor import _factor_count, bivariate_gcd, squarefree_part
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
@@ -195,6 +195,8 @@ def component_count(
     """(number of geometric components, plane model) of a projective curve of
     reduced degree ``expected_degree``: the absolute factor count of the
     first seeded plane model that passes :func:`plane_model`'s degree check.
+    The model is a ``squarefree_part``, so it is counted without a second
+    squarefreeness check.
 
     One such model decides the count.  Let C_1..C_k be the components, with
     degrees summing to d.  A projection maps C_i onto a plane curve of degree
@@ -211,7 +213,7 @@ def component_count(
         rng = seeded_rng(("components", seed, trial))
         try:
             model = plane_model(curve, rng, expected_degree, budget)
-            return absolute_factor_count(model, rng), model
+            return _factor_count(model, rng), model
         except DegenerateInputError:
             continue
     raise DegenerateInputError("all plane projections collapsed")
@@ -316,8 +318,8 @@ def classify_entry_locus(
     timings["entry_locus_ideal_s"] = round(time.monotonic() - t1, 3)
 
     t2 = time.monotonic()
-    # the locus is saturated and generated by forms: its linear generators cut out the span
-    span_rows = linear_part_rows(locus)
+    # the locus is saturated and generated by forms: its degree-1 part cuts out the span
+    span_rows, _ = graded_piece_rows(locus, 1)
     ell = X.ring.nvars - 1 - len(span_rows)
     _, red_degree = reduced_dim_degree(locus, seed, budget)
     timings["span_and_degree_s"] = round(time.monotonic() - t2, 3)

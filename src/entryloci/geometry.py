@@ -24,7 +24,6 @@ from .kernel.ideals import (
     saturate_single,
 )
 from .kernel.linalg import (
-    identity,
     kernel_basis,
     mat_inverse,
     rank,
@@ -220,7 +219,6 @@ def project_image(
     X: ProjectiveVariety,
     center_rows,
     budget: Budget | None = None,
-    rng: random.Random | None = None,
 ) -> ProjectiveVariety:
     """Closure of the image of X under linear projection from the span of
     the independent coordinate rows ``center_rows``.
@@ -229,17 +227,19 @@ def project_image(
     center_rows, r + 1)``, so the center is the span of the first k coordinate
     points, then the center block is eliminated: the image ring's variables
     are y_k..y_r, the forms given by rows k..r of B^-1.
+
+    A center row on which every generator of X vanishes raises
+    DegenerateInputError.  For a one-point center that decides whether the
+    center meets X; a larger center can meet X away from its rows, which
+    callers detect by the image degree (``entry_locus.plane_model``).
     """
-    rng = rng or random.Random(0)
     field = X.field
     r = X.ambient
     k = len(center_rows)
     B = projection_frame(field, center_rows, r + 1)
-    if X.param is not None:
-        for i in range(5):
-            pt = sample_point(X, rng)
-            if rank([*center_rows, pt.coords], field) == k:
-                raise DegenerateInputError("projection center meets the variety")
+    zero = field.zero
+    if any(all(g.evaluate(row) == zero for g in X.ideal.gens) for row in center_rows):
+        raise DegenerateInputError("projection center meets the variety")
     moved = apply_linear_substitution(X.ideal, B)
     moved = Ideal.of(X.ring.with_order(Block(k)), moved.gens)
     out = eliminate(moved, k, budget)
@@ -392,31 +392,11 @@ def count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
     raise DegenerateInputError("could not find a generic slice")
 
 
-def linear_part_rows(ideal: Ideal):
-    """Coefficient rows of the degree-1 elements among the generators, or
-    every linear form when a generator is a constant.  For homogeneous
-    generators the rows span the ideal's degree-1 part."""
-    ring = ideal.ring
-    if any(g.total_degree() == 0 for g in ideal.gens):
-        return identity(ring.nvars, ring.field)
-    rows = []
-    for g in ideal.gens:
-        if g.is_zero() or g.total_degree() != 1:
-            continue
-        row = [ring.field.zero] * ring.nvars
-        for m, c in g.terms:
-            idx = next(i for i, e in enumerate(m) if e)
-            row[idx] = c
-        rows.append(row)
-    red, piv = rref(rows, ring.field)
-    return [red[i] for i in range(len(piv))]
-
-
 def span_form_rows(ideal: Ideal, budget: Budget | None = None):
     """Rows of the independent linear forms vanishing on the scheme: the
     degree-1 part of the irrelevant saturation, or every form when the
     scheme is empty."""
-    return linear_part_rows(irrelevant_saturate(ideal, budget))
+    return graded_piece_rows(irrelevant_saturate(ideal, budget), 1)[0]
 
 
 def graded_piece_rows(ideal: Ideal, degree: int):

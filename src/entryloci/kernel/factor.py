@@ -8,7 +8,10 @@ the dimension of the space of pairs (g, h) with
 under the degree bounds deg_x g <= deg_x f - 1, deg_y g <= deg_y f,
 deg_x h <= deg_x f, deg_y h <= deg_y f - 1 equals the number of absolutely
 irreducible factors of f (characteristic 0 or p large).  A by-product of the
-same system recovers the individual factor degrees over a prime field.
+same system recovers the individual factor degrees over a prime field, from
+Sylvester resultants linear in a parameter z (``univar.u_det_pencil``).
+A caller whose input is a ``squarefree_part`` counts with ``_factor_count``,
+which skips the squarefreeness check that ``absolute_factor_count`` makes.
 """
 
 from __future__ import annotations
@@ -17,18 +20,16 @@ import random
 
 from .errors import CharacteristicError, DegenerateInputError, NotSquarefreeError
 from .fields import PrimeField
-from .linalg import det as _lin_det
 from .linalg import kernel_basis
 from .poly import Polynomial, RingContext
 from .univar import (
     u_degree,
+    u_det_pencil,
     u_divmod,
     u_factor_squarefree,
     u_gcd,
-    u_interpolate,
     u_monic,
     u_mul,
-    u_scale,
     u_sub,
     u_squarefree_part,
     u_trim,
@@ -270,6 +271,15 @@ def _pde_kernel(plane: Polynomial):
 def absolute_factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
     """Number of absolutely irreducible factors of a squarefree polynomial in
     <= 2 effective variables."""
+    if f.total_degree() >= 1 and not is_squarefree(f):
+        raise NotSquarefreeError("absolute factor count requires squarefree input")
+    return _factor_count(f, rng)
+
+
+def _factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
+    """:func:`absolute_factor_count` for a polynomial known to be squarefree,
+    such as the output of :func:`squarefree_part`: it skips the second
+    repeated-part gcd chain."""
     rng = rng or random.Random(0)
     field = f.ring.field
     n = f.total_degree()
@@ -277,8 +287,6 @@ def absolute_factor_count(f: Polynomial, rng: random.Random | None = None) -> in
         raise ValueError("need total degree >= 1")
     if field.char != 0 and field.char <= n * (n - 1):
         raise CharacteristicError(f"prime {field.char} too small: need p > {n * (n - 1)}")
-    if not is_squarefree(f):
-        raise NotSquarefreeError("absolute factor count requires squarefree input")
     plane, _ = compress_to_plane(f)
     if plane.degree_in(0) < 1 or plane.degree_in(1) < 1:
         plane = _random_affine_image(plane, rng)
@@ -379,37 +387,25 @@ def _eval_x(plane: Polynomial, a, field):
 
 
 def _resultant_linear_z(fa, ga, fxa, field):
-    """Res_y(fa, ga - z*fxa) as a polynomial in z, by evaluation/interpolation.
+    """Res_y(fa, ga - z*fxa) as a polynomial in z.
 
-    The Sylvester matrix is built once with the formal y-degrees of the two
-    arguments, then evaluated at sample values of z.
+    The Sylvester matrix is built once, with the formal y-degrees of the two
+    arguments, as base + z * slope: the d rows of fa do not depend on z, the
+    m rows of ga - z*fxa are linear in it (:func:`univar.u_det_pencil`).
     """
     m = u_degree(fa)
     d = max(u_degree(ga), u_degree(fxa))
     if m < 1 or d < 0:
         raise DegenerateInputError("degenerate resultant arguments")
-    samples = []
-    values = []
-    needed = m + d + 2
-    t = 0
-    while len(samples) < needed:
-        zt = field.coerce(t)
-        t += 1
-        bt = u_sub(ga, u_scale(fxa, zt, field), field)
-        bt = bt + [field.zero] * (d + 1 - len(bt))
-        a_full = list(fa)
-        rows = []
-        size = m + d
-        for i in range(d):
-            row = [field.zero] * size
-            for jj, c in enumerate(reversed(a_full)):
-                row[i + jj] = c
-            rows.append(row)
-        for i in range(m):
-            row = [field.zero] * size
-            for jj, c in enumerate(reversed(bt)):
-                row[i + jj] = c
-            rows.append(row)
-        samples.append(zt)
-        values.append(_lin_det(rows, field))
-    return u_interpolate(samples, values, field)
+    size = m + d
+
+    def shifted_rows(coeffs, count):
+        # coefficients padded to the formal degree, highest first, shifted
+        # one column per row
+        high_first = [field.zero] * (size - count + 1 - len(coeffs)) + coeffs[::-1]
+        return [[field.zero] * i + high_first + [field.zero] * (count - 1 - i) for i in range(count)]
+
+    zeros = [[field.zero] * size for _ in range(d)]
+    base = shifted_rows(fa, d) + shifted_rows(ga, m)
+    slope = zeros + shifted_rows([field.neg(c) for c in fxa], m)
+    return u_det_pencil(base, slope, field)

@@ -190,20 +190,12 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     meter = budget.fresh()
     field = ring.field
     order_key = ring.order.key
-    neg_key = _HeapKeys(ring.order)
-    basis = []
-    sugar = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        if p.ring != ring:
-            if p.ring.names != ring.names or p.ring.field != ring.field:
-                raise RingMismatchError("generator from a different ring")
-        terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
-        basis.append((_monic_keyed(terms, field), terms[0][1]))
-        sugar.append(p.total_degree())
+    prepared = Divisors(polys, ring)
+    neg_key = prepared.neg_key
+    basis = prepared.basis
     if not basis:
         return []
+    sugar = [max(sum(m) for _, m, _ in terms) for terms, _ in basis]
 
     pair_heap = []
     pending = set()
@@ -287,7 +279,8 @@ class Divisors:
     polynomial keyed in the ring's order, sorted and made monic, with a
     negated-key memo that every division against it shares.  Zero
     polynomials are dropped.  ``ideals.GroebnerBasis.divisors`` keeps one per
-    basis, so a loop of normal forms against one basis prepares it once.
+    basis, so a loop of normal forms against one basis prepares it once;
+    :func:`buchberger` and :func:`spolynomial` prepare their inputs here too.
     """
 
     __slots__ = ("ring", "basis", "neg_key")
@@ -300,7 +293,7 @@ class Divisors:
             if p.is_zero():
                 continue
             if p.ring.names != ring.names or p.ring.field != ring.field:
-                raise RingMismatchError("divisor from a different ring")
+                raise RingMismatchError("polynomial from a different ring")
             terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
             self.basis.append((_monic_keyed(terms, ring.field), terms[0][1]))
 
@@ -327,12 +320,12 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if g.ring != ring:
         raise RingMismatchError("S-polynomial operands in different rings")
-    neg_key = _HeapKeys(ring.order)
+    prepared = Divisors((f, g), ring)
+    neg_key = prepared.neg_key
     meter = DEFAULT_BUDGET.fresh()
-    fi = sorted(_keyed_terms(f.monic(), neg_key), key=itemgetter(0))
-    gj = sorted(_keyed_terms(g.monic(), neg_key), key=itemgetter(0))
-    lcm = tuple(map(max, fi[0][1], gj[0][1]))
-    s = _spoly_terms((fi, fi[0][1]), (gj, gj[0][1]), lcm, neg_key, meter)
+    fi, gj = prepared.basis
+    lcm = tuple(map(max, fi[1], gj[1]))
+    s = _spoly_terms(fi, gj, lcm, neg_key, meter)
     # division by no divisors collects repeated monomials and reduces mod p
     rem = _normal_form_terms(s, [], ring.field, neg_key, meter)
     return Polynomial(ring, tuple((m, c) for _, m, c in rem))

@@ -21,20 +21,18 @@ the loop:
   divided by its content, and each finished pivot row is divided by its
   pivot once.
 
-:func:`det` stays dense: over F_p it eliminates with :func:`_row_minus`, and
-over Q it runs Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
-and divides by the row scales once.
+:func:`det` is one dense loop for both fields: Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), exact over any integral domain.  Each
+step divides exactly by the previous pivot: over Q the rows are cleared to
+integers first, the division is integer floor division and the row scales
+are divided out once at the end; over F_p it is a multiplication by the
+previous pivot's inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _row_minus(row, f, pivot_row, p):
-    """``row - f * pivot_row``, reduced mod ``p``."""
-    return [(x - f * y) % p for x, y in zip(row, pivot_row)]
 
 
 def _cleared(row):
@@ -159,80 +157,41 @@ def kernel_basis(rows, field):
     return basis
 
 
-def solve(rows, rhs, field):
-    """One solution of A x = b (free variables zero), or None if inconsistent."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, piv = rref(aug, field)
-    zero = field.zero
-    for row in red:
-        if all(x == zero for x in row[:n]) and row[n] != zero:
-            return None
-    x = [zero] * n
-    for row_idx, pc in enumerate(piv):
-        if pc < n:
-            x[pc] = red[row_idx][n]
-    return x
-
-
-def _det_rational(rows):
-    a = []
+def det(rows, field):
+    """Determinant of a square matrix by Bareiss's elimination."""
+    p = field.char
     scale = 1
-    for row in rows:
-        ints, s = _cleared(row)
-        a.append(ints)
-        scale *= s
+    if p:
+        a = [[x % p for x in row] for row in rows]
+    else:
+        a = []
+        for row in rows:
+            ints, s = _cleared(row)
+            a.append(ints)
+            scale *= s
     n = len(a)
     sign = 1
     prev = 1
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return field.zero
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             sign = -sign
         row_c = a[c]
         pv = row_c[c]
-        for i in range(c + 1, n):
-            f = a[i][c]
-            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], row_c)]
+        if p:
+            inv = field.inv(prev)
+            for i in range(c + 1, n):
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) * inv % p for x, y in zip(a[i], row_c)]
+        else:
+            for i in range(c + 1, n):
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], row_c)]
         prev = pv
-    return Fraction(sign * prev, scale)
-
-
-def det(rows, field):
-    if not field.char:
-        return _det_rational(rows)
-    a = [list(r) for r in rows]
-    n = len(a)
-    zero = field.zero
-    p = field.char
-    sign_flip = False
-    result = field.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            return zero
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign_flip = not sign_flip
-        result = field.mul(result, a[c][c])
-        inv = field.inv(a[c][c])
-        for i in range(c + 1, n):
-            if a[i][c] != zero:
-                a[i] = _row_minus(a[i], field.mul(a[i][c], inv), a[c], p)
-    return field.neg(result) if sign_flip else result
+    return sign * prev % p if p else Fraction(sign * prev, scale)
 
 
 def identity(n, field):

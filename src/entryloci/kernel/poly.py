@@ -114,7 +114,8 @@ class RingContext:
         return parse_polynomial(text, self)
 
     def linear_form(self, row) -> "Polynomial":
-        """sum_i row[i] * x_i (the inverse of ``geometry.linear_part_rows``)."""
+        """sum_i row[i] * x_i: the inverse of ``geometry.graded_piece_rows`` in
+        degree 1, whose columns are x_0..x_{n-1} in this order."""
         n = self.nvars
         return self.from_dict({tuple(int(j == i) for j in range(n)): c for i, c in enumerate(row)})
 

@@ -2,7 +2,9 @@
 
 Polynomials are coefficient lists indexed by degree (little-endian) with no
 trailing zeros.  Used for eliminants, minimal polynomials, binary forms and
-root extraction over prime fields.
+root extraction over prime fields.  :func:`u_det_pencil` is the one place
+that expands a determinant with a linear parameter: the pencil quartic of
+``segre`` and the Sylvester resultants of ``factor``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fields import PrimeField
-from .linalg import _cleared, _primitive
+from .linalg import _cleared, _primitive, det
 
 
 def u_trim(c, field):
@@ -246,3 +248,18 @@ def u_interpolate(xs, ys, field):
         out = u_add(out, u_scale(num, field.div(yi, den), field), field)
     return out
 
+
+def u_det_pencil(base, slope, field):
+    """det(base + z * slope) as a polynomial in z.
+
+    The determinant is linear in each row, so its degree is at most the
+    number e of nonzero rows of ``slope``; it is evaluated at z = 0..e and
+    interpolated.
+    """
+    e = sum(1 for row in slope if any(row))
+    xs = [field.coerce(t) for t in range(e + 1)]
+    ys = [
+        det([[b + z * s for b, s in zip(rb, rs)] for rb, rs in zip(base, slope)], field)
+        for z in xs
+    ]
+    return u_interpolate(xs, ys, field)

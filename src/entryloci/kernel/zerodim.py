@@ -3,14 +3,15 @@ elements, distinct-point counts and rational-point enumeration over F_p.
 
 Everything works in the quotient ring/I through normal forms on the monomial
 basis of :func:`quotient_monomials`.  :func:`_krylov` finds the minimal
-polynomial of an element t from its Krylov vectors NF(1), NF(t), NF(t^2), ...
-When the squarefree part of that polynomial has degree D = dim ring/I, the
-ideal is radical and t separates its points (shape position): the Krylov
-vectors are a basis of the quotient, one ``rref`` writes every coordinate as
-a polynomial g_i(t), and each root tau of the minimal polynomial is the point
-(g_0(tau), ..., g_{n-1}(tau)) (the rational univariate representation,
-Rouillier, AAECC 9, 1999).  Other systems pin each root's point through a
-Groebner basis of I + (t - tau).
+polynomial of an element t from its Krylov vectors NF(1), NF(t), ...,
+NF(t^D), D = dim ring/I, by one ``rref``: the first power that depends on
+the lower ones gives it.  When the squarefree part of that polynomial has
+degree D, the ideal is radical and t separates its points (shape position):
+the Krylov vectors are a basis of the quotient, a second ``rref`` writes
+every coordinate as a polynomial g_i(t), and each root tau of the minimal
+polynomial is the point (g_0(tau), ..., g_{n-1}(tau)) (the rational
+univariate representation, Rouillier, AAECC 9, 1999).  Other systems pin
+each root's point through a Groebner basis of I + (t - tau).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import DegenerateInputError
 from .fields import PrimeField
 from .groebner import Budget
 from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
-from .linalg import rref, solve
+from .linalg import rref
 from .orders import GREVLEX
 from .poly import Polynomial, RingContext
 from .rng import random_coords
@@ -85,24 +86,26 @@ def _nf_vector(f: Polynomial, gb: GroebnerBasis, index, budget=None):
 def _krylov(f: Polynomial, gb: GroebnerBasis, monos, budget: Budget | None):
     """(minimal polynomial of multiplication by f on ring/I, Krylov vectors).
 
-    The vectors are NF(f^k) on the basis ``monos`` for k below the degree of
-    the minimal polynomial, which is monic and little-endian.
+    The vectors NF(f^k), k = 0..D on the basis ``monos`` (D = its length),
+    are the columns of one ``rref``; D + 1 vectors in a D-dimensional
+    quotient are dependent, so some column is not a pivot.  The first such
+    column k is the first power that depends on the lower ones, and it holds
+    their coefficients: the minimal polynomial is monic of degree k,
+    little-endian.  The vectors returned are those below k.
     """
     field = gb.ring.field
     index = {m: i for i, m in enumerate(monos)}
     power = gb.ring.one()
     vectors = [_nf_vector(power, gb, index, budget)]
-    while True:
+    for _ in monos:
         power = normal_form(power * f, gb, budget)
         vec = [field.zero] * len(monos)
         for m, c in power.terms:
             vec[index[m]] = c
-        sol = solve(list(map(list, zip(*vectors))), vec, field)
-        if sol is not None:
-            return [field.neg(c) for c in sol] + [field.one], vectors
         vectors.append(vec)
-        if len(vectors) > len(monos) + 1:
-            raise DegenerateInputError("minimal polynomial iteration overran the quotient")
+    red, piv = rref(list(map(list, zip(*vectors))), field)
+    k = next((j for j, c in enumerate(piv) if c != j), len(piv))
+    return [field.neg(red[i][k]) for i in range(k)] + [field.one], vectors[:k]
 
 
 def minimal_polynomial_of(

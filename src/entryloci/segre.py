@@ -5,7 +5,8 @@ A point is a Segre point of a curve when projecting away from it drops the
 reduced image degree below the curve degree (the projection is then a
 non-trivial cover of its image).  For a smooth quartic complete-intersection
 curve in P^3 the Segre points are the vertices of the singular members of its
-quadric pencil: the distinct roots of the binary quartic det(l*A + m*B).
+quadric pencil: the distinct roots of the binary quartic det(l*A + m*B),
+expanded by ``univar.u_det_pencil``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.groebner import Budget
 from .kernel.ideals import Ideal, radical_membership
-from .kernel.linalg import det, kernel_basis, mat_inverse, row_space_intersection
+from .kernel.linalg import kernel_basis, mat_inverse, row_space_intersection
 from .kernel.rng import seeded_rng
-from .kernel.univar import u_degree, u_interpolate, u_roots_prime_field, u_squarefree_part, u_trim
+from .kernel.univar import u_degree, u_det_pencil, u_roots_prime_field, u_squarefree_part, u_trim
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ def quadric_pencil(curve: ProjectiveVariety | Ideal, budget: Budget | None = Non
     if len(rows) != 2:
         raise DegenerateInputError(f"pencil not 2-dimensional (got {len(rows)} quadrics)")
     mats = [_symmetric_matrix(row, monos, field) for row in rows]
-    det_form = _pencil_det_form(mats[0], mats[1], field)
+    det_form = u_det_pencil(mats[1], mats[0], field)  # det(l*A + B), A = mats[0]
+    det_form += [field.zero] * (5 - len(det_form))
     if all(c == field.zero for c in det_form):
         raise DegenerateInputError("pencil determinant form vanishes identically")
     return QuadricPencil(
@@ -82,25 +84,6 @@ def _symmetric_matrix(row, monos, field):
             m[i][j] = v
             m[j][i] = v
     return m
-
-
-def _pencil_det_form(a, b, field):
-    """Coefficients of det(l*A + m*B) as a binary quartic, by interpolation in
-    l at m = 1 plus the leading coefficient det(A)."""
-    xs, ys = [], []
-    t = 0
-    while len(xs) < 5:
-        tv = field.coerce(t)
-        t += 1
-        m = [
-            [field.add(field.mul(tv, a[i][j]), b[i][j]) for j in range(4)]
-            for i in range(4)
-        ]
-        xs.append(tv)
-        ys.append(det(m, field))
-    coeffs = u_interpolate(xs, ys, field)
-    coeffs = list(coeffs) + [field.zero] * (5 - len(coeffs))
-    return coeffs
 
 
 def pencil_det_distinct_roots(pencil: QuadricPencil) -> int:
@@ -159,7 +142,7 @@ def is_segre_point(
         source_degree = Y.meta.get("d")
     if source_degree is None:
         _, source_degree = reduced_dim_degree(Y.ideal, seed, budget)
-    image = project_image(Y, [o.coords], budget=budget, rng=seeded_rng(("segre", seed)))
+    image = project_image(Y, [o.coords], budget)
     _, img_degree = reduced_dim_degree(image.ideal, seed, budget)
     return SegreVerdict(img_degree < source_degree, img_degree, source_degree)
 
@@ -203,7 +186,6 @@ def pair_segre_test(
     Y: ProjectiveVariety,
     T: ProjectiveVariety,
     o: ProjectivePoint,
-    seed: int = 0,
     budget: Budget | None = None,
 ) -> bool:
     """True when the projections of T and Y away from o coincide as sets,
@@ -223,8 +205,7 @@ def pair_segre_test(
         raise DegenerateInputError("candidate point lies on one of the curves")
     if not union_span_is_ambient(Y, T, budget):
         raise DegenerateInputError("the two curves do not span the ambient space")
-    rng = seeded_rng(("pair-segre", seed))
-    img_y = project_image(Y, [o.coords], budget=budget, rng=rng)
+    img_y = project_image(Y, [o.coords], budget)
     # V(J_T) subset of V(J_Y): every generator of J_Y, pulled back to P^r,
     # vanishes on T
     field = T.field
@@ -233,5 +214,5 @@ def pair_segre_test(
     pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
     if not all(radical_membership(f, T.ideal, budget) for f in pulled):
         return False
-    img_t = project_image(T, [o.coords], budget=budget, rng=rng)
+    img_t = project_image(T, [o.coords], budget)
     return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)

@@ -517,7 +517,7 @@ def check_pair_segre(field, seed: int, budget):
         if line1.contains_point(o) or line2.contains_point(o):
             continue
         tried += 1
-        if not pair_segre_test(line1, line2, o, seed, budget):
+        if not pair_segre_test(line1, line2, o, budget):
             good += 1
     computed["skew_false"] = good
 
@@ -535,7 +535,7 @@ def check_pair_segre(field, seed: int, budget):
         {"name": "conic_t", "key": "conic_t", "d": 2, "n": 1},
     )
     vertex = ProjectivePoint.make(field, [field.zero, field.zero, field.zero, field.one])
-    computed["constructed_true"] = pair_segre_test(conic_y, conic_t, vertex, seed, budget)
+    computed["constructed_true"] = pair_segre_test(conic_y, conic_t, vertex, budget)
 
     # a plane conic in P^4 against a spanning quartic curve
     r4 = ambient_ring(4, field)
@@ -554,7 +554,7 @@ def check_pair_segre(field, seed: int, budget):
         if conic5.contains_point(o) or rnc4.contains_point(o):
             continue
         tried += 1
-        if not pair_segre_test(conic5, rnc4, o, seed, budget):
+        if not pair_segre_test(conic5, rnc4, o, budget):
             good += 1
     computed["span_deficient_false"] = good
     return expected, computed, computed == expected

@@ -128,6 +128,12 @@ GOLDEN = [
      "1488c418299d1ef7ddf269c503e13b35bc1c6f40237f01b96508fa569c183701"),
     (["pair-segre", "--y", "rnc3", "--t", "rational_quartic3", "--seed", "1", "--field", "Q"],
      "42a122c70b17b156ab73e45306bf40b306165380ca0e8a5ce864b83e5e7e8f37"),
+    (["entry-locus", "--variety", "veronese_proj4", "--seed", "1"],
+     "ca671d522487d58d17c6cd933c8823cad970f44589e114d3570aafa85bb7bf35"),
+    # seed 35 is the first whose prime splits the pencil quartic, so the
+    # report holds the four vertex coordinates
+    (["segre", "--curve", "elliptic4", "--seed", "35"],
+     "3113556f2ea57e7554ec1cc7be1194b5aa5921bd24c60b2ce438da5e1daa4a26"),
 ]
 
 

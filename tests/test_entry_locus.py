@@ -15,13 +15,14 @@ from entryloci.entry_locus import (
 )
 from entryloci.geometry import (
     ProjectivePoint,
-    linear_part_rows,
+    graded_piece_rows,
     random_point,
     reduced_dim_degree,
     span_form_rows,
     zero_dim_slice,
 )
 from entryloci.kernel import (
+    QQ,
     Block,
     DegenerateInputError,
     Ideal,
@@ -33,12 +34,14 @@ from entryloci.kernel import (
     same_saturation,
     saturate_wrt_variable,
 )
+from entryloci.kernel import factor
 from entryloci.kernel.factor import absolute_factor_count
 from entryloci.kernel.hilbert import hilbert_invariants
-from entryloci.kernel.linalg import identity, row_space_intersection
+from entryloci.kernel.linalg import identity, row_space_intersection, rref
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_trim
 from entryloci.kernel.zerodim import enumerate_points_prime_field
+from entryloci.suite import resolve_field
 
 FP = PrimeField(2147483659)
 
@@ -271,15 +274,33 @@ def _max_of_three_count(curve, seed, expected_degree):
     [("scroll12", 1), ("cone_twisted_cubic", 2), ("veronese_proj4", 3), ("delpezzo4", 1)],
 )
 def test_component_count_matches_max_of_three(key, components):
-    # the entry locus and reduced degree that classify_entry_locus computes at seed 1
+    locus, degree = _seed1_locus(key)
+    count, model = component_count(locus, 1, degree)
+    assert model.total_degree() == degree
+    assert count == _max_of_three_count(locus, 1, degree) == components
+
+
+def _seed1_locus(key):
+    """The entry locus and reduced degree that classify_entry_locus computes
+    at seed 1."""
     var = build_catalog_variety(key, 1, FP)
     rng = seeded_rng(("entrylocus-q", key, 1, 0))
     q = random_point(FP, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
     locus = entry_locus_ideal(var, q)
-    _, degree = reduced_dim_degree(locus, 1)
-    count, model = component_count(locus, 1, degree)
-    assert model.total_degree() == degree
-    assert count == _max_of_three_count(locus, 1, degree) == components
+    return locus, reduced_dim_degree(locus, 1)[1]
+
+
+@pytest.mark.parametrize("key", ["scroll12", "cone_twisted_cubic", "veronese_proj4"])
+def test_component_count_runs_one_gcd_chain_per_model(key, monkeypatch):
+    # plane_model returns a squarefree part, so counting its factors needs
+    # no second repeated-part chain
+    locus, degree = _seed1_locus(key)
+    chains, models = [], []
+    real_chain, real_sf = factor._repeated_part, entry_locus.squarefree_part
+    monkeypatch.setattr(factor, "_repeated_part", lambda f: chains.append(f) or real_chain(f))
+    monkeypatch.setattr(entry_locus, "squarefree_part", lambda f: models.append(f) or real_sf(f))
+    component_count(locus, 1, degree)
+    assert len(models) >= 1 and len(chains) == len(models)
 
 
 def test_equidimensional_invariants_of_locus():
@@ -310,6 +331,42 @@ def test_irrelevant_saturate_intersection_fallback():
     assert [g.to_string() for g in gb.basis] == ["x"]
 
 
+def _ref_linear_part_rows(ideal):
+    """The former span reader: coefficient rows of the degree-1 generators,
+    or every linear form when a generator is a constant."""
+    ring = ideal.ring
+    if any(g.total_degree() == 0 for g in ideal.gens):
+        return identity(ring.nvars, ring.field)
+    rows = []
+    for g in ideal.gens:
+        if g.is_zero() or g.total_degree() != 1:
+            continue
+        row = [ring.field.zero] * ring.nvars
+        for m, c in g.terms:
+            idx = next(i for i, e in enumerate(m) if e)
+            row[idx] = c
+        rows.append(row)
+    red, piv = rref(rows, ring.field)
+    return [red[i] for i in range(len(piv))]
+
+
+@pytest.mark.parametrize("field", [resolve_field("fp:auto", 1), QQ], ids=["fp:auto", "Q"])
+def test_degree_one_piece_matches_linear_generators(field):
+    # the degree-1 monomials sort x0 first, the column order linear_form reads
+    seen_identity = seen_proper = False
+    for key in catalog_keys():
+        var = build_catalog_variety(key, 1, field)
+        rng = seeded_rng(("entrylocus-q", key, 1, 0))
+        q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
+        locus = entry_locus_ideal(var, q)
+        for ideal in (locus, irrelevant_saturate(locus)):
+            rows = graded_piece_rows(ideal, 1)[0]
+            assert rows == _ref_linear_part_rows(ideal)
+            seen_identity |= rows == identity(var.ambient + 1, field)
+            seen_proper |= 0 < len(rows) < var.ambient + 1
+    assert seen_identity and seen_proper
+
+
 def _per_variable_span_rows(ideal):
     """Span rows by the per-variable route: the intersection over variables of
     the degree-1 parts of (I : x_i^inf), unit saturations skipped, and every
@@ -320,7 +377,7 @@ def _per_variable_span_rows(ideal):
         sat = saturate_wrt_variable(ideal, var)
         if any(g.total_degree() == 0 for g in sat.gens):
             continue
-        rows = linear_part_rows(sat)
+        rows = _ref_linear_part_rows(sat)
         current = rows if current is None else row_space_intersection(current, rows, field)
     return identity(ideal.ring.nvars, field) if current is None else current
 

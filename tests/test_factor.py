@@ -3,6 +3,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entryloci.kernel import factor
 from entryloci.kernel import (
     QQ,
     CharacteristicError,
@@ -18,9 +19,10 @@ from entryloci.kernel.factor import (
     poly_exact_div,
     squarefree_part,
 )
+from entryloci.kernel.linalg import det
 from entryloci.kernel.rng import seeded_rng
-from entryloci.kernel.univar import u_gcd
-from entryloci.suite import resolve_field
+from entryloci.kernel.univar import u_degree, u_gcd, u_interpolate, u_scale, u_sub, u_trim
+from entryloci.suite import classified, resolve_field
 
 
 @pytest.fixture
@@ -166,3 +168,71 @@ def test_squarefree_part_matches_sympy(factors):
     ours = squarefree_part(f)
     assert ours.proportional_to(expected)
     assert is_squarefree(ours)
+
+
+# -- the weight resultant against the former per-sample Sylvester matrix -------
+
+
+def _ref_resultant_linear_z(fa, ga, fxa, field):
+    """The former route: the whole Sylvester matrix of fa and ga - z*fxa
+    rebuilt at each of m + d + 2 samples of z, then interpolated."""
+    m = u_degree(fa)
+    d = max(u_degree(ga), u_degree(fxa))
+    samples, values = [], []
+    size = m + d
+    for t in range(m + d + 2):
+        zt = field.coerce(t)
+        bt = u_sub(ga, u_scale(fxa, zt, field), field)
+        bt = bt + [field.zero] * (d + 1 - len(bt))
+        rows = []
+        for i in range(d):
+            row = [field.zero] * size
+            for jj, c in enumerate(reversed(fa)):
+                row[i + jj] = c
+            rows.append(row)
+        for i in range(m):
+            row = [field.zero] * size
+            for jj, c in enumerate(reversed(bt)):
+                row[i + jj] = c
+            rows.append(row)
+        samples.append(zt)
+        values.append(det(rows, field))
+    return u_interpolate(samples, values, field)
+
+
+RESULTANT_FIELDS = [QQ, PrimeField(32003), resolve_field("fp:auto", 1)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(RESULTANT_FIELDS), st.data())
+def test_weight_resultant_matches_sylvester_reference(field, data):
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**9), 10**9)).map(field.coerce)
+
+    def univariate(min_degree, max_degree):
+        return st.lists(entry, min_size=min_degree + 1, max_size=max_degree + 1).map(
+            lambda c: u_trim(c, field)
+        )
+
+    fa = data.draw(univariate(1, 5).filter(lambda c: u_degree(c) >= 1))
+    ga = data.draw(univariate(-1, 4))
+    fxa = data.draw(univariate(-1, 4).filter(lambda c: c or ga))
+    got = factor._resultant_linear_z(fa, ga, fxa, field)
+    assert got == _ref_resultant_linear_z(fa, ga, fxa, field)
+
+
+def test_check03_plane_model_resultants_match_sylvester_reference(monkeypatch):
+    # the plane model and rng stream that check 03 reads its component degrees from
+    field = resolve_field("fp:auto", 1)
+    _, rep = classified("veronese_proj4", 1, field, None)
+    seen = []
+    real = factor._resultant_linear_z
+
+    def recording(fa, ga, fxa, field):
+        seen.append((fa, ga, fxa))
+        return real(fa, ga, fxa, field)
+
+    monkeypatch.setattr(factor, "_resultant_linear_z", recording)
+    assert absolute_factor_degrees(rep.plane_model, seeded_rng(("veronese-degrees", 1))) == [2, 2, 2]
+    assert seen
+    for fa, ga, fxa in seen:
+        assert real(fa, ga, fxa, field) == _ref_resultant_linear_z(fa, ga, fxa, field)

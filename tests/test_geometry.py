@@ -86,17 +86,31 @@ def test_implicitize_veronese_quadrics():
 def test_project_twisted_cubic_to_plane_cubic():
     var = build_catalog_variety("rnc3", 1, FP)
     rng = seeded_rng("proj-test")
-    image = project_image(var, [random_point(FP, rng, 4).coords], rng=rng)
+    image = project_image(var, [random_point(FP, rng, 4).coords])
     dim, deg = reduced_dim_degree(image.ideal, 5)
     assert (dim, deg) == (1, 3)
 
 
-def test_project_rejects_center_on_sampled_point():
-    var = build_catalog_variety("rnc3", 1, FP)
-    pt = sample_point(var, seeded_rng("on-curve"))
-    # the guard samples X from the same seeded stream, so it meets the center
-    with pytest.raises(DegenerateInputError):
-        project_image(var, [pt.coords], rng=seeded_rng("on-curve"))
+@pytest.mark.parametrize("key", ["rnc3", "elliptic4"])
+def test_project_rejects_center_on_the_variety(key):
+    # points drawn from streams of their own: on the parametrized rnc3 by
+    # its parametrization, on the implicit elliptic4 by slicing
+    var = build_catalog_variety(key, 1, FP)
+    rng = seeded_rng("on-variety", key)
+    if var.param is not None:
+        points = [sample_point(var, rng) for _ in range(3)]
+    else:
+        points = witness_points(var, rng, want=3)
+    assert len(points) == 3
+    for pt in points:
+        assert var.contains_point(pt)
+        with pytest.raises(DegenerateInputError, match="center meets the variety"):
+            project_image(var, [pt.coords])
+        # a second center row off the variety does not hide the first
+        off = random_point(FP, rng, var.ambient + 1)
+        assert not var.contains_point(off)
+        with pytest.raises(DegenerateInputError, match="center meets the variety"):
+            project_image(var, [off.coords, pt.coords])
 
 
 @pytest.mark.parametrize("parametrized", [True, False])
@@ -107,7 +121,7 @@ def test_project_rejects_dependent_center_rows(parametrized):
     row = random_point(FP, seeded_rng("dependent"), 4).coords
     twice = [FP.mul(2, c) for c in row]
     with pytest.raises(DegenerateInputError, match="could not complete basis"):
-        project_image(var, [row, twice], rng=seeded_rng("dependent"))
+        project_image(var, [row, twice])
 
 
 def test_cone_over_conic_is_rank3_quadric():

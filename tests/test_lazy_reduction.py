@@ -58,7 +58,7 @@ from entryloci.kernel.groebner import (
     spolynomial,
 )
 from entryloci.kernel.factor import _pde_kernel
-from entryloci.kernel.linalg import det, kernel_basis, rref, solve
+from entryloci.kernel.linalg import det, kernel_basis, rref
 from entryloci.kernel.orders import GREVLEX, LEX
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_divmod, u_gcd, u_monic, u_mul, u_trim
@@ -674,7 +674,6 @@ def test_kernel_results_are_canonical(field):
     red, _ = rref(rows, field)
     values = [x for r in red for x in r]
     values += [x for v in kernel_basis(rows, field) for x in v]
-    values += solve(rows, [entry(-1), entry(2), entry(-3)], field)
     values.append(det([r[:3] for r in rows[::2]] + [[entry(-1), entry(0), entry(-9)]], field))
     values.append(det([[entry(-3)]], field))
     assert all(_canonical(field, x) for x in values)

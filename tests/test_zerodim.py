@@ -1,11 +1,14 @@
 import time
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entryloci.kernel import DegenerateInputError, Ideal, PrimeField, RingContext, groebner_basis
+from entryloci.kernel import QQ, DegenerateInputError, Ideal, PrimeField, RingContext, groebner_basis
 from entryloci.kernel import zerodim
+from entryloci.kernel.ideals import normal_form
+from entryloci.kernel.linalg import rref
 from entryloci.kernel.orders import GREVLEX
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_roots_prime_field, u_squarefree_part
@@ -196,6 +199,75 @@ def test_form_that_does_not_separate_takes_the_per_root_path(
     points = _against_reference(gb, ("not-separating", require_all), require_all)
     assert points == (None if require_all else [(FP.coerce(1), 0, 0)])
     assert len(pin_calls) == 2
+
+
+# -- the Krylov minimal polynomial against the former per-power solve ---------
+
+
+def _ref_solve(rows, rhs, field):
+    """One solution of A x = b (free variables zero), or None."""
+    n = len(rows[0])
+    red, piv = rref([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    if piv and piv[-1] == n:
+        return None
+    x = [field.zero] * n
+    for row_idx, pc in enumerate(piv):
+        x[pc] = red[row_idx][n]
+    return x
+
+
+def _ref_krylov(f, gb, monos, budget=None):
+    """The former loop: one solve against the lower powers for every new
+    power of f, until one depends on them."""
+    field = gb.ring.field
+    index = {m: i for i, m in enumerate(monos)}
+    power = gb.ring.one()
+    vectors = [zerodim._nf_vector(power, gb, index, budget)]
+    while True:
+        power = normal_form(power * f, gb, budget)
+        vec = [field.zero] * len(monos)
+        for m, c in power.terms:
+            vec[index[m]] = c
+        sol = _ref_solve(list(map(list, zip(*vectors))), vec, field)
+        if sol is not None:
+            return [field.neg(c) for c in sol] + [field.one], vectors
+        vectors.append(vec)
+
+
+@cache
+def _krylov_systems():
+    """The systems built above, and the three radical points over Q."""
+    ring_q = RingContext(("x", "y", "z"), QQ)
+    gbs = [
+        _basis(*RADICAL),
+        _basis("x^2 - 2*x + 1", "y - 2*x", "z - x - y"),
+        _basis("x - 3", "y^2 - 1", "z - y"),
+        _basis("x^2 - 3*x + 2", "x*y - 2*y", "y^2 - x + 1", "z - y"),
+        groebner_basis(Ideal.of(ring_q, [ring_q.from_string(g) for g in RADICAL]), GREVLEX),
+    ]
+    gbs += [_radical_basis(seed, irr)[0] for seed in (1, 2, 3) for irr in (False, True)]
+    return [(gb, zerodim.quotient_monomials(gb)) for gb in gbs]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_krylov_matches_per_power_solve(data):
+    gb, monos = data.draw(st.sampled_from(_krylov_systems()))
+    ring = gb.ring
+    # a small polynomial of degree <= 2: the zero and constant elements included
+    exponents = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
+    terms = data.draw(st.dictionaries(st.sampled_from(exponents), st.integers(-5, 5), max_size=4))
+    f = ring.from_dict(terms)
+    mp, vectors = zerodim._krylov(f, gb, monos, None)
+    assert (mp, vectors) == _ref_krylov(f, gb, monos)
+    assert len(mp) == len(vectors) + 1 <= len(monos) + 1
+
+
+def test_krylov_of_each_variable_matches_per_power_solve():
+    for gb, monos in _krylov_systems():
+        for i in range(gb.ring.nvars):
+            x = gb.ring.variable(i)
+            assert zerodim._krylov(x, gb, monos, None) == _ref_krylov(x, gb, monos)
 
 
 # -- quotient monomials --------------------------------------------------------
