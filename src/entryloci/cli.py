@@ -89,8 +89,6 @@ def build_parser():
     _add_common(ps)
 
     vf = sub.add_parser("verify", help="run the verification suite")
-    vf.add_argument("--suite", choices=("core", "stretch"), default="core")
-    vf.add_argument("--stretch-max-pairs", type=int, default=2_000_000)
     _add_common(vf)
     return ap
 
@@ -212,8 +210,6 @@ def _dispatch(args) -> int:
             seed=args.seed,
             max_pairs=args.max_pairs,
             max_seconds=args.time_limit,
-            stretch_max_pairs=args.stretch_max_pairs,
-            suite=args.suite,
         )
         report = run_suite(cfg)
         _emit(report.as_dict(), args.out)

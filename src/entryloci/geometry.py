@@ -451,19 +451,6 @@ def slice_by_span(ideal: Ideal, span_rows, budget: Budget | None = None) -> Idea
 # -- point sampling ---------------------------------------------------------------
 
 
-def sample_point(X: ProjectiveVariety, rng: random.Random) -> ProjectivePoint:
-    """Seeded point on a parametrized variety."""
-    if X.param is None:
-        raise DegenerateInputError("sample_point needs a parametrization")
-    field = X.field
-    for _ in range(40):
-        values = random_coords(field, rng, X.param.nparams)
-        coords = X.param.evaluate(values)
-        if any(c != field.zero for c in coords):
-            return ProjectivePoint.make(field, coords)
-    raise DegenerateInputError("parametrization kept hitting base points")
-
-
 def witness_points(
     X: ProjectiveVariety, rng: random.Random, want: int = 2, budget: Budget | None = None
 ):

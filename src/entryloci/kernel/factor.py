@@ -309,13 +309,14 @@ def absolute_factor_degrees(f: Polynomial, rng: random.Random | None = None):
         raise ValueError("factor degree extraction runs over a prime field")
     rng = rng or random.Random(0)
     n = f.total_degree()
+    # an invertible affine change keeps squarefreeness: one test covers every attempt
+    if n >= 1 and not is_squarefree(f):
+        raise NotSquarefreeError("absolute factor degrees require squarefree input")
     last_err = None
     for _ in range(6):
         try:
             plane, _ = compress_to_plane(f)
             plane = _random_affine_image(plane, rng)
-            if not is_squarefree(plane):
-                raise NotSquarefreeError("substituted polynomial not squarefree")
             kernel, g_monos, _ = _pde_kernel(plane)
             r = len(kernel)
             if r == 1:

@@ -254,12 +254,6 @@ def same_ideal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
     )
 
 
-def same_saturation(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
-    """Scheme equality of two homogeneous ideals: their irrelevant-ideal
-    saturations are equal."""
-    return same_ideal(irrelevant_saturate(a, budget), irrelevant_saturate(b, budget), budget)
-
-
 def radical_membership(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
     """f in rad(I) iff 1 in I + (w*f - 1)."""
     if f.is_zero():

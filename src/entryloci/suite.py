@@ -1,11 +1,12 @@
 """Verification suite: one check per acceptance contract, runnable standalone
 or through the CLI.
 
-Every check is a pure function of (field, master seed, budget); the runner
-executes each check on 5 consecutive master seeds and requires at least 4
-passes (all expected values are exact, so a failure means a wrong value, a
-degenerate random instance, or a blown budget).  Reports record, per seed:
-claim, expected, computed, status, timing, field and seed.
+Every check is a pure function of (field, master seed, budget) and runs
+under one budget, ``RunConfig.budget()``; the runner executes each check on
+5 consecutive master seeds and requires at least 4 passes (all expected
+values are exact, so a failure means a wrong value, a degenerate random
+instance, or a blown budget).  Reports record, per seed: claim, expected,
+computed, status, timing, field and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .catalog import build_catalog_variety
+from .catalog import build_catalog_variety, catalog_metadata
 from .entry_locus import classify_entry_locus
 from .geometry import (
     ProjectivePoint,
@@ -44,15 +45,9 @@ from .kernel.ideals import (
 from .kernel.linalg import rank
 from .kernel.orders import GREVLEX
 from .kernel.poly import RingContext
-from .kernel.rng import derive_seed, random_scalar, seeded_rng
+from .kernel.rng import random_coords, random_scalar, seeded_rng
 from .rank_secant import secant_dims, two_decompositions
-from .segre import (
-    pair_segre_test,
-    pencil_det_distinct_roots,
-    pencil_vertices,
-    quadric_pencil,
-    segre_count_elliptic_quartic,
-)
+from .segre import pair_segre_test, segre_count_elliptic_quartic
 
 
 @dataclass
@@ -60,19 +55,10 @@ class RunConfig:
     field_desc: str = "fp:auto"
     seed: int = 1
     max_pairs: int = 200_000
-    stretch_max_pairs: int = 2_000_000
     max_seconds: float | None = None  # wall clock per Groebner run
-    suite: str = "core"
 
     def budget(self) -> Budget:
         return Budget(max_pairs=self.max_pairs, max_seconds=self.max_seconds)
-
-    def stretch_budget(self) -> Budget:
-        return Budget(
-            max_pairs=self.stretch_max_pairs,
-            max_reductions=10**9,
-            max_seconds=self.max_seconds,
-        )
 
 
 # each seeded random choice (base point, chart, projection, slice) is
@@ -92,22 +78,13 @@ def resolve_field(field_desc: str, seed: int):
     return field
 
 
-def prime_stream(seed: int):
-    """Deterministic stream of candidate primes for split searches."""
-    rng = seeded_rng(("prime-stream", seed))
-    p = 2**31 + rng.randrange(2**22)
-    while True:
-        p = next_prime(p)
-        yield p
-
-
 @dataclass
 class CheckRecord:
     check_id: str
     claim: str
     seed: int
     field: str
-    status: str  # pass | fail | skipped | budget-exceeded | error
+    status: str  # pass | fail | budget-exceeded | error
     expected: object
     computed: object
     timing_s: float
@@ -116,7 +93,6 @@ class CheckRecord:
 
 @dataclass
 class SuiteReport:
-    suite: str
     config: dict
     records: list  # CheckRecord
     summary: dict
@@ -249,40 +225,48 @@ def check_delpezzo(field, seed: int, budget):
             seg_count = None
     computed["segre_count"] = seg_count
 
-    # explicit vertices over a splitting prime, on a fresh elliptic quartic
-    computed["vertices_verified"] = _vertices_roundtrip(seed, budget)
+    # explicit vertices, on an elliptic quartic whose pencil splits
+    computed["vertices_verified"] = _vertices_roundtrip(field, seed, budget)
     return expected, computed, computed == expected
 
 
-def _vertices_roundtrip(seed: int, budget) -> bool:
-    stream = prime_stream(derive_seed("vertices", seed))
-    for attempt, p in zip(range(150), stream):
-        f2 = PrimeField(p)
-        for sub_seed in (seed, seed + 101):
-            try:
-                curve = build_catalog_variety("elliptic4", sub_seed, f2, budget)
-                # the pencil decides first whether the quartic splits (about
-                # 1 candidate in 24); only a split one pays for the full count
-                pencil = quadric_pencil(curve, budget)
-                if pencil_det_distinct_roots(pencil) != 4 or (
-                    pencil_vertices(pencil, seeded_rng(("vertices", sub_seed))) is None
-                ):
-                    continue
-                count, vertices = segre_count_elliptic_quartic(curve, sub_seed, budget)
-            except (DegenerateInputError, BudgetExceededError):
-                continue
-            if count != 4 or vertices is None:
-                continue
-            if len(vertices) != 4:
-                return False
-            if len({v.coords for v in vertices}) != 4:
-                return False
-            for v in vertices:
-                ds = two_decompositions(curve, v, seed=sub_seed, budget=budget)
-                if not ds.positive_dimensional:
-                    return False
-            return True
-    return False
+def split_elliptic_quartic(field, seed: int):
+    """An elliptic quartic in P^3 whose quadric pencil splits over ``field``,
+    and the matrix that moved it there.
+
+    Over F_p a smooth pencil with four rational singular members is diagonal
+    in the frame of its vertices, so a split quartic is cut out by
+    sum x_i^2 and sum l_i * x_i^2 (four distinct l_i) in some frame.  The
+    member sum (l_i - l_j) * x_i^2 has vertex e_j; substituting x = M y moves
+    the vertices to the columns of M^-1.
+    """
+    rng = seeded_rng(("split-quartic", seed))
+    lams = []
+    while len(lams) < 4:
+        lam = field.coerce(random_scalar(field, rng))
+        if lam not in lams:
+            lams.append(lam)
+    ring = ambient_ring(3, field)
+
+    def diagonal(coeffs):
+        return ring.from_dict({tuple(2 * (j == i) for j in range(4)): c for i, c in enumerate(coeffs)})
+
+    pencil = Ideal.of(ring, [diagonal([field.one] * 4), diagonal(lams)])
+    move = random_invertible_matrix(field, rng, 4)
+    meta = {"name": "elliptic4", "key": "elliptic4", **catalog_metadata("elliptic4")}
+    return ProjectiveVariety(3, apply_linear_substitution(pencil, move), None, meta), move
+
+
+def _vertices_roundtrip(field, seed: int, budget) -> bool:
+    """The split quartic's Segre count finds its 4 vertices, and each vertex
+    has a positive-dimensional family of decompositions."""
+    curve, _ = split_elliptic_quartic(field, seed)
+    count, vertices = segre_count_elliptic_quartic(curve, seed, budget)
+    if count != 4 or vertices is None or len({v.coords for v in vertices}) != 4:
+        return False
+    return all(
+        two_decompositions(curve, v, seed=seed, budget=budget).positive_dimensional for v in vertices
+    )
 
 
 def check_degree_formula(field, seed: int, budget):
@@ -330,60 +314,46 @@ def check_dimension_formula(field, seed: int, budget):
 
 
 def check_rnc3_identifiability(field, seed: int, budget):
+    """q = a + l*b on the secant line of two seeded points a, b of the
+    twisted cubic has the one decomposition {a, b}, and so has every other
+    point of that line off the curve.  Explicit pairs need F_p points, so
+    over Q the check runs on the seed's fp:auto field."""
     expected = {
         "unique_pair": True,
         "line_points_same_decomposition": 10,
         "line_points_segre_true": 10,
         "off_line_segre_false": 10,
     }
-    computed = {
-        "unique_pair": None,
-        "line_points_same_decomposition": 0,
-        "line_points_segre_true": 0,
-        "off_line_segre_false": 0,
-    }
-    found = None
-    for attempt, p in zip(range(40), prime_stream(seed)):
-        f2 = PrimeField(p)
-        var = build_catalog_variety("rnc3", seed, f2, budget)
-        rng = seeded_rng(("rnc3-q", seed, attempt))
-        q = random_point(f2, rng, 4, off_coordinate_hyperplanes=True)
-        if var.contains_point(q):
-            continue
-        ds = two_decompositions(var, q, seed=seed, budget=budget)
-        if ds.count != 1:
-            return expected, {"unique_pair": False, "count": ds.count}, False
-        if ds.pairs:
-            found = (f2, var, q, ds.pairs[0])
-            break
-    if found is None:
-        return expected, computed, False
-    f2, var, q, (a, b) = found
-    computed["unique_pair"] = True
+    f2 = field if isinstance(field, PrimeField) else resolve_field("fp:auto", seed)
+    var = build_catalog_variety("rnc3", seed, f2, budget)
+    rng = seeded_rng(("rnc3-pair", seed))
+    a, b = (ProjectivePoint.make(f2, var.param.evaluate(random_coords(f2, rng, 2))) for _ in range(2))
+
+    def on_line(alpha, beta):
+        return [f2.add(f2.mul(alpha, ac), f2.mul(beta, bc)) for ac, bc in zip(a.coords, b.coords)]
+
+    def decomposes_as_ab(o):
+        ds = two_decompositions(var, o, seed=seed, budget=budget)
+        return ds.count == 1 and bool(ds.pairs) and {p.coords for p in ds.pairs[0]} == {a.coords, b.coords}
 
     def collinear(o):
         # a point other than a and b is a Segre point of the pair {a, b}
         # exactly when it lies on their line
         return rank([a.coords, b.coords, o.coords], f2) == 2
 
+    lam = f2.coerce(random_scalar(f2, rng)) or f2.one  # l = 0 would put q on the curve
+    computed = {"unique_pair": decomposes_as_ab(ProjectivePoint.make(f2, on_line(f2.one, lam)))}
     rng = seeded_rng(("rnc3-line", seed))
-    on_line = off_line = same_decomp = seg_true = seg_false = 0
-    while on_line < 10:
-        alpha = f2.coerce(random_scalar(f2, rng))
-        beta = f2.coerce(random_scalar(f2, rng))
-        vec = [
-            f2.add(f2.mul(alpha, ac), f2.mul(beta, bc))
-            for ac, bc in zip(a.coords, b.coords)
-        ]
+    n_on = off_line = same_decomp = seg_true = seg_false = 0
+    while n_on < 10:
+        vec = on_line(f2.coerce(random_scalar(f2, rng)), f2.coerce(random_scalar(f2, rng)))
         if all(v == f2.zero for v in vec):
             continue
         o = ProjectivePoint.make(f2, vec)
         if o.coords in (a.coords, b.coords) or var.contains_point(o):
             continue
-        on_line += 1
-        ds2 = two_decompositions(var, o, seed=seed, budget=budget)
-        if ds2.count == 1 and ds2.pairs and {ds2.pairs[0][0].coords, ds2.pairs[0][1].coords} == {a.coords, b.coords}:
-            same_decomp += 1
+        n_on += 1
+        same_decomp += decomposes_as_ab(o)
         seg_true += collinear(o)
     while off_line < 10:
         o = random_point(f2, rng, 4)
@@ -561,52 +531,42 @@ def check_pair_segre(field, seed: int, budget):
 
 
 CHECKS = [
-    ("01_scroll_minimal_degree", "core", check_scroll),
-    ("02_cone_two_vertex_lines", "core", check_cone),
-    ("03_veronese_projection_three_conics", "core", check_veronese_projection),
-    ("04_delpezzo_section_and_quadric_cones", "core", check_delpezzo),
-    ("05_degree_formula_sweep", "core", check_degree_formula),
-    ("05s_degree_formula_k3", "stretch", check_degree_formula_k3),
-    ("06_dimension_formula", "core", check_dimension_formula),
-    ("07_rnc3_identifiability", "core", check_rnc3_identifiability),
-    ("08_secant_defectivity", "core", check_defectivity),
-    ("09_kernel_property_suite", "core", check_kernel_properties),
-    ("10_pair_segre_properties", "core", check_pair_segre),
+    ("01_scroll_minimal_degree",
+     "minimal-degree scroll: entry locus is an irreducible conic, type I A", check_scroll),
+    ("02_cone_two_vertex_lines",
+     "cone over twisted cubic: entry locus is two lines through the vertex, type II", check_cone),
+    ("03_veronese_projection_three_conics",
+     "projected Veronese surface: entry locus is a union of three conics (degree 6, type II)",
+     check_veronese_projection),
+    ("04_delpezzo_section_and_quadric_cones",
+     "degree-4 genus-1 surface: entry locus is a hyperplane section lying on exactly 4 quadric "
+     "cones with rank-2 vertices", check_delpezzo),
+    ("05_degree_formula_sweep",
+     "entry-locus degree equals (d-1)(d-2)-2g across the surface catalog", check_degree_formula),
+    ("05s_degree_formula_k3",
+     "K3 (2,3) complete intersection: irreducible entry locus of degree 12", check_degree_formula_k3),
+    ("06_dimension_formula",
+     "entry-locus dimension matches dim(sigma_1) + dim X + 1 - r", check_dimension_formula),
+    ("07_rnc3_identifiability",
+     "twisted cubic: unique decomposition; punctured secant line behavior", check_rnc3_identifiability),
+    ("08_secant_defectivity",
+     "secant dimension profiles: Veronese defect, non-defective curves, scroll rank 2", check_defectivity),
+    ("09_kernel_property_suite", "kernel algebra property suite", check_kernel_properties),
+    ("10_pair_segre_properties",
+     "pair-projection properties: skew lines, constructed cone section, span-deficient case",
+     check_pair_segre),
 ]
-
-_CLAIMS = {
-    "01_scroll_minimal_degree": "minimal-degree scroll: entry locus is an irreducible conic, type I A",
-    "02_cone_two_vertex_lines": "cone over twisted cubic: entry locus is two lines through the vertex, type II",
-    "03_veronese_projection_three_conics": "projected Veronese surface: entry locus is a union of three conics (degree 6, type II)",
-    "04_delpezzo_section_and_quadric_cones": "degree-4 genus-1 surface: entry locus is a hyperplane section lying on exactly 4 quadric cones with rank-2 vertices",
-    "05_degree_formula_sweep": "entry-locus degree equals (d-1)(d-2)-2g across the surface catalog",
-    "05s_degree_formula_k3": "K3 (2,3) complete intersection: irreducible entry locus of degree 12",
-    "06_dimension_formula": "entry-locus dimension matches dim(sigma_1) + dim X + 1 - r",
-    "07_rnc3_identifiability": "twisted cubic: unique decomposition; punctured secant line behavior",
-    "08_secant_defectivity": "secant dimension profiles: Veronese defect, non-defective curves, scroll rank 2",
-    "09_kernel_property_suite": "kernel algebra property suite",
-    "10_pair_segre_properties": "pair-projection properties: skew lines, constructed cone section, span-deficient case",
-}
 
 MASTER_SEED_COUNT = 5
 PASS_THRESHOLD = 4
 
 
-def run_check(check_id: str, tier: str, fn, cfg: RunConfig):
+def run_check(check_id: str, claim: str, fn, cfg: RunConfig):
     records = []
-    in_tier = cfg.suite == "stretch" or tier == "core"
-    budget = cfg.stretch_budget() if tier == "stretch" else cfg.budget()
+    budget = cfg.budget()
     for offset in range(MASTER_SEED_COUNT):
         seed = cfg.seed + offset
         field = resolve_field(cfg.field_desc, seed)
-        if not in_tier:
-            records.append(
-                CheckRecord(
-                    check_id, _CLAIMS[check_id], seed, field.describe(), "skipped",
-                    None, None, 0.0, note="stretch-tier (enable with --suite stretch)",
-                )
-            )
-            continue
         t0 = time.monotonic()
         try:
             expected, computed, ok = fn(field, seed, budget)
@@ -616,18 +576,9 @@ def run_check(check_id: str, tier: str, fn, cfg: RunConfig):
             expected, computed, status, note = None, None, "budget-exceeded", str(err)
         except KernelError as err:
             expected, computed, status, note = None, None, "error", str(err)
+        elapsed = round(time.monotonic() - t0, 3)
         records.append(
-            CheckRecord(
-                check_id,
-                _CLAIMS[check_id],
-                seed,
-                field.describe(),
-                status,
-                expected,
-                computed,
-                round(time.monotonic() - t0, 3),
-                note,
-            )
+            CheckRecord(check_id, claim, seed, field.describe(), status, expected, computed, elapsed, note)
         )
     return records
 
@@ -635,34 +586,19 @@ def run_check(check_id: str, tier: str, fn, cfg: RunConfig):
 def run_suite(cfg: RunConfig) -> SuiteReport:
     t0 = time.monotonic()
     all_records = []
-    for cid, tier, fn in CHECKS:
-        all_records.extend(run_check(cid, tier, fn, cfg))
+    for cid, claim, fn in CHECKS:
+        all_records.extend(run_check(cid, claim, fn, cfg))
     all_records.sort(key=lambda r: (r.check_id, r.seed))
-    summary = {}
     per_check = {}
-    budget_hit = False
     for rec in all_records:
         per_check.setdefault(rec.check_id, []).append(rec.status)
-        if rec.status == "budget-exceeded":
-            budget_hit = True
-    agg = {}
-    for cid, statuses in per_check.items():
-        if all(s == "skipped" for s in statuses):
-            agg[cid] = "skipped"
-        else:
-            passes = sum(1 for s in statuses if s == "pass")
-            agg[cid] = "pass" if passes >= PASS_THRESHOLD else "fail"
-    summary["checks"] = agg
-    summary["passed"] = sum(1 for v in agg.values() if v == "pass")
-    summary["failed"] = sum(1 for v in agg.values() if v == "fail")
-    summary["skipped"] = sum(1 for v in agg.values() if v == "skipped")
-    summary["budget_exceeded"] = budget_hit
-    summary["total_time_s"] = round(time.monotonic() - t0, 3)
-    config = {
-        "field": cfg.field_desc,
-        "seed": cfg.seed,
-        "suite": cfg.suite,
-        "max_pairs": cfg.max_pairs,
-        "stretch_max_pairs": cfg.stretch_max_pairs,
+    agg = {cid: "pass" if sts.count("pass") >= PASS_THRESHOLD else "fail" for cid, sts in per_check.items()}
+    summary = {
+        "checks": agg,
+        "passed": sum(1 for v in agg.values() if v == "pass"),
+        "failed": sum(1 for v in agg.values() if v == "fail"),
+        "budget_exceeded": any(r.status == "budget-exceeded" for r in all_records),
+        "total_time_s": round(time.monotonic() - t0, 3),
     }
-    return SuiteReport(cfg.suite, config, all_records, summary)
+    config = {"field": cfg.field_desc, "seed": cfg.seed, "max_pairs": cfg.max_pairs}
+    return SuiteReport(config, all_records, summary)

@@ -78,20 +78,3 @@ def read_variety_file(path: str) -> ProjectiveVariety:
     with open(path, "r", encoding="utf-8") as fh:
         return read_variety(fh.read())
 
-
-def write_variety(var: ProjectiveVariety) -> str:
-    lines = [f"ring {' '.join(var.ring.names)} over {var.field.describe()}"]
-    if var.param is not None:
-        lines.append(f"param {' '.join(var.param.ring.names)}")
-    for g in var.ideal.gens:
-        lines.append(f"gen: {g.to_string()}")
-    if var.param is not None:
-        for f in var.param.forms:
-            lines.append(f"par: {f.to_string()}")
-    meta_bits = []
-    for key in ("name", "d", "g", "n"):
-        if key in var.meta and var.meta[key] is not None:
-            meta_bits.append(f"{key}={var.meta[key]}")
-    if meta_bits:
-        lines.append("meta: " + " ".join(meta_bits))
-    return "\n".join(lines) + "\n"

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from entryloci.cli import main
-from entryloci.varfile import read_variety, write_variety
+from entryloci.varfile import read_variety
 from entryloci.catalog import build_catalog_variety
 from entryloci.kernel import PrimeField
+from helpers import write_variety
 
 
 def run_cli(capsys, *argv):

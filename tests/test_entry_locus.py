@@ -31,7 +31,6 @@ from entryloci.kernel import (
     eliminate,
     groebner_basis,
     normal_form,
-    same_saturation,
     saturate_wrt_variable,
 )
 from entryloci.kernel import factor
@@ -42,6 +41,7 @@ from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_trim
 from entryloci.kernel.zerodim import enumerate_points_prime_field
 from entryloci.suite import resolve_field
+from helpers import prime_stream, same_saturation
 
 FP = PrimeField(2147483659)
 
@@ -77,8 +77,6 @@ def test_witness_closure_on_slice_points():
     # for points a on a slice of the locus, the line through a and q must meet
     # the variety again away from a: the substituted binary forms share a root
     # besides the diagonal one
-    from entryloci.suite import prime_stream
-
     found = None
     for attempt, p in zip(range(12), prime_stream(31)):
         F2 = PrimeField(p)

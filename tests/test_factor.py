@@ -84,6 +84,18 @@ def test_factor_count_rejects_non_squarefree(plane):
         absolute_factor_count(plane.from_string("x^2 - 2*x*y + y^2"))
 
 
+def test_factor_degrees_reject_non_squarefree_before_any_affine_image(monkeypatch):
+    ring = RingContext(("x", "y"), PrimeField(2147483659))
+    f = ring.from_string("x^2 - y") ** 2 * ring.from_string("x + y")
+
+    def unreachable(*args):
+        raise AssertionError("affine image drawn for a non-squarefree input")
+
+    monkeypatch.setattr(factor, "_random_affine_image", unreachable)
+    with pytest.raises(NotSquarefreeError):
+        absolute_factor_degrees(f, seeded_rng("not-squarefree"))
+
+
 def test_factor_count_affine_invariance(plane):
     rng = seeded_rng("factor-invariance")
     f = plane.from_string("x^2 + y^2") * plane.from_string("x - y + 2")

@@ -12,7 +12,6 @@ from entryloci.geometry import (
     project_image,
     random_point,
     reduced_dim_degree,
-    sample_point,
     span_form_rows,
     witness_points,
 )
@@ -26,6 +25,7 @@ from entryloci.kernel import (
 )
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.rng import seeded_rng
+from helpers import sample_point
 
 FP = PrimeField(2147483659)
 

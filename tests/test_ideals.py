@@ -10,12 +10,12 @@ from entryloci.kernel import (
     in_irrelevant_saturation,
     intersect,
     radical_membership,
-    same_saturation,
     saturate,
     saturate_single,
     saturate_wrt_variable,
 )
 from entryloci.kernel.orders import GREVLEX
+from helpers import same_saturation
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 import pytest
 
 from entryloci.catalog import build_catalog_variety, catalog_keys
-from entryloci.geometry import affine_chart, random_point, sample_point
+from entryloci.geometry import affine_chart, random_point
 from entryloci.kernel import (
     GREVLEX,
     QQ,
@@ -16,7 +16,8 @@ from entryloci.kernel.linalg import rank
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
 from entryloci.rank_secant import incidence_generators, secant_dims, two_decompositions
-from entryloci.suite import prime_stream, resolve_field
+from entryloci.suite import resolve_field
+from helpers import prime_stream, sample_point
 
 FP = PrimeField(2147483659)
 
@@ -110,7 +111,6 @@ def test_node_count_matches_plane_projection_oracle():
 
 
 def test_decomposition_rejects_point_on_variety():
-    from entryloci.geometry import sample_point
     from entryloci.kernel import DegenerateInputError
 
     var = build_catalog_variety("rnc3", 1, FP)

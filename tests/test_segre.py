@@ -27,7 +27,8 @@ from entryloci.segre import (
     quadric_pencil,
     segre_count_elliptic_quartic,
 )
-from entryloci.suite import prime_stream, resolve_field
+from entryloci.suite import resolve_field
+from helpers import prime_stream
 
 FP = PrimeField(2147483659)
 

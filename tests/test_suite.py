@@ -1,20 +1,22 @@
 """Checks 02 and 04 decide their claims on the saturated entry locus.  The
 sampled routes they replaced (rational points of a random slice, and point
 counts plus radical membership on a common slice) are kept here as oracles
-on the seeds where they run.  So is the former candidate search of check
-04's vertex round trip, which ran the full Segre count on every candidate
-before it learnt whether the pencil splits."""
+on the seeds where they run.  The split quartic of check 04 and the secant
+pair of check 07 are constructed, and tested here against the catalog's
+quartic checks and the decompositions found.  The runner and `el verify`
+are tested on stub checks."""
+
+import json
 
 import pytest
 
-from entryloci import suite
-from entryloci.catalog import build_catalog_variety
+from entryloci import cli, suite
+from entryloci.catalog import _sanity_check
 from entryloci.geometry import ProjectivePoint, ambient_ring, count_on_slice, zero_dim_slice
 from entryloci.kernel import (
     QQ,
     Budget,
     BudgetExceededError,
-    DegenerateInputError,
     Ideal,
     PrimeField,
     RingContext,
@@ -22,9 +24,11 @@ from entryloci.kernel import (
     ideal_contains,
     radical_membership,
 )
-from entryloci.kernel.rng import seeded_rng
+from entryloci.kernel.linalg import mat_inverse, rank
+from entryloci.kernel.rng import random_coords, seeded_rng
 from entryloci.kernel.zerodim import enumerate_points_prime_field, random_linear_combination
-from entryloci.segre import segre_count_elliptic_quartic
+from entryloci.rank_secant import two_decompositions
+from entryloci.segre import pencil_vertices, quadric_pencil
 
 FP = PrimeField(2147483659)
 BUDGET = suite.RunConfig().budget()
@@ -130,30 +134,85 @@ def test_classify_cache_keys_on_every_budget_limit(tight):
         suite.classified("scroll12", 1, field, tight)
 
 
-def _ref_split_candidate(seed):
-    """The former search: the first (prime, sub-seed) whose full Segre count
-    finds 4 cones with vertices over the prime field."""
-    for _, p in zip(range(150), suite.prime_stream(suite.derive_seed("vertices", seed))):
-        field = PrimeField(p)
-        for sub_seed in (seed, seed + 101):
-            try:
-                curve = build_catalog_variety("elliptic4", sub_seed, field, BUDGET)
-                count, vertices = segre_count_elliptic_quartic(curve, sub_seed, BUDGET)
-            except (DegenerateInputError, BudgetExceededError):
-                continue
-            if count == 4 and vertices is not None:
-                return p, sub_seed
-    return None
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_split_quartic_is_a_catalog_quartic_with_vertices_on_the_frame(seed):
+    field = suite.resolve_field("fp:auto", seed)
+    curve, move = suite.split_elliptic_quartic(field, seed)
+    _sanity_check(curve, "elliptic4", seeded_rng(("split-sanity", seed)), BUDGET)
+    vertices = pencil_vertices(quadric_pencil(curve, BUDGET), seeded_rng(("vertices", seed)))
+    frame = mat_inverse(move, field)
+    columns = {ProjectivePoint.make(field, col).coords for col in zip(*frame)}
+    assert vertices is not None and {v.coords for v in vertices} == columns
 
 
+@pytest.mark.parametrize("field_desc", ["fp:auto", "Q"])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_vertex_roundtrip_counts_only_the_split_candidate(monkeypatch, seed):
+def test_rnc3_check_decomposes_its_constructed_pair(monkeypatch, field_desc, seed):
     calls = []
 
-    def counting(curve, sub_seed, budget):
-        calls.append((curve.field.p, sub_seed))
-        return segre_count_elliptic_quartic(curve, sub_seed, budget)
+    def recording(var, q, seed, budget):
+        ds = two_decompositions(var, q, seed=seed, budget=budget)
+        calls.append((var, q, ds))
+        return ds
 
-    monkeypatch.setattr(suite, "segre_count_elliptic_quartic", counting)
-    assert suite._vertices_roundtrip(seed, BUDGET)
-    assert calls == [_ref_split_candidate(seed)]
+    monkeypatch.setattr(suite, "two_decompositions", recording)
+    _, _, ok = suite.check_rnc3_identifiability(suite.resolve_field(field_desc, seed), seed, BUDGET)
+    assert ok
+    var, q, ds = calls[0]
+    field = var.field
+    assert field.describe() == suite.resolve_field("fp:auto", seed).describe()
+    # the pair the check draws: two points of the parametrization
+    rng = seeded_rng(("rnc3-pair", seed))
+    a, b = (ProjectivePoint.make(field, var.param.evaluate(random_coords(field, rng, 2))) for _ in range(2))
+    assert rank([a.coords, b.coords, q.coords], field) == 2 and not var.contains_point(q)
+    assert ds.count == 1 and {p.coords for p in ds.pairs[0]} == {a.coords, b.coords}
+
+
+def _passes_except_seed_3(field, seed, budget):
+    return {"v": 1}, {"v": 1 if seed != 3 else 0}, seed != 3
+
+
+def _fails(field, seed, budget):
+    return {"v": 1}, {"v": 0}, False
+
+
+def _blows_budget(field, seed, budget):
+    raise BudgetExceededError("stub", "over budget")
+
+
+STUBS = {
+    "a_four_of_five": ("stub claim a", _passes_except_seed_3),
+    "b_fails": ("stub claim b", _fails),
+    "c_budget": ("stub claim c", _blows_budget),
+}
+
+
+def _stub_checks(*ids):
+    return [(cid, *STUBS[cid]) for cid in ids]
+
+
+def test_run_suite_aggregates_four_of_five(monkeypatch):
+    monkeypatch.setattr(suite, "CHECKS", _stub_checks(*STUBS))
+    report = suite.run_suite(suite.RunConfig(seed=1))
+    statuses = {(r.check_id, r.seed): r.status for r in report.records}
+    assert statuses[("a_four_of_five", 3)] == "fail"
+    assert [statuses[("a_four_of_five", s)] for s in (1, 2, 4, 5)] == ["pass"] * 4
+    assert {statuses[("c_budget", s)] for s in range(1, 6)} == {"budget-exceeded"}
+    assert "skipped" not in statuses.values()
+    assert report.records[0].claim == "stub claim a"
+    summary = report.summary
+    assert summary["checks"] == {"a_four_of_five": "pass", "b_fails": "fail", "c_budget": "fail"}
+    assert (summary["passed"], summary["failed"], summary["budget_exceeded"]) == (1, 2, True)
+    assert set(summary) == {"checks", "passed", "failed", "budget_exceeded", "total_time_s"}
+    assert report.config == {"field": "fp:auto", "seed": 1, "max_pairs": 200_000}
+
+
+@pytest.mark.parametrize(
+    "ids,code",
+    [(("a_four_of_five",), 0), (("a_four_of_five", "b_fails"), 1), (("a_four_of_five", "c_budget"), 3)],
+)
+def test_verify_exit_codes(monkeypatch, capsys, ids, code):
+    monkeypatch.setattr(suite, "CHECKS", _stub_checks(*ids))
+    assert cli.main(["verify"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report["summary"]["checks"]) == sorted(ids)

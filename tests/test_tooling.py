@@ -8,12 +8,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from entryloci import suite
 from entryloci.kernel import ideals
 from entryloci.kernel.groebner import Budget
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SELFTEST = SPANS.parent / "selftest.py"
 CHILD = SPANS.parent / "child.py"
+WORKLOADS = SPANS.parent / "workloads.py"
 
 
 def _load(monkeypatch, path):
@@ -63,8 +65,21 @@ def test_selftest_ideals_references_resolve():
     assert missing == []
 
 
+def test_workload_checks_resolve_in_the_suite(monkeypatch):
+    # the child looks each check id up in CHECKS and unpacks the entry as a triple
+    for entry in suite.CHECKS:
+        assert len(entry) == 3
+        cid, claim, fn = entry
+        assert isinstance(cid, str) and isinstance(claim, str) and callable(fn)
+    workloads = _load(monkeypatch, WORKLOADS)
+    tasks = [t for w in workloads.SEEDS_PER_CHILD for t in workloads.tasks(w, [1])]
+    named = {t[1] for t in tasks if t[0] == "check"}
+    assert "05s_degree_formula_k3" in named
+    assert named <= {cid for cid, _, _ in suite.CHECKS}
+
+
 def test_benchmark_child_runs_a_check_and_a_command(monkeypatch):
-    # the child calls the suite's (id, tier, fn) triples, RunConfig, budget(),
+    # the child calls the suite's (id, claim, fn) triples, RunConfig, budget(),
     # resolve_field and cli.main directly
     child = _load(monkeypatch, CHILD)
     status, note, _ = child._run_check("08_secant_defectivity", "fp:auto", 1)
