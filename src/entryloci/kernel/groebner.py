@@ -14,11 +14,25 @@ order of the work: the reduced Groebner basis is unique, so the result is the
 same.  Budgets are hard limits; overruns raise :class:`BudgetExceededError`
 rather than returning a partial basis.
 
-Division is heap-based with lazy coefficients (Monagan & Pearce, CASC 2007).
-The working dict maps each monomial still on the heap to a coefficient that
-is unreduced: over F_p any int congruent to the true value, over Q the exact
-``Fraction``.  A reduction step subtracts ``c * gc`` with plain operators, and
-a coefficient is reduced mod p once, when its monomial is popped; a zero is
+Division is heap-based with lazy coefficients and packed exponent vectors
+(Monagan & Pearce, CASC 2007).  Inside this module a monomial is one int, its
+code (see :class:`_Codes`): the exponents packed into fields of
+``FIELD_BITS`` bits, minus the order key shifted above them.  Codes add as
+monomials multiply, so a shift is one int addition; a larger monomial has a
+smaller code, so ``heapq`` (a min-heap) pops the leading monomial first and
+sorted codes put the leading term first; and ``lt`` divides ``m`` exactly
+when ``(m - lt) & guard`` is zero, as a field of the difference borrows into
+its top (guard) bit only when an exponent of ``lt`` is the larger one.
+Exponents run up to ``MAX_EXPONENT``: a larger one raises
+:class:`BudgetExceededError` when a monomial is coded and whenever one is
+popped, so it can never give a wrong order or basis.  Exponent tuples remain
+only in the input and output :class:`Polynomial` and in the lcm and sugar of
+each S-pair.
+
+The working dict maps each code still on the heap to a coefficient that is
+unreduced: over F_p any int congruent to the true value, over Q the exact
+``Fraction``.  A reduction step adds ``-c * gc`` with plain operators, and a
+coefficient is reduced mod p once, when its monomial is popped; a zero is
 dropped there, not when it cancels, so every monomial is pushed at most once.
 Basis elements are monic, so the leading term of a reducer and of both
 S-polynomial halves cancels exactly and is skipped, but it is still counted
@@ -30,7 +44,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from operator import add, itemgetter, le, neg, sub
+from operator import itemgetter, mul
 
 from .errors import BudgetExceededError, RingMismatchError
 from .poly import Polynomial, RingContext
@@ -75,108 +89,148 @@ class _Meter:
 DEFAULT_BUDGET = Budget()
 
 
-class _HeapKeys(dict):
-    """Negated ``order.key`` per monomial, memoized for one computation.
+FIELD_BITS = 16  # bits per packed exponent, the top one a guard bit
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
-    Negated keys drive ``heapq`` (a min-heap) as a max-heap, and sorting terms
-    by them ascending puts the leading term first.  Keyed terms are
-    ``(negated key, monomial, coefficient)`` triples.
+
+class _Codes(dict):
+    """Integer code of each exponent vector of one ring and order, memoized
+    for one computation; ``exponents`` maps the codes back.
+
+    ``code(e) = sum(e_i * weights[i])``: the exponents packed into fields of
+    ``FIELD_BITS`` bits, variable i in field i, minus the order key (the tuple
+    ``order.key(e)`` read as one integer, each entry a digit) shifted above
+    the fields.  The keys of ``orders`` are linear in the exponents, so a
+    weight is the key of a unit vector, and each key entry spans less than
+    the digit radix ``2^radix > nvars * MAX_EXPONENT``.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("weights", "guard", "exponents")
 
-    def __init__(self, order):
+    def __init__(self, order, nvars):
         super().__init__()
-        self._key = order.key
+        low = nvars * FIELD_BITS
+        radix = (nvars * MAX_EXPONENT).bit_length()
+        weights = []
+        for i in range(nvars):
+            key = 0
+            for part in order.key((0,) * i + (1,) + (0,) * (nvars - 1 - i)):
+                key = (key << radix) + part
+            weights.append((1 << i * FIELD_BITS) - (key << low))
+        self.weights = weights
+        # the low bit of every field, moved up to its top bit
+        self.guard = ((1 << low) - 1) // ((1 << FIELD_BITS) - 1) << (FIELD_BITS - 1)
+        self.exponents = _Exponents(nvars)
 
     def __missing__(self, mono):
-        nk = self[mono] = tuple(map(neg, self._key(mono)))
-        return nk
+        if max(mono, default=0) > MAX_EXPONENT:
+            raise _overflow()
+        code = self[mono] = sum(map(mul, mono, self.weights))
+        self.exponents[code] = mono
+        return code
 
 
-def _keyed_terms(poly: Polynomial, neg_key):
-    return [(neg_key[m], m, c) for m, c in poly.terms]
+class _Exponents(dict):
+    """Exponent vector of each code, read off its packed fields."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, nvars):
+        super().__init__()
+        self.shifts = range(0, nvars * FIELD_BITS, FIELD_BITS)
+
+    def __missing__(self, code):
+        mono = self[code] = tuple(code >> s & MAX_EXPONENT for s in self.shifts)
+        return mono
 
 
-def _monic_keyed(terms, field):
-    lc = terms[0][2]
+def _coded_terms(poly: Polynomial, codes):
+    return [(codes[m], c) for m, c in poly.terms]
+
+
+def _polynomial(ring, terms, codes):
+    exponents = codes.exponents
+    return Polynomial(ring, tuple((exponents[k], c) for k, c in terms))
+
+
+def _monic_terms(terms, field):
+    lc = terms[0][1]
     if lc == field.one:
         return terms
     inv = field.inv(lc)
     mul = field.mul
-    return [(k, m, mul(c, inv)) for k, m, c in terms]
+    return [(k, mul(c, inv)) for k, c in terms]
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
+def _overflow():
+    return BudgetExceededError("groebner", f"an exponent over {MAX_EXPONENT}")
 
 
-def _normal_form_terms(f_terms, basis, field, neg_key, meter):
-    """Full remainder of keyed term list ``f_terms`` modulo monic ``basis``.
+def _normal_form_terms(f_terms, basis, field, guard, meter):
+    """Full remainder of coded term list ``f_terms`` modulo monic ``basis``.
 
-    ``basis`` entries are (terms, lt_mono) with the leading term first.
-    ``f_terms`` may repeat a monomial and, over F_p, hold any ints.  The
-    remainder is fully reduced (no remainder monomial is divisible by a basis
-    leading monomial), in decreasing order, with canonical coefficients.
+    ``basis`` entries are (terms, leading code) with the leading term first;
+    ``guard`` is the guard bits of the codes.  ``f_terms`` may repeat a code
+    and, over F_p, hold any ints.  The remainder is fully reduced (no
+    remainder monomial is divisible by a basis leading monomial), in
+    decreasing order, with canonical coefficients.
     """
     p = field.char
     work = {}
     heap = []
-    for k, m, c in f_terms:
-        prev = work.get(m)
+    for k, c in f_terms:
+        prev = work.get(k)
         if prev is None:
-            work[m] = c
-            heap.append((k, m))
+            work[k] = c
+            heap.append(k)
         else:
-            work[m] = prev + c
+            work[k] = prev + c
     heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
     remainder = []
     while heap:
-        nk, mono = heappop(heap)
-        c = work.pop(mono)
+        k = heappop(heap)
+        if k & guard:
+            raise _overflow()
+        c = work.pop(k)
         if p:
             c %= p
         if not c:
             continue
         for g_terms, g_lt in basis:
-            if all(map(le, g_lt, mono)):  # _divides, inlined in the hot loop
+            shift = k - g_lt
+            if not shift & guard:  # g_lt divides k
                 break
         else:
-            remainder.append((nk, mono, c))
+            remainder.append((k, c))
             continue
         meter.tick_reduction(len(g_terms))
-        shift = tuple(map(sub, mono, g_lt))
-        for _, gm, gc in g_terms[1:]:
-            m2 = tuple(map(add, gm, shift))
-            prev = work.get(m2)
+        c = -c
+        for gk, gc in g_terms[1:]:
+            k2 = gk + shift
+            prev = work.get(k2)
             if prev is None:
-                work[m2] = -c * gc
-                heappush(heap, (neg_key[m2], m2))
+                work[k2] = c * gc
+                heappush(heap, k2)
             else:
-                work[m2] = prev - c * gc
+                work[k2] = prev + c * gc
     return remainder
 
 
-def _spoly_terms(fi, fj, lcm, neg_key, meter):
-    """S-polynomial of two monic keyed term lists with precomputed lcm.
+def _spoly_terms(fi, fj, lcm, meter):
+    """S-polynomial of two monic coded term lists with precomputed lcm code.
 
     The leading terms cancel exactly and are left out, but still metered.
-    Monomials may repeat and coefficients are unreduced.
+    Codes may repeat and coefficients are unreduced.
     """
     terms_i, lt_i = fi
     terms_j, lt_j = fj
-    shift_i = tuple(map(sub, lcm, lt_i))
-    shift_j = tuple(map(sub, lcm, lt_j))
+    shift_i = lcm - lt_i
+    shift_j = lcm - lt_j
     meter.tick_reduction(len(terms_i) + len(terms_j))
-    out = []
-    for _, m, c in terms_i[1:]:
-        m2 = tuple(map(add, m, shift_i))
-        out.append((neg_key[m2], m2, c))
-    for _, m, c in terms_j[1:]:
-        m2 = tuple(map(add, m, shift_j))
-        out.append((neg_key[m2], m2, -c))
+    out = [(k + shift_i, c) for k, c in terms_i[1:]]
+    out += [(k + shift_j, -c) for k, c in terms_j[1:]]
     return out
 
 
@@ -189,24 +243,29 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
     field = ring.field
-    order_key = ring.order.key
     prepared = Divisors(polys, ring)
-    neg_key = prepared.neg_key
+    codes = prepared.codes
+    exponents = codes.exponents
+    guard = codes.guard
     basis = prepared.basis
     if not basis:
         return []
-    sugar = [max(sum(m) for _, m, _ in terms) for terms, _ in basis]
+    weights = codes.weights
+    # leading codes, exponent vectors and degrees, and sugars, by basis index
+    lead = [lt for _, lt in basis]
+    lts = [exponents[lt] for lt in lead]
+    degs = [sum(lt) for lt in lts]
+    sugar = [max(sum(exponents[k]) for k, _ in terms) for terms, _ in basis]
 
     pair_heap = []
     pending = set()
 
     def push_pair(i, j):
-        lt_i = basis[i][1]
-        lt_j = basis[j][1]
-        lcm = tuple(map(max, lt_i, lt_j))
+        lcm = tuple(map(max, lts[i], lts[j]))
         d = sum(lcm)
-        pair_sugar = max(sugar[i] + d - sum(lt_i), sugar[j] + d - sum(lt_j))
-        heapq.heappush(pair_heap, (pair_sugar, order_key(lcm), i, j, lcm))
+        pair_sugar = max(sugar[i] + d - degs[i], sugar[j] + d - degs[j])
+        # a smaller lcm has a larger code
+        heapq.heappush(pair_heap, (pair_sugar, -sum(map(mul, lcm, weights)), i, j))
         pending.add((i, j))
 
     for j in range(len(basis)):
@@ -214,20 +273,17 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
             push_pair(i, j)
 
     while pair_heap:
-        pair_sugar, _, i, j, lcm = heapq.heappop(pair_heap)
+        pair_sugar, neg_lcm, i, j = heapq.heappop(pair_heap)
+        lcm = -neg_lcm
         pending.discard((i, j))
         meter.tick_pair()
-        lt_i = basis[i][1]
-        lt_j = basis[j][1]
-        # product criterion: coprime leading monomials
-        if all(a == 0 or b == 0 for a, b in zip(lt_i, lt_j)):
+        # product criterion: coprime leading monomials, whose lcm is their product
+        if lcm == lead[i] + lead[j]:
             continue
         # chain criterion
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(basis[k][1], lcm):
+        for k, lt_k in enumerate(lead):
+            if not (lcm - lt_k) & guard and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -235,21 +291,25 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
                     break
         if skip:
             continue
-        s = _spoly_terms(basis[i], basis[j], lcm, neg_key, meter)
-        rem = _normal_form_terms(s, basis, field, neg_key, meter)
+        s = _spoly_terms(basis[i], basis[j], lcm, meter)
+        rem = _normal_form_terms(s, basis, field, guard, meter)
         if not rem:
             continue
-        rem = _monic_keyed(rem, field)
-        basis.append((rem, rem[0][1]))
+        rem = _monic_terms(rem, field)
+        basis.append((rem, rem[0][0]))
+        lead.append(rem[0][0])
+        lts.append(exponents[rem[0][0]])
+        degs.append(sum(lts[-1]))
         sugar.append(pair_sugar)
         new = len(basis) - 1
         for k in range(new):
             push_pair(k, new)
 
-    return _interreduce(basis, ring, field, neg_key, meter)
+    return _interreduce(basis, ring, field, codes, meter)
 
 
-def _interreduce(basis, ring, field, neg_key, meter):
+def _interreduce(basis, ring, field, codes, meter):
+    guard = codes.guard
     # drop elements whose leading monomial is divisible by another's
     keep = []
     for idx, (terms, lt) in enumerate(basis):
@@ -257,7 +317,7 @@ def _interreduce(basis, ring, field, neg_key, meter):
         for jdx, (_, lt2) in enumerate(basis):
             if jdx == idx:
                 continue
-            if _divides(lt2, lt) and (lt2 != lt or jdx < idx):
+            if not (lt - lt2) & guard and (lt2 != lt or jdx < idx):
                 dominated = True
                 break
         if not dominated:
@@ -266,36 +326,36 @@ def _interreduce(basis, ring, field, neg_key, meter):
     reduced = []
     for idx, (terms, lt) in enumerate(keep):
         others = [keep[j] for j in range(len(keep)) if j != idx]
-        rem = _normal_form_terms(terms, others, field, neg_key, meter) if others else terms
-        rem = _monic_keyed(rem, field)
+        rem = _normal_form_terms(terms, others, field, guard, meter) if others else terms
+        rem = _monic_terms(rem, field)
         reduced.append(rem)
-    # increasing leading monomial is decreasing negated key
+    # increasing leading monomial is decreasing code
     reduced.sort(key=lambda t: t[0][0], reverse=True)
-    return [Polynomial(ring, tuple((m, c) for _, m, c in t)) for t in reduced]
+    return [_polynomial(ring, t, codes) for t in reduced]
 
 
 class Divisors:
     """A divisor list prepared once for repeated division in ``ring``: each
-    polynomial keyed in the ring's order, sorted and made monic, with a
-    negated-key memo that every division against it shares.  Zero
-    polynomials are dropped.  ``ideals.GroebnerBasis.divisors`` keeps one per
-    basis, so a loop of normal forms against one basis prepares it once;
+    polynomial coded in the ring's order, sorted and made monic, with a code
+    memo that every division against it shares.  Zero polynomials are
+    dropped.  ``ideals.GroebnerBasis.divisors`` keeps one per basis, so a
+    loop of normal forms against one basis prepares it once;
     :func:`buchberger` and :func:`spolynomial` prepare their inputs here too.
     """
 
-    __slots__ = ("ring", "basis", "neg_key")
+    __slots__ = ("ring", "basis", "codes")
 
     def __init__(self, polys, ring: RingContext):
         self.ring = ring
-        self.neg_key = neg_key = _HeapKeys(ring.order)
+        self.codes = codes = _Codes(ring.order, ring.nvars)
         self.basis = []
         for p in polys:
             if p.is_zero():
                 continue
             if p.ring.names != ring.names or p.ring.field != ring.field:
                 raise RingMismatchError("polynomial from a different ring")
-            terms = sorted(_keyed_terms(p, neg_key), key=itemgetter(0))
-            self.basis.append((_monic_keyed(terms, ring.field), terms[0][1]))
+            terms = sorted(_coded_terms(p, codes), key=itemgetter(0))
+            self.basis.append((_monic_terms(terms, ring.field), terms[0][0]))
 
 
 def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Polynomial:
@@ -310,9 +370,9 @@ def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Pol
     if f.ring.names != ring.names or f.ring.field != ring.field:
         raise RingMismatchError("polynomial and divisors live in different rings")
     meter = (budget or DEFAULT_BUDGET).fresh()
-    neg_key = divisors.neg_key
-    rem = _normal_form_terms(_keyed_terms(f, neg_key), divisors.basis, ring.field, neg_key, meter)
-    return Polynomial(ring, tuple((m, c) for _, m, c in rem))
+    codes = divisors.codes
+    rem = _normal_form_terms(_coded_terms(f, codes), divisors.basis, ring.field, codes.guard, meter)
+    return _polynomial(ring, rem, codes)
 
 
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -321,11 +381,11 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.ring != ring:
         raise RingMismatchError("S-polynomial operands in different rings")
     prepared = Divisors((f, g), ring)
-    neg_key = prepared.neg_key
+    codes = prepared.codes
     meter = DEFAULT_BUDGET.fresh()
     fi, gj = prepared.basis
-    lcm = tuple(map(max, fi[1], gj[1]))
-    s = _spoly_terms(fi, gj, lcm, neg_key, meter)
+    lcm = codes[tuple(map(max, codes.exponents[fi[1]], codes.exponents[gj[1]]))]
+    s = _spoly_terms(fi, gj, lcm, meter)
     # division by no divisors collects repeated monomials and reduces mod p
-    rem = _normal_form_terms(s, [], ring.field, neg_key, meter)
-    return Polynomial(ring, tuple((m, c) for _, m, c in rem))
+    rem = _normal_form_terms(s, [], ring.field, codes.guard, meter)
+    return _polynomial(ring, rem, codes)

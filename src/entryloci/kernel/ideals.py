@@ -21,18 +21,20 @@ class Ideal:
 
     @staticmethod
     def of(ring: RingContext, gens) -> "Ideal":
+        """The ideal of ``gens`` in ``ring``; a generator from a ring with the
+        same names and field but another order has its terms re-sorted."""
         kept = []
         for g in gens:
             if g.ring.names != ring.names or g.ring.field != ring.field:
                 raise RingMismatchError("generator from a different ring")
             if not g.is_zero():
-                kept.append(Polynomial(ring, g.terms) if g.ring != ring else g)
+                kept.append(g if g.ring == ring else Polynomial(ring, ring.sorted_terms(g.terms)))
         homog = all(g.is_homogeneous() for g in kept)
         return Ideal(ring, tuple(kept), homog)
 
     def map_ring(self, ring: RingContext) -> "Ideal":
         """Reinterpret generators in a ring with the same names and field."""
-        return Ideal.of(ring, [Polynomial(ring, g.terms) for g in self.gens])
+        return Ideal.of(ring, self.gens)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,18 @@
 A :class:`RingContext` fixes the variable names, coefficient field and active
 monomial order.  :class:`Polynomial` values are immutable; their term list is
 kept sorted in descending order so the leading term is O(1).
+
+Products, powers and substitution collect plain ``c1 * c2`` products in an
+unsorted ``{monomial: coefficient}`` dict: over F_p each output coefficient
+is reduced mod p once, and only the final result is sorted.  Intermediate
+powers and partial products are unsorted term lists, reduced mod p so their
+coefficients stay small.  Over Q coefficients are ``Fraction`` throughout.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add
 
 from .errors import CoefficientError, ParseError, RingMismatchError
 from .fields import QQ, PrimeField, Rationals
@@ -106,9 +113,12 @@ class RingContext:
             c = field.coerce(c)
             if c != field.zero:
                 cleaned[tuple(mono)] = c
+        return Polynomial(self, self.sorted_terms(cleaned.items()))
+
+    def sorted_terms(self, terms) -> tuple:
+        """``(monomial, coefficient)`` pairs in this ring's order, leading first."""
         key = self.order.key
-        terms = tuple(sorted(cleaned.items(), key=lambda t: key(t[0]), reverse=True))
-        return Polynomial(self, terms)
+        return tuple(sorted(terms, key=lambda t: key(t[0]), reverse=True))
 
     def from_string(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
@@ -225,21 +235,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        field = self.ring.field
-        mul = field.mul
-        add = field.add
-        zero = field.zero
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = mul(c1, c2)
-                s = add(acc.get(m, zero), prod)
-                if s == zero:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return self.ring.from_dict(acc)
+        ring = self.ring
+        return Polynomial(ring, ring.sorted_terms(_product(self.terms, other.terms, ring.field.char)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -263,16 +260,10 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ring.one()
+        ring = self.ring
+        return Polynomial(ring, ring.sorted_terms(_power(self.terms, n, ring.field.char)))
 
     def __eq__(self, other):
         return (
@@ -319,23 +310,25 @@ class Polynomial:
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         field = target.field
+        p = field.char
         acc = {}
-        cache = [dict() for _ in images]
-        one = target.one()
+        # image powers as raw term lists, per variable and exponent
+        powers = [{} for _ in images]
+        one = ((target._zero_mono, field.one),)
         for m, c in self.terms:
             c = self.ring_coeff_to(field, c)
             part = one
             for i, e in enumerate(m):
                 if not e:
                     continue
-                powed = cache[i].get(e)
+                powed = powers[i].get(e)
                 if powed is None:
-                    powed = images[i] ** e
-                    cache[i][e] = powed
-                part = powed if part is one else part * powed
-            for mono, d in part.terms:
-                acc[mono] = acc.get(mono, 0) + c * d
-        return target.from_dict(acc)
+                    powed = powers[i][e] = _power(images[i].terms, e, p)
+                part = powed if part is one else _product(part, powed, p)
+            for mono, d in part:
+                prev = acc.get(mono)
+                acc[mono] = c * d if prev is None else prev + c * d
+        return Polynomial(target, target.sorted_terms(_reduced(acc, p)))
 
     def ring_coeff_to(self, field, c):
         """Move a coefficient between identical fields (no cross-field maps here)."""
@@ -409,6 +402,39 @@ def pow_field(field, base, e: int):
     if isinstance(field, PrimeField):
         return pow(base, e, field.p)
     return base**e
+
+
+def _product(terms1, terms2, p):
+    """Terms of the product of two term lists, unsorted: each coefficient a
+    sum of plain products, reduced mod ``p`` (0 over Q) once at the end."""
+    acc = {}
+    get = acc.get
+    for m1, c1 in terms1:
+        for m2, c2 in terms2:
+            m = tuple(map(add, m1, m2))
+            prev = get(m)
+            acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+    return _reduced(acc, p)
+
+
+def _reduced(acc, p):
+    """Nonzero terms of the ``{monomial: coefficient}`` dict ``acc``,
+    unsorted, reduced mod ``p`` (0 over Q)."""
+    if p:
+        return [(m, r) for m, c in acc.items() if (r := c % p)]
+    return [(m, c) for m, c in acc.items() if c]
+
+
+def _power(terms, n, p):
+    """Term list of the n-th power (n >= 1) by repeated squaring, unsorted."""
+    result = None
+    while True:
+        if n & 1:
+            result = terms if result is None else _product(result, terms, p)
+        n >>= 1
+        if not n:
+            return result
+        terms = _product(terms, terms, p)
 
 
 def _monomials_of_degree(n: int, d: int):

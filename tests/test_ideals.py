@@ -14,7 +14,7 @@ from entryloci.kernel import (
     saturate_single,
     saturate_wrt_variable,
 )
-from entryloci.kernel.orders import GREVLEX
+from entryloci.kernel.orders import GREVLEX, Block
 from helpers import same_saturation
 
 
@@ -117,3 +117,15 @@ def test_radical_membership(rxyz):
     I = Ideal.of(rxyz, [rxyz.from_string("x^2")])
     assert radical_membership(rxyz.from_string("x"), I)
     assert not radical_membership(rxyz.from_string("y"), I)
+
+
+def test_generators_from_another_order_are_resorted(rxyz):
+    # y^3 leads in grevlex; under block(1), which eliminates x, x leads
+    f = rxyz.from_string("y^3 + x - 2*z")
+    block = rxyz.with_order(Block(1))
+    want = block.from_dict(dict(f.terms))
+    assert f.leading_monomial() == (0, 3, 0) and want.leading_monomial() == (1, 0, 0)
+    for ideal in (Ideal.of(block, [f]), Ideal.of(rxyz, [f]).map_ring(block)):
+        (g,) = ideal.gens
+        assert g.ring == block and g.terms == want.terms
+    assert Ideal.of(rxyz, [f]).gens[0] is f

@@ -3,11 +3,12 @@
 ``_ref_normal_form_terms``, ``_ref_spoly_terms``, ``_ref_rref`` and
 ``_ref_det`` are the former implementations, which reduced every product and
 difference through the field's methods and keyed terms by the order key
-itself; over Q they are the ``Fraction`` eliminations that integer
-Gauss-Jordan and Bareiss replaced.  The current ones must give term for term
-the same remainders, the same RREF rows and pivots, the same determinants
-and the same reduction counts, and every coefficient they return must be
-canonical: an int in [0, p) over F_p, a ``Fraction`` over Q.
+itself, with exponent tuples as monomials; over Q they are the ``Fraction``
+eliminations that integer Gauss-Jordan and Bareiss replaced.  The current
+ones, which code each monomial as one int, must give term for term the same
+remainders, the same RREF rows and pivots, the same determinants and the
+same reduction counts, and every coefficient they return must be canonical:
+an int in [0, p) over F_p, a ``Fraction`` over Q.
 
 The sparse Gauss-Jordan ``rref`` is also checked against ``_ref_rref`` on
 mostly-zero matrices and on Gao's PDE systems, the matrices it was made
@@ -32,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entryloci.catalog import build_catalog_variety
+from entryloci.cli import main
 from entryloci.geometry import random_point
 from entryloci.kernel import (
     QQ,
@@ -46,11 +48,11 @@ from entryloci.kernel import (
 from entryloci.kernel import ideals, linalg
 from entryloci.kernel.groebner import (
     DEFAULT_BUDGET,
-    _divides,
-    _HeapKeys,
+    MAX_EXPONENT,
+    _Codes,
+    _coded_terms,
     _interreduce,
-    _keyed_terms,
-    _monic_keyed,
+    _monic_terms,
     _normal_form_terms,
     _spoly_terms,
     buchberger,
@@ -78,6 +80,14 @@ def _ref_divides(a, b):
         if x > y:
             return False
     return True
+
+
+def _ref_monic_keyed(terms, field):
+    lc = terms[0][2]
+    if lc == field.one:
+        return terms
+    inv = field.inv(lc)
+    return [(k, m, field.mul(c, inv)) for k, m, c in terms]
 
 
 def _ref_normal_form_terms(f_terms, basis, field, key_of, meter):
@@ -194,20 +204,22 @@ def _ref_buchberger(polys, ring, budget=None):
     meter = (budget or DEFAULT_BUDGET).fresh()
     field = ring.field
     order_key = ring.order.key
-    neg_key = _HeapKeys(ring.order)
+    codes = _Codes(ring.order, ring.nvars)
     basis = []
+    lts = []
     for p in polys:
         if p.is_zero():
             continue
-        terms = sorted(_keyed_terms(p, neg_key), key=lambda t: t[0])
-        basis.append((_monic_keyed(terms, field), terms[0][1]))
+        terms = sorted(_coded_terms(p, codes), key=lambda t: t[0])
+        basis.append((_monic_terms(terms, field), terms[0][0]))
+        lts.append(codes.exponents[terms[0][0]])
     if not basis:
         return []
     pair_heap = []
     pending = set()
 
     def push_pair(i, j):
-        lcm = tuple(map(max, basis[i][1], basis[j][1]))
+        lcm = tuple(map(max, lts[i], lts[j]))
         heapq.heappush(pair_heap, (order_key(lcm), i, j, lcm))
         pending.add((i, j))
 
@@ -218,15 +230,13 @@ def _ref_buchberger(polys, ring, budget=None):
         _, i, j, lcm = heapq.heappop(pair_heap)
         pending.discard((i, j))
         meter.tick_pair()
-        lt_i = basis[i][1]
-        lt_j = basis[j][1]
-        if all(a == 0 or b == 0 for a, b in zip(lt_i, lt_j)):
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
             continue
         skip = False
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if _divides(basis[k][1], lcm):
+            if _ref_divides(lts[k], lcm):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -234,16 +244,17 @@ def _ref_buchberger(polys, ring, budget=None):
                     break
         if skip:
             continue
-        sp = _spoly_terms(basis[i], basis[j], lcm, neg_key, meter)
-        rem = _normal_form_terms(sp, basis, field, neg_key, meter)
+        sp = _spoly_terms(basis[i], basis[j], codes[lcm], meter)
+        rem = _normal_form_terms(sp, basis, field, codes.guard, meter)
         if not rem:
             continue
-        rem = _monic_keyed(rem, field)
-        basis.append((rem, rem[0][1]))
+        rem = _monic_terms(rem, field)
+        basis.append((rem, rem[0][0]))
+        lts.append(codes.exponents[rem[0][0]])
         new = len(basis) - 1
         for k in range(new):
             push_pair(k, new)
-    return _interreduce(basis, ring, field, neg_key, meter)
+    return _interreduce(basis, ring, field, codes, meter)
 
 
 # -- both kernels side by side ------------------------------------------------
@@ -251,13 +262,13 @@ def _ref_buchberger(polys, ring, budget=None):
 
 class _Both:
     """One divisor list keyed for both kernels: the reference by the order
-    key, the current one by the memoized negated key."""
+    key, the current one by the integer code of each monomial."""
 
     def __init__(self, ring, polys):
         self.ring = ring
         self.field = ring.field
         self.key_of = ring.order.key
-        self.neg_key = _HeapKeys(ring.order)
+        self.codes = _Codes(ring.order, ring.nvars)
         self.ref_basis = [self._ref_monic(p) for p in polys]
         self.basis = [self._monic(p) for p in polys]
 
@@ -265,11 +276,14 @@ class _Both:
         terms = sorted(
             ((self.key_of(m), m, c) for m, c in poly.terms), key=lambda t: t[0], reverse=True
         )
-        return _monic_keyed(terms, self.field), terms[0][1]
+        return _ref_monic_keyed(terms, self.field), terms[0][1]
 
     def _monic(self, poly):
-        terms = sorted(_keyed_terms(poly, self.neg_key), key=lambda t: t[0])
-        return _monic_keyed(terms, self.field), terms[0][1]
+        terms = sorted(_coded_terms(poly, self.codes), key=lambda t: t[0])
+        return _monic_terms(terms, self.field), terms[0][0]
+
+    def decoded(self, coded):
+        return [(self.codes.exponents[k], c) for k, c in coded]
 
     def remainders(self, poly, ref_basis=None, basis=None):
         """(reference, current) remainders and reduction counts of ``poly``."""
@@ -282,15 +296,15 @@ class _Both:
             self.field, self.key_of, ref_meter,
         )
         cur = _normal_form_terms(
-            _keyed_terms(poly, self.neg_key), self.basis if basis is None else basis,
-            self.field, self.neg_key, meter,
+            _coded_terms(poly, self.codes), self.basis if basis is None else basis,
+            self.field, self.codes.guard, meter,
         )
-        return _pairs(ref), ref_meter.reductions, _pairs(cur), meter.reductions
+        return _pairs(ref), ref_meter.reductions, self.decoded(cur), meter.reductions
 
     def spoly_remainders(self, i, j):
         """(reference, current) remainders and counts of S(g_i, g_j) modulo
         the whole list, and modulo nothing (the S-polynomial itself)."""
-        lcm = tuple(map(max, self.basis[i][1], self.basis[j][1]))
+        lcm = tuple(map(max, self.ref_basis[i][1], self.ref_basis[j][1]))
         out = []
         for divisors, ref_divisors in ((self.basis, self.ref_basis), ([], [])):
             ref_meter, meter = DEFAULT_BUDGET.fresh(), DEFAULT_BUDGET.fresh()
@@ -299,9 +313,9 @@ class _Both:
             )
             s_ref.sort(key=lambda t: t[0], reverse=True)
             ref = _ref_normal_form_terms(s_ref, ref_divisors, self.field, self.key_of, ref_meter)
-            s = _spoly_terms(self.basis[i], self.basis[j], lcm, self.neg_key, meter)
-            cur = _normal_form_terms(s, divisors, self.field, self.neg_key, meter)
-            out.append((_pairs(ref), ref_meter.reductions, _pairs(cur), meter.reductions))
+            s = _spoly_terms(self.basis[i], self.basis[j], self.codes[lcm], meter)
+            cur = _normal_form_terms(s, divisors, self.field, self.codes.guard, meter)
+            out.append((_pairs(ref), ref_meter.reductions, self.decoded(cur), meter.reductions))
         return out
 
 
@@ -398,7 +412,7 @@ def test_monomial_spolynomial_is_empty(field):
     both = _Both(ring, [ring.from_string("x*y"), ring.from_string("x*z")])
     meter = DEFAULT_BUDGET.fresh()
     lcm = (1, 1, 1)
-    assert _spoly_terms(both.basis[0], both.basis[1], lcm, both.neg_key, meter) == []
+    assert _spoly_terms(both.basis[0], both.basis[1], both.codes[lcm], meter) == []
     assert meter.reductions == 2
     assert spolynomial(ring.from_string("x*y"), ring.from_string("x*z")).is_zero()
     for ref, ref_count, cur, count in both.spoly_remainders(0, 1):
@@ -412,19 +426,19 @@ def test_unreduced_dividend_with_repeated_monomials(field):
     p = field.char
     ring = RingContext(NAMES, field)
     both = _Both(ring, [ring.from_string("x^2 - y*z"), ring.from_string("y^2 + 3*z")])
-    k = both.neg_key
+    k = both.codes
     raw = [
-        (k[(2, 1, 0)], (2, 1, 0), -5),
-        (k[(0, 1, 1)], (0, 1, 1), p - 1),
-        (k[(2, 1, 0)], (2, 1, 0), 7 * p + 2),
-        (k[(0, 0, 2)], (0, 0, 2), -p),
-        (k[(0, 1, 1)], (0, 1, 1), -(p - 1)),
-        (k[(1, 0, 0)], (1, 0, 0), -1),
+        (k[(2, 1, 0)], -5),
+        (k[(0, 1, 1)], p - 1),
+        (k[(2, 1, 0)], 7 * p + 2),
+        (k[(0, 0, 2)], -p),
+        (k[(0, 1, 1)], -(p - 1)),
+        (k[(1, 0, 0)], -1),
     ]
     canonical = ring.from_dict({(2, 1, 0): -3, (1, 0, 0): -1})
     ref, ref_count, _, _ = both.remainders(canonical)
     meter = DEFAULT_BUDGET.fresh()
-    cur = _pairs(_normal_form_terms(raw, both.basis, field, k, meter))
+    cur = both.decoded(_normal_form_terms(raw, both.basis, field, k.guard, meter))
     assert cur == ref and meter.reductions == ref_count
     assert all(0 <= c < p for _, c in cur)
 
@@ -438,16 +452,76 @@ def test_interreduce_tail_reduces_against_reference(field):
         ring.from_string("x^3 + x*y*z - 5"),  # dominated by x^2
     ]
     both = _Both(ring, polys)
-    out = _interreduce(both.basis, ring, field, both.neg_key, DEFAULT_BUDGET.fresh())
+    out = _interreduce(both.basis, ring, field, both.codes, DEFAULT_BUDGET.fresh())
     kept = both.ref_basis[:2]
     expected = []
     for i in range(2):
         rem = _ref_normal_form_terms(
             kept[i][0], kept[:i] + kept[i + 1 :], field, both.key_of, DEFAULT_BUDGET.fresh()
         )
-        expected.append(_pairs(_monic_keyed(rem, field)))
+        expected.append(_pairs(_ref_monic_keyed(rem, field)))
     expected.sort(key=lambda t: both.key_of(t[0][0]))
     assert [list(g.terms) for g in out] == expected
+
+
+# -- integer monomial codes --------------------------------------------------
+
+
+def _exponent_vectors(n):
+    # small exponents, and ones at the top of the field where a radix or a
+    # field width that is too small would show
+    e = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT - 2, MAX_EXPONENT))
+    return st.lists(st.tuples(*[e] * n), min_size=2, max_size=10)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.sampled_from([GREVLEX, LEX] + [Block(k) for k in range(n + 1)]), _exponent_vectors(n)
+)))
+def test_codes_order_multiply_and_divide_as_exponent_tuples(case):
+    order, monos = case
+    n = len(monos[0])
+    codes = _Codes(order, n)
+    # ascending codes are descending monomials
+    assert sorted(monos, key=codes.__getitem__) == sorted(monos, key=order.key, reverse=True)
+    fresh = _Codes(order, n)
+    for a in monos:
+        # decoded from the packed fields, without the memo
+        assert fresh.exponents[codes[a]] == a
+        for b in monos:
+            assert (not (codes[b] - codes[a]) & codes.guard) == _ref_divides(a, b)
+            ab = tuple(x + y for x, y in zip(a, b))
+            if max(ab) <= MAX_EXPONENT:
+                assert codes[a] + codes[b] == codes[ab]
+            else:
+                # a product past the field width sets a guard bit
+                assert (codes[a] + codes[b]) & codes.guard
+
+
+def test_exponent_past_the_field_width_is_a_budget_exit(tmp_path):
+    field = PrimeField(32003)
+    ring = RingContext(NAMES, field)
+    x, y, _ = ring.gens()
+    top = ring.monomial((MAX_EXPONENT, 0, 0)) - ring.monomial((0, MAX_EXPONENT, 0))
+    assert buchberger([top], ring) == [top]
+    wide = ring.monomial((MAX_EXPONENT + 1, 0, 0))
+    for run in (
+        lambda: buchberger([wide, y], ring),
+        lambda: normal_form(wide, [y]),
+        lambda: normal_form(y, [wide]),
+    ):
+        with pytest.raises(BudgetExceededError):
+            run()
+    # inputs within the width whose S-polynomial is not: under lex with y
+    # first, S(y^2 - x^h, y*x^h - 1) = y - x^(2h)
+    lex = RingContext(("y", "x"), field, LEX)
+    h = MAX_EXPONENT // 2 + 1
+    gens = [lex.from_string(f"y^2 - x^{h}"), lex.from_string(f"y*x^{h} - 1")]
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, lex)
+    path = tmp_path / "wide.var"
+    path.write_text(f"ring x0 x1 over Fp:32003\ngen: x0^{MAX_EXPONENT + 1} - x1^{MAX_EXPONENT + 1}\n")
+    assert main(["gb", "--input", str(path)]) == 3
 
 
 # -- oracle: rref -------------------------------------------------------------

@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entryloci.kernel import (
+    GREVLEX,
+    LEX,
     QQ,
+    Block,
     CoefficientError,
     ParseError,
     PrimeField,
@@ -77,33 +82,124 @@ def test_substitute_composition(ring):
     assert img.is_zero()
 
 
+# -- oracle: products, powers and substitution through the field's methods ---
+
+ARITH_FIELDS = [QQ, PrimeField(2147483659), PrimeField(2**61 - 1)]
+
+
+def _ref_mul(f, g):
+    field = f.ring.field
+    acc = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            acc[m] = field.add(acc.get(m, field.zero), field.mul(c1, c2))
+    return f.ring.from_dict(acc)
+
+
+def _ref_pow(f, n):
+    result = f.ring.one()
+    for _ in range(n):
+        result = _ref_mul(result, f)
+    return result
+
+
 def _ref_substitute(f, images, target):
-    """The former loop: one sorted partial result per source term."""
-    result = target.zero()
+    """One product of image powers per source term, summed term by term."""
+    field = target.field
+    acc = {}
     for m, c in f.terms:
         part = target.constant(c)
         for i, e in enumerate(m):
             if e:
-                part = part * images[i] ** e
-        result = result + part
-    return result
+                part = _ref_mul(part, _ref_pow(images[i], e))
+        for mono, d in part.terms:
+            acc[mono] = field.add(acc.get(mono, field.zero), d)
+    return target.from_dict(acc)
+
+
+def _coeffs(field):
+    if field.char == 0:
+        # small values force cancellations; large numerators and denominators
+        return st.one_of(
+            st.fractions(-4, 4, max_denominator=3),
+            st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+        )
+    p = field.char
+    return st.one_of(st.integers(-3, 3), st.integers(-(p - 1), p - 1))
 
 
 def _sub_polys(ring, max_exp):
     monos = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
-    coeff = st.fractions(-4, 4, max_denominator=3) if ring.field.char == 0 else st.integers(-3, 3)
-    coeff = st.one_of(coeff, st.integers(-(10**12), 10**12))
-    return st.dictionaries(monos, coeff, max_size=6).map(ring.from_dict)
+    return st.dictionaries(monos, _coeffs(ring.field), max_size=6).map(ring.from_dict)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(st.sampled_from([QQ, PrimeField(32003), PrimeField(2147483659)]), st.data())
-def test_substitute_matches_former_loop(field, data):
+def _assert_canonical(g):
+    field = g.ring.field
+    key = g.ring.order.key
+    for _, c in g.terms:
+        if field.char:
+            assert type(c) is int and 0 < c < field.char
+        else:
+            assert type(c) is Fraction and c != 0
+    assert list(g.terms) == sorted(g.terms, key=lambda t: key(t[0]), reverse=True)
+    assert len({m for m, _ in g.terms}) == len(g.terms)
+
+
+def _images(kind, field, data):
+    """(target ring, one image per x0..x2) of one kind: any polynomials of
+    degree up to 2, linear forms, an affine chart (x0 -> 1), or
+    lam * a_i + q_i under Block(1), the shape of the rank-2 incidence
+    system."""
+    if kind == "general":
+        target = RingContext(("s", "t"), field)
+        return target, data.draw(st.lists(_sub_polys(target, 2), min_size=3, max_size=3))
+    if kind == "lambda":
+        target = RingContext(("lam", "a0", "a1", "a2"), field, Block(1))
+        lam = target.variable(0)
+        q = data.draw(st.lists(_coeffs(field), min_size=3, max_size=3))
+        return target, [lam * target.variable(1 + i) + target.constant(c) for i, c in enumerate(q)]
+    target = RingContext(("s", "t", "u"), field)
+    linear = st.dictionaries(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), _coeffs(field), max_size=3
+    ).map(target.from_dict)
+    images = data.draw(st.lists(linear, min_size=3, max_size=3))
+    if kind == "chart":
+        images[0] = target.one()
+    return target, images
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(ARITH_FIELDS), st.sampled_from([GREVLEX, LEX, Block(1)]), st.data())
+def test_products_and_powers_match_field_method_reference(field, order, data):
+    ring = RingContext(("x0", "x1", "x2"), field, order)
+    f = data.draw(_sub_polys(ring, 3))
+    g = data.draw(_sub_polys(ring, 3))
+    n = data.draw(st.integers(0, 5))
+    for got, want in ((f * g, _ref_mul(f, g)), (f**n, _ref_pow(f, n))):
+        assert got.ring == ring and got.terms == want.terms
+        _assert_canonical(got)
+    # a zero factor cancels every term
+    assert (f * ring.zero()).terms == ring.zero().terms == (ring.zero() ** (n + 1)).terms
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(ARITH_FIELDS + [PrimeField(32003)]),
+    st.sampled_from(["general", "linear", "chart", "lambda"]),
+    st.data(),
+)
+def test_substitute_matches_former_loop(field, kind, data):
     source = RingContext(("x0", "x1", "x2"), field)
-    target = RingContext(("s", "t"), field)
+    target, images = _images(kind, field, data)
     f = data.draw(_sub_polys(source, 3))
-    images = data.draw(st.lists(_sub_polys(target, 2), min_size=3, max_size=3))
-    assert f.substitute(images, target).terms == _ref_substitute(f, images, target).terms
+    got = f.substitute(images, target)
+    assert got.ring == target and got.terms == _ref_substitute(f, images, target).terms
+    _assert_canonical(got)
+    # x0*x2 - x1^2 vanishes on (a^2, a*b, b^2): every term cancels
+    a, b = images[1], images[2]
+    conic = source.from_string("x0*x2 - x1^2")
+    assert conic.substitute([a * a, a * b, b * b], target).is_zero()
 
 
 def test_homogeneous_components(ring):
