@@ -29,14 +29,27 @@ popped, so it can never give a wrong order or basis.  Exponent tuples remain
 only in the input and output :class:`Polynomial` and in the lcm and sugar of
 each S-pair.
 
-The working dict maps each code still on the heap to a coefficient that is
-unreduced: over F_p any int congruent to the true value, over Q the exact
-``Fraction``.  A reduction step adds ``-c * gc`` with plain operators, and a
+Coefficients inside this module are ints.  Over F_p a basis element is
+monic and a working coefficient is any int congruent to the true value.
+Over Q a basis element is primitive: integer coefficients without a common
+factor and a positive leading one.  Division over Q is pseudo-division over
+Z (Monagan & Pearce, "Sparse polynomial pseudo division using a heap",
+J. Symb. Comput. 46, 2011): a dividend's denominators are cleared once, on
+entry, and before a reducer whose leading coefficient is not 1 cancels a
+term, the whole working polynomial is multiplied by the least factor that
+makes the cancellation exact.  The remainder comes back with the product of
+those factors, its scale, so no ``Fraction`` is built inside the kernel; one
+is made only where a polynomial leaves it.  Scaling by a nonzero integer
+changes neither which monomial is popped, nor which reducer divides it, nor
+whether a coefficient is zero, so the work is that of division over Q.
+
+The working dict maps each code still on the heap to its unreduced
+coefficient.  A reduction step adds ``-c * gc`` with plain operators, and a
 coefficient is reduced mod p once, when its monomial is popped; a zero is
 dropped there, not when it cancels, so every monomial is pushed at most once.
-Basis elements are monic, so the leading term of a reducer and of both
-S-polynomial halves cancels exactly and is skipped, but it is still counted
-by ``tick_reduction``: budgets and work counters see every term.
+The leading term of a reducer and of both S-polynomial halves cancels
+exactly and is skipped, but it is still counted by ``tick_reduction``:
+budgets and work counters see every term.
 """
 
 from __future__ import annotations
@@ -44,6 +57,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import BudgetExceededError, RingMismatchError
@@ -153,13 +168,35 @@ def _polynomial(ring, terms, codes):
     return Polynomial(ring, tuple((exponents[k], c) for k, c in terms))
 
 
-def _monic_terms(terms, field):
+def _cleared(terms):
+    """``terms`` over Q times the lcm of their denominators, and that lcm."""
+    den = lcm(*[c.denominator for _, c in terms])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms], den
+
+
+def _normalized_terms(terms, field):
+    """The basis element of a nonzero coded term list, leading term first:
+    monic over F_p; over Q primitive over Z with a positive leading
+    coefficient, from ``Fraction`` or int coefficients."""
     lc = terms[0][1]
-    if lc == field.one:
+    if field.char:
+        if lc == 1:
+            return terms
+        inv = field.inv(lc)
+        p = field.char
+        return [(k, c * inv % p) for k, c in terms]
+    terms, _ = _cleared(terms)
+    content = gcd(*[c for _, c in terms])
+    if terms[0][1] < 0:
+        content = -content
+    if content == 1:
         return terms
-    inv = field.inv(lc)
-    mul = field.mul
-    return [(k, mul(c, inv)) for k, c in terms]
+    return [(k, c // content) for k, c in terms]
+
+
+def _fractions(terms, den):
+    """Coded terms over Q with every integer coefficient divided by ``den``."""
+    return [(k, Fraction(c, den)) for k, c in terms]
 
 
 def _overflow():
@@ -167,13 +204,15 @@ def _overflow():
 
 
 def _normal_form_terms(f_terms, basis, field, guard, meter):
-    """Full remainder of coded term list ``f_terms`` modulo monic ``basis``.
+    """Full remainder of coded term list ``f_terms`` modulo ``basis``, and
+    its scale: the remainder of ``f_terms`` is ``remainder / scale``.
 
-    ``basis`` entries are (terms, leading code) with the leading term first;
-    ``guard`` is the guard bits of the codes.  ``f_terms`` may repeat a code
-    and, over F_p, hold any ints.  The remainder is fully reduced (no
-    remainder monomial is divisible by a basis leading monomial), in
-    decreasing order, with canonical coefficients.
+    ``basis`` entries are (terms, leading code) as :func:`_normalized_terms`
+    makes them, leading term first; ``guard`` is the guard bits of the codes.
+    ``f_terms`` may repeat a code and holds ints, any ints over F_p.  The
+    remainder is fully reduced (no remainder monomial is divisible by a
+    basis leading monomial), in decreasing order; its coefficients are
+    canonical over F_p, where the scale is 1, and ints over Q.
     """
     p = field.char
     work = {}
@@ -189,6 +228,7 @@ def _normal_form_terms(f_terms, basis, field, guard, meter):
     heappop = heapq.heappop
     heappush = heapq.heappush
     remainder = []
+    scale = 1
     while heap:
         k = heappop(heap)
         if k & guard:
@@ -206,6 +246,16 @@ def _normal_form_terms(f_terms, basis, field, guard, meter):
             remainder.append((k, c))
             continue
         meter.tick_reduction(len(g_terms))
+        lc = g_terms[0][1]
+        if lc != 1:
+            # pseudo-reduction over Z: scale everything so lc divides c
+            d = gcd(c, lc)
+            a = lc // d
+            if a != 1:
+                work = {key: v * a for key, v in work.items()}
+                remainder = [(rk, rc * a) for rk, rc in remainder]
+                scale *= a
+            c //= d
         c = -c
         for gk, gc in g_terms[1:]:
             k2 = gk + shift
@@ -215,11 +265,13 @@ def _normal_form_terms(f_terms, basis, field, guard, meter):
                 heappush(heap, k2)
             else:
                 work[k2] = prev + c * gc
-    return remainder
+    return remainder, scale
 
 
 def _spoly_terms(fi, fj, lcm, meter):
-    """S-polynomial of two monic coded term lists with precomputed lcm code.
+    """S-polynomial of two basis elements with precomputed lcm code, times
+    ``l_i * l_j / gcd(l_i, l_j)`` for their leading coefficients l (1 over
+    F_p, where the elements are monic).
 
     The leading terms cancel exactly and are left out, but still metered.
     Codes may repeat and coefficients are unreduced.
@@ -229,8 +281,13 @@ def _spoly_terms(fi, fj, lcm, meter):
     shift_i = lcm - lt_i
     shift_j = lcm - lt_j
     meter.tick_reduction(len(terms_i) + len(terms_j))
-    out = [(k + shift_i, c) for k, c in terms_i[1:]]
-    out += [(k + shift_j, -c) for k, c in terms_j[1:]]
+    l_i = terms_i[0][1]
+    l_j = terms_j[0][1]
+    d = gcd(l_i, l_j)
+    a_i = l_j // d
+    a_j = -(l_i // d)
+    out = [(k + shift_i, a_i * c) for k, c in terms_i[1:]]
+    out += [(k + shift_j, a_j * c) for k, c in terms_j[1:]]
     return out
 
 
@@ -238,7 +295,8 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     """Reduced Groebner basis of ``polys`` in ``ring``'s active order.
 
     Returns a list of monic :class:`Polynomial` sorted by increasing leading
-    monomial.  The zero ideal yields the empty list.
+    monomial, with ``Fraction`` coefficients over Q.  The zero ideal yields
+    the empty list.
     """
     budget = budget or DEFAULT_BUDGET
     meter = budget.fresh()
@@ -292,10 +350,10 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         if skip:
             continue
         s = _spoly_terms(basis[i], basis[j], lcm, meter)
-        rem = _normal_form_terms(s, basis, field, guard, meter)
+        rem, _ = _normal_form_terms(s, basis, field, guard, meter)
         if not rem:
             continue
-        rem = _monic_terms(rem, field)
+        rem = _normalized_terms(rem, field)
         basis.append((rem, rem[0][0]))
         lead.append(rem[0][0])
         lts.append(exponents[rem[0][0]])
@@ -322,13 +380,12 @@ def _interreduce(basis, ring, field, codes, meter):
                 break
         if not dominated:
             keep.append((terms, lt))
-    # tail-reduce every survivor against the others
+    # tail-reduce every survivor against the others and make it monic
     reduced = []
     for idx, (terms, lt) in enumerate(keep):
         others = [keep[j] for j in range(len(keep)) if j != idx]
-        rem = _normal_form_terms(terms, others, field, guard, meter) if others else terms
-        rem = _monic_terms(rem, field)
-        reduced.append(rem)
+        rem = _normal_form_terms(terms, others, field, guard, meter)[0] if others else terms
+        reduced.append(_normalized_terms(rem, field) if field.char else _fractions(rem, rem[0][1]))
     # increasing leading monomial is decreasing code
     reduced.sort(key=lambda t: t[0][0], reverse=True)
     return [_polynomial(ring, t, codes) for t in reduced]
@@ -336,10 +393,11 @@ def _interreduce(basis, ring, field, codes, meter):
 
 class Divisors:
     """A divisor list prepared once for repeated division in ``ring``: each
-    polynomial coded in the ring's order, sorted and made monic, with a code
-    memo that every division against it shares.  Zero polynomials are
-    dropped.  ``ideals.GroebnerBasis.divisors`` keeps one per basis, so a
-    loop of normal forms against one basis prepares it once;
+    polynomial coded in the ring's order, sorted and normalized (monic over
+    F_p, primitive over Z over Q), with a code memo that every division
+    against it shares.  Zero polynomials are dropped.
+    ``ideals.GroebnerBasis.divisors`` keeps one per basis, so a loop of
+    normal forms against one basis prepares it once;
     :func:`buchberger` and :func:`spolynomial` prepare their inputs here too.
     """
 
@@ -355,7 +413,7 @@ class Divisors:
             if p.ring.names != ring.names or p.ring.field != ring.field:
                 raise RingMismatchError("polynomial from a different ring")
             terms = sorted(_coded_terms(p, codes), key=itemgetter(0))
-            self.basis.append((_monic_terms(terms, ring.field), terms[0][0]))
+            self.basis.append((_normalized_terms(terms, ring.field), terms[0][0]))
 
 
 def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Polynomial:
@@ -371,7 +429,14 @@ def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Pol
         raise RingMismatchError("polynomial and divisors live in different rings")
     meter = (budget or DEFAULT_BUDGET).fresh()
     codes = divisors.codes
-    rem = _normal_form_terms(_coded_terms(f, codes), divisors.basis, ring.field, codes.guard, meter)
+    field = ring.field
+    terms = _coded_terms(f, codes)
+    if field.char:
+        rem, _ = _normal_form_terms(terms, divisors.basis, field, codes.guard, meter)
+    else:
+        terms, den = _cleared(terms)
+        rem, scale = _normal_form_terms(terms, divisors.basis, field, codes.guard, meter)
+        rem = _fractions(rem, den * scale)
     return _polynomial(ring, rem, codes)
 
 
@@ -387,5 +452,9 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = codes[tuple(map(max, codes.exponents[fi[1]], codes.exponents[gj[1]]))]
     s = _spoly_terms(fi, gj, lcm, meter)
     # division by no divisors collects repeated monomials and reduces mod p
-    rem = _normal_form_terms(s, [], ring.field, codes.guard, meter)
+    rem, _ = _normal_form_terms(s, [], ring.field, codes.guard, meter)
+    if not ring.field.char:
+        l_f = fi[0][0][1]
+        l_g = gj[0][0][1]
+        rem = _fractions(rem, l_f * l_g // gcd(l_f, l_g))
     return _polynomial(ring, rem, codes)

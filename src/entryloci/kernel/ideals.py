@@ -69,10 +69,12 @@ def groebner_basis(ideal: Ideal, order=None, budget: Budget | None = None) -> Gr
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
         return GroebnerBasis(ideal, hit, order)
-    gens = [Polynomial(ring, g.terms) for g in ideal.gens]
     # construction order is irrelevant to the reduced basis; sorting makes
-    # the computation independent of generator ordering quirks
-    gens.sort(key=lambda p: (p.total_degree(), p.terms))
+    # the computation independent of generator ordering quirks.  The key
+    # reads the terms in the ideal's order, then each generator's terms are
+    # put in the basis ring's.
+    gens = sorted(ideal.gens, key=lambda p: (p.total_degree(), p.terms))
+    gens = [g if g.ring == ring else Polynomial(ring, ring.sorted_terms(g.terms)) for g in gens]
     basis = tuple(buchberger(gens, ring, budget))
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()

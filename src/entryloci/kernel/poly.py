@@ -4,11 +4,12 @@ A :class:`RingContext` fixes the variable names, coefficient field and active
 monomial order.  :class:`Polynomial` values are immutable; their term list is
 kept sorted in descending order so the leading term is O(1).
 
-Products, powers and substitution collect plain ``c1 * c2`` products in an
-unsorted ``{monomial: coefficient}`` dict: over F_p each output coefficient
-is reduced mod p once, and only the final result is sorted.  Intermediate
-powers and partial products are unsorted term lists, reduced mod p so their
-coefficients stay small.  Over Q coefficients are ``Fraction`` throughout.
+Sums, differences, products, powers and substitution collect plain ``+``,
+``-`` and ``c1 * c2`` results in an unsorted ``{monomial: coefficient}`` dict:
+over F_p each output coefficient is reduced mod p once, and only the final
+result is sorted.  Intermediate powers and partial products are unsorted
+term lists, reduced mod p so their coefficients stay small.  Over Q
+coefficients are ``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -207,15 +208,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check(other)
-        field = self.ring.field
         acc = dict(self.terms)
+        get = acc.get
         for m, c in other.terms:
-            s = field.add(acc.get(m, field.zero), c)
-            if s == field.zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return self.ring.from_dict(acc)
+            prev = get(m)
+            acc[m] = c if prev is None else prev + c
+        return self._from_sum(acc)
 
     __radd__ = __add__
 
@@ -226,7 +224,19 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
-        return self + (-other)
+        self._check(other)
+        acc = dict(self.terms)
+        get = acc.get
+        for m, c in other.terms:
+            prev = get(m)
+            acc[m] = -c if prev is None else prev - c
+        return self._from_sum(acc)
+
+    def _from_sum(self, acc):
+        """The polynomial of a ``{monomial: coefficient}`` dict of plain sums
+        and differences of canonical coefficients."""
+        ring = self.ring
+        return Polynomial(ring, ring.sorted_terms(_reduced(acc, ring.field.char)))
 
     def __rsub__(self, other):
         return (-self) + other

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entryloci.kernel import (
@@ -17,6 +17,7 @@ from entryloci.kernel import (
     normal_form,
     verify_groebner_basis,
 )
+from entryloci.kernel import groebner
 from entryloci.kernel.orders import GREVLEX, LEX, Block
 
 
@@ -121,37 +122,110 @@ def test_groebner_over_prime_field_matches_rational_leading_terms():
 
 
 SYMPY_P = 32003
+XYZ = sympy.symbols("x y z")
 _SMALL_MONOMIALS = [
     (a, b, c) for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
 ]
 _small_generator = st.dictionaries(
     st.sampled_from(_SMALL_MONOMIALS), st.integers(1, SYMPY_P - 1), min_size=1, max_size=5
 )
+# non-unit integer and fractional coefficients, so that the kernel's
+# pseudo-division over Z has to scale
+_q_coefficient = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from([1, 1, 2, 3, 6])
+)
+_q_generator = st.dictionaries(
+    st.sampled_from(_SMALL_MONOMIALS), _q_coefficient, min_size=1, max_size=4
+)
 
 
-def _assert_basis_matches_sympy(gens, order):
-    # independent oracle: sympy's reduced basis over F_p, whose symmetric
-    # residues are mapped into [0, p)
-    ring = RingContext(("x", "y", "z"), PrimeField(SYMPY_P))
+def _sympy_domain(field):
+    return {"modulus": SYMPY_P} if field.char else {"domain": sympy.QQ}
+
+
+def _expr(terms):
+    x, y, z = XYZ
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * x**a * y**b * z**e for (a, b, e), c in terms
+    )
+
+
+def _sympy_terms(expr, field):
+    """Sorted (monomial, coefficient) pairs of a sympy polynomial: over F_p
+    its symmetric residues mapped into [0, p), over Q as ``Fraction``s."""
+    poly = expr if isinstance(expr, sympy.Poly) else sympy.Poly(expr, *XYZ, **_sympy_domain(field))
+    if field.char:
+        return sorted((m, int(c) % SYMPY_P) for m, c in poly.terms() if c)
+    return sorted((m, Fraction(int(c.p), int(c.q))) for m, c in poly.terms() if c)
+
+
+def _assert_basis_matches_sympy(gens, order, field):
+    # independent oracle: sympy's reduced basis
+    ring = RingContext(("x", "y", "z"), field)
     gb = groebner_basis(Ideal.of(ring, [ring.from_dict(g) for g in gens]), order)
     ours = sorted(sorted(g.terms) for g in gb.basis)
-    x, y, z = sympy.symbols("x y z")
-    exprs = [sum(c * x**a * y**b * z**e for (a, b, e), c in g.items()) for g in gens]
-    theirs = sympy.groebner(exprs, x, y, z, order=order.name, modulus=SYMPY_P)
-    expected = sorted(
-        sorted((m, int(c) % SYMPY_P) for m, c in p.terms()) for p in theirs.polys
-    )
-    assert ours == expected
+    exprs = [_expr(g.items()) for g in gens]
+    theirs = sympy.groebner(exprs, *XYZ, order=order.name, **_sympy_domain(field))
+    assert ours == sorted(_sympy_terms(p, field) for p in theirs.polys)
+    return gb, theirs
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.lists(_small_generator, min_size=2, max_size=3))
 def test_reduced_grevlex_basis_matches_sympy(gens):
-    _assert_basis_matches_sympy(gens, GREVLEX)
+    _assert_basis_matches_sympy(gens, GREVLEX, PrimeField(SYMPY_P))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.lists(_small_generator, min_size=2, max_size=3))
 def test_reduced_lex_basis_matches_sympy(gens):
     # lex is where sugar and normal selection pick pairs most differently
-    _assert_basis_matches_sympy(gens, LEX)
+    _assert_basis_matches_sympy(gens, LEX, PrimeField(SYMPY_P))
+
+
+def _sympy_spolynomial(f, g, order):
+    lt_f = sympy.LT(f, *XYZ, order=order.name)
+    lt_g = sympy.LT(g, *XYZ, order=order.name)
+    m = sympy.lcm(sympy.LM(f, *XYZ, order=order.name), sympy.LM(g, *XYZ, order=order.name))
+    return sympy.expand(m / lt_f * f - m / lt_g * g)
+
+
+def _fraction_terms(poly):
+    assert all(type(c) is Fraction and c for _, c in poly.terms)
+    return sorted(poly.terms)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([GREVLEX, LEX]),
+    st.lists(_q_generator, min_size=2, max_size=3),
+    _q_generator,
+)
+@example(
+    GREVLEX,
+    [
+        {(2, 1, 0): Fraction(6), (0, 0, 1): Fraction(-10, 3)},
+        {(0, 2, 0): Fraction(4), (1, 0, 1): Fraction(-3), (0, 0, 0): Fraction(7, 2)},
+    ],
+    {(3, 2, 0): Fraction(1), (0, 0, 3): Fraction(5, 7)},
+)
+def test_basis_normal_form_and_spolynomial_over_q_match_sympy(order, gens, dividend):
+    gb, theirs = _assert_basis_matches_sympy(gens, order, QQ)
+    ring = gb.ring
+    reduce_q = dict(order=order.name, domain=sympy.QQ)
+    # normal forms against the prepared basis and against the plain list
+    f = ring.from_dict(dividend)
+    _, want = sympy.reduced(_expr(dividend.items()), theirs.exprs, *XYZ, **reduce_q)
+    want = _sympy_terms(want, QQ)
+    assert _fraction_terms(normal_form(f, gb)) == want
+    assert _fraction_terms(groebner.normal_form(f, list(gb.basis))) == want
+    # S-polynomials of the generators, and their normal forms, which vanish
+    polys = [ring.from_dict(g) for g in gens]
+    exprs = [_expr(g.items()) for g in gens]
+    for j in range(len(polys)):
+        for i in range(j):
+            s = groebner.spolynomial(polys[i], polys[j])
+            s_expr = _sympy_spolynomial(exprs[i], exprs[j], order)
+            assert _fraction_terms(s) == _sympy_terms(s_expr, QQ)
+            _, rem = sympy.reduced(s_expr, theirs.exprs, *XYZ, **reduce_q)
+            assert _sympy_terms(rem, QQ) == sorted(normal_form(s, gb).terms) == []

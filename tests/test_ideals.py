@@ -2,6 +2,7 @@ import pytest
 
 from entryloci.kernel import (
     QQ,
+    Budget,
     Ideal,
     RingContext,
     eliminate,
@@ -14,6 +15,7 @@ from entryloci.kernel import (
     saturate_single,
     saturate_wrt_variable,
 )
+from entryloci.kernel import ideals
 from entryloci.kernel.orders import GREVLEX, Block
 from helpers import same_saturation
 
@@ -129,3 +131,26 @@ def test_generators_from_another_order_are_resorted(rxyz):
         (g,) = ideal.gens
         assert g.ring == block and g.terms == want.terms
     assert Ideal.of(rxyz, [f]).gens[0] is f
+
+
+def test_groebner_basis_hands_buchberger_generators_in_ring_order(rxyz, monkeypatch):
+    # grevlex generators of an ideal reach a Block(1) buchberger with their
+    # terms in Block(1) order, and in the order the grevlex terms sort them
+    gens = [rxyz.from_string(t) for t in ("y^3 + x - 2*z", "x*z - y^2", "z^2 + y + 3")]
+    seen = []
+    real = ideals.buchberger
+
+    def recording(polys, ring, budget=None):
+        seen.append((list(polys), ring))
+        return real(polys, ring, budget)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    block = rxyz.with_order(Block(1))
+    gb = groebner_basis(Ideal.of(rxyz, gens), Block(1), Budget())
+    ((polys, ring),) = seen
+    assert ring == block
+    for g in polys:
+        assert g.ring == block and g.terms == block.sorted_terms(g.terms)
+    order = sorted(gens, key=lambda g: (g.total_degree(), g.terms))
+    assert [dict(g.terms) for g in polys] == [dict(g.terms) for g in order]
+    assert list(gb.basis) == real([block.from_dict(dict(g.terms)) for g in gens], block)

@@ -8,7 +8,10 @@ eliminations that integer Gauss-Jordan and Bareiss replaced.  The current
 ones, which code each monomial as one int, must give term for term the same
 remainders, the same RREF rows and pivots, the same determinants and the
 same reduction counts, and every coefficient they return must be canonical:
-an int in [0, p) over F_p, a ``Fraction`` over Q.
+an int in [0, p) over F_p, a ``Fraction`` over Q.  Over Q the current kernel
+divides primitive integer divisors by pseudo-division and returns each
+remainder as integers with a scale; the remainder divided by its scale must
+equal the reference's ``Fraction`` remainder term for term.
 
 The sparse Gauss-Jordan ``rref`` is also checked against ``_ref_rref`` on
 mostly-zero matrices and on Gao's PDE systems, the matrices it was made
@@ -27,6 +30,7 @@ basis term for term.
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -50,10 +54,11 @@ from entryloci.kernel.groebner import (
     DEFAULT_BUDGET,
     MAX_EXPONENT,
     _Codes,
+    _cleared,
     _coded_terms,
     _interreduce,
-    _monic_terms,
     _normal_form_terms,
+    _normalized_terms,
     _spoly_terms,
     buchberger,
     normal_form,
@@ -211,7 +216,7 @@ def _ref_buchberger(polys, ring, budget=None):
         if p.is_zero():
             continue
         terms = sorted(_coded_terms(p, codes), key=lambda t: t[0])
-        basis.append((_monic_terms(terms, field), terms[0][0]))
+        basis.append((_normalized_terms(terms, field), terms[0][0]))
         lts.append(codes.exponents[terms[0][0]])
     if not basis:
         return []
@@ -245,10 +250,10 @@ def _ref_buchberger(polys, ring, budget=None):
         if skip:
             continue
         sp = _spoly_terms(basis[i], basis[j], codes[lcm], meter)
-        rem = _normal_form_terms(sp, basis, field, codes.guard, meter)
+        rem, _ = _normal_form_terms(sp, basis, field, codes.guard, meter)
         if not rem:
             continue
-        rem = _monic_terms(rem, field)
+        rem = _normalized_terms(rem, field)
         basis.append((rem, rem[0][0]))
         lts.append(codes.exponents[rem[0][0]])
         new = len(basis) - 1
@@ -262,7 +267,8 @@ def _ref_buchberger(polys, ring, budget=None):
 
 class _Both:
     """One divisor list keyed for both kernels: the reference by the order
-    key, the current one by the integer code of each monomial."""
+    key, monic, the current one by the integer code of each monomial and
+    normalized as the kernel prepares it (primitive over Z over Q)."""
 
     def __init__(self, ring, polys):
         self.ring = ring
@@ -270,7 +276,7 @@ class _Both:
         self.key_of = ring.order.key
         self.codes = _Codes(ring.order, ring.nvars)
         self.ref_basis = [self._ref_monic(p) for p in polys]
-        self.basis = [self._monic(p) for p in polys]
+        self.basis = [self._prepared(p) for p in polys]
 
     def _ref_monic(self, poly):
         terms = sorted(
@@ -278,12 +284,18 @@ class _Both:
         )
         return _ref_monic_keyed(terms, self.field), terms[0][1]
 
-    def _monic(self, poly):
+    def _prepared(self, poly):
         terms = sorted(_coded_terms(poly, self.codes), key=lambda t: t[0])
-        return _monic_terms(terms, self.field), terms[0][0]
+        return _normalized_terms(terms, self.field), terms[0][0]
 
-    def decoded(self, coded):
-        return [(self.codes.exponents[k], c) for k, c in coded]
+    def decoded(self, coded, scale=1):
+        """Exponent tuples of ``coded``; over Q each integer coefficient
+        divided by ``scale``, over F_p, where the scale must be 1, as it is."""
+        if self.field.char:
+            assert scale == 1
+            return [(self.codes.exponents[k], c) for k, c in coded]
+        assert all(type(c) is int for _, c in coded)
+        return [(self.codes.exponents[k], Fraction(c, scale)) for k, c in coded]
 
     def remainders(self, poly, ref_basis=None, basis=None):
         """(reference, current) remainders and reduction counts of ``poly``."""
@@ -295,11 +307,13 @@ class _Both:
             ref_terms, self.ref_basis if ref_basis is None else ref_basis,
             self.field, self.key_of, ref_meter,
         )
-        cur = _normal_form_terms(
-            _coded_terms(poly, self.codes), self.basis if basis is None else basis,
-            self.field, self.codes.guard, meter,
+        terms, den = _coded_terms(poly, self.codes), 1
+        if not self.field.char:
+            terms, den = _cleared(terms)
+        cur, scale = _normal_form_terms(
+            terms, self.basis if basis is None else basis, self.field, self.codes.guard, meter,
         )
-        return _pairs(ref), ref_meter.reductions, self.decoded(cur), meter.reductions
+        return _pairs(ref), ref_meter.reductions, self.decoded(cur, den * scale), meter.reductions
 
     def spoly_remainders(self, i, j):
         """(reference, current) remainders and counts of S(g_i, g_j) modulo
@@ -313,9 +327,14 @@ class _Both:
             )
             s_ref.sort(key=lambda t: t[0], reverse=True)
             ref = _ref_normal_form_terms(s_ref, ref_divisors, self.field, self.key_of, ref_meter)
+            # the current S-polynomial is the monic one times l_i * l_j / d
             s = _spoly_terms(self.basis[i], self.basis[j], self.codes[lcm], meter)
-            cur = _normal_form_terms(s, divisors, self.field, self.codes.guard, meter)
-            out.append((_pairs(ref), ref_meter.reductions, self.decoded(cur), meter.reductions))
+            cur, scale = _normal_form_terms(s, divisors, self.field, self.codes.guard, meter)
+            l_i, l_j = self.basis[i][0][0][1], self.basis[j][0][0][1]
+            scale *= l_i * l_j // gcd(l_i, l_j)
+            out.append(
+                (_pairs(ref), ref_meter.reductions, self.decoded(cur, scale), meter.reductions)
+            )
         return out
 
 
@@ -438,7 +457,7 @@ def test_unreduced_dividend_with_repeated_monomials(field):
     canonical = ring.from_dict({(2, 1, 0): -3, (1, 0, 0): -1})
     ref, ref_count, _, _ = both.remainders(canonical)
     meter = DEFAULT_BUDGET.fresh()
-    cur = both.decoded(_normal_form_terms(raw, both.basis, field, k.guard, meter))
+    cur = both.decoded(*_normal_form_terms(raw, both.basis, field, k.guard, meter))
     assert cur == ref and meter.reductions == ref_count
     assert all(0 <= c < p for _, c in cur)
 

@@ -183,6 +183,48 @@ def test_products_and_powers_match_field_method_reference(field, order, data):
     assert (f * ring.zero()).terms == ring.zero().terms == (ring.zero() ** (n + 1)).terms
 
 
+def _ref_add(f, g, sign=1):
+    """f + sign * g through the field's methods, term by term."""
+    field = f.ring.field
+    acc = dict(f.terms)
+    for m, c in g.terms:
+        s = field.add(acc.get(m, field.zero), c if sign == 1 else field.neg(c))
+        if s == field.zero:
+            acc.pop(m, None)
+        else:
+            acc[m] = s
+    return f.ring.from_dict(acc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(ARITH_FIELDS), st.sampled_from([GREVLEX, LEX, Block(1)]), st.data())
+def test_sums_and_differences_match_field_method_reference(field, order, data):
+    ring = RingContext(("x0", "x1", "x2"), field, order)
+    f = data.draw(_sub_polys(ring, 3))
+    g = data.draw(_sub_polys(ring, 3))
+    neg_f = ring.from_dict({m: field.neg(c) for m, c in f.terms})
+    # g with every other term of f negated: those terms cancel in f + mixed
+    mixed = ring.from_dict({**dict(g.terms), **{m: field.neg(c) for m, c in f.terms[::2]}})
+    zero = ring.zero()
+    for a, b in ((f, g), (f, mixed), (f, neg_f), (f, f), (f, zero), (zero, g)):
+        for got, want in ((a + b, _ref_add(a, b)), (a - b, _ref_add(a, b, -1))):
+            assert got.ring == ring and got.terms == want.terms
+            _assert_canonical(got)
+    # full cancellation to zero
+    assert (f + neg_f).terms == (f - f).terms == ()
+    # a constant on either side
+    c = data.draw(_coeffs(field))
+    const = ring.constant(c)
+    for got, want in (
+        (f + c, _ref_add(f, const)),
+        (c + f, _ref_add(const, f)),
+        (f - c, _ref_add(f, const, -1)),
+        (c - f, _ref_add(const, f, -1)),
+    ):
+        assert got.terms == want.terms
+        _assert_canonical(got)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     st.sampled_from(ARITH_FIELDS + [PrimeField(32003)]),
