@@ -165,7 +165,7 @@ def _rational_quartic3(field, budget) -> ProjectiveVariety:
     s, t = pring.gens()
     forms = (s**4, s**3 * t, s * t**3, t**4)
     param = Parametrization(pring, forms)
-    ideal = implicitize(param, field, budget, random.Random(17))
+    ideal = implicitize(param, budget)
     meta = {
         "name": "rational_quartic3",
         "key": "rational_quartic3",

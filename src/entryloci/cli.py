@@ -4,6 +4,9 @@ secant profiles, decompositions, Segre counts and the verification suite.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 budget
 exhausted.  Reports are deterministic for a fixed configuration once timing
 fields are stripped.
+
+A variety file's field is the run's field: an explicit --field must name the
+same field, and its prime, like any --field prime, must be at least 2^16.
 """
 
 from __future__ import annotations
@@ -31,10 +34,22 @@ CHECK_FAILED = 1
 BUDGET_EXHAUSTED = 3
 
 
-def _load_variety(target: str, seed: int, field, budget):
-    if os.path.exists(target) or target.endswith(".var") or "/" in target:
-        return read_variety_file(target)
-    return build_catalog_variety(target, seed, field, budget)
+def _is_file(target: str) -> bool:
+    return os.path.exists(target) or target.endswith(".var") or "/" in target
+
+
+def _run_field(args):
+    """The run's field and the variety files the command names: the field
+    named by every file and by an explicit --field, which must agree, else
+    fp:auto.  Raises CoefficientError for a usage error."""
+    targets = [getattr(args, k) for k in ("variety", "curve", "y", "t") if hasattr(args, k)]
+    files = {t: read_variety_file(t) for t in targets if _is_file(t)}
+    named = [v.field.describe() for v in files.values()] + ([args.field] if args.field else [])
+    # resolving a file's descriptor applies the --field prime bound to it
+    fields = {resolve_field(desc, args.seed) for desc in named or ["fp:auto"]}
+    if len(fields) > 1:
+        raise CoefficientError(f"fields {', '.join(named)} differ; a variety file fixes the run's field")
+    return fields.pop(), files
 
 
 def _emit(data, out_path):
@@ -47,7 +62,8 @@ def _emit(data, out_path):
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=1, help="master seed")
-    parser.add_argument("--field", default="fp:auto", help="Q, fp:<p>, or fp:auto")
+    parser.add_argument("--field", default=None,
+                       help="Q, fp:<p>, or fp:auto (default: a variety file's field, else fp:auto)")
     parser.add_argument("--max-pairs", type=int, default=200_000, help="Groebner S-pair budget")
     parser.add_argument("--time-limit", type=float, default=None,
                        help="wall-clock seconds per Groebner run")
@@ -139,27 +155,30 @@ def _dispatch(args) -> int:
         return 0
 
     try:
-        field = resolve_field(args.field, args.seed)
+        field, files = _run_field(args)
     except CoefficientError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
     budget = Budget(max_pairs=args.max_pairs, max_seconds=args.time_limit)
 
+    def _load_variety(target):
+        return files[target] if target in files else build_catalog_variety(target, args.seed, field, budget)
+
     if args.command == "entry-locus":
-        var = _load_variety(args.variety, args.seed, field, budget)
+        var = _load_variety(args.variety)
         rep = classify_entry_locus(var, args.seed, budget)
         _emit(rep.as_dict(), args.out)
         return 0
 
     if args.command == "secant-dims":
-        var = _load_variety(args.variety, args.seed, field, budget)
+        var = _load_variety(args.variety)
         prof = secant_dims(var, args.max_s, seed=args.seed, budget=budget)
         data = {"variety": args.variety, "field": field.describe(), **prof.as_dict()}
         _emit(data, args.out)
         return 0
 
     if args.command == "decomp":
-        var = _load_variety(args.variety, args.seed, field, budget)
+        var = _load_variety(args.variety)
         rng = seeded_rng(("cli-decomp", args.seed))
         q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
         ds = two_decompositions(var, q, seed=args.seed, budget=budget)
@@ -173,7 +192,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "segre":
-        var = _load_variety(args.curve, args.seed, field, budget)
+        var = _load_variety(args.curve)
         count, vertices = segre_count_elliptic_quartic(var, args.seed, budget)
         data = {
             "curve": args.curve,
@@ -187,8 +206,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pair-segre":
-        y = _load_variety(args.y, args.seed, field, budget)
-        t = _load_variety(args.t, args.seed, field, budget)
+        y = _load_variety(args.y)
+        t = _load_variety(args.t)
         rng = seeded_rng(("cli-pair", args.seed))
         o = random_point(field, rng, y.ambient + 1)
         verdict = pair_segre_test(y, t, o, budget)
@@ -206,7 +225,7 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         cfg = RunConfig(
-            field_desc=args.field,
+            field_desc=args.field or "fp:auto",
             seed=args.seed,
             max_pairs=args.max_pairs,
             max_seconds=args.time_limit,

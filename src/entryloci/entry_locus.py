@@ -138,8 +138,7 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) 
     s_ring = RingContext(tuple(pring.names), field)
     s_locus = homogeneous_generators(s_locus.map_ring(s_ring))
     # image of the parameter locus under phi
-    rng = seeded_rng(("param-strategy", X.meta.get("key"), tuple(q.coords.__repr__())))
-    return implicitize(X.param, field, budget, rng, locus=s_locus.gens)
+    return implicitize(X.param, budget, locus=s_locus.gens)
 
 
 # -- component counting ----------------------------------------------------------

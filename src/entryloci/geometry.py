@@ -4,6 +4,12 @@ spans, reduced degree and point sampling.
 Ambient rings use variables x0..xr; parameter rings use s0..sm.  "General"
 choices are seeded small-height integers over Q and uniform residues over F_p,
 made generic a posteriori by sanity checks with bounded resampling.
+
+Implicitization eliminates the parameters from the graph ideal
+(x_i - P_i(s)).  Zero-dimensional slices substitute the solved linear
+section: one affine chart (``affine_chart``) solves the random cut forms and
+the chart form together, so the sliced ring has one variable per remaining
+dimension and no linear generators.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .kernel.ideals import (
     groebner_basis,
     homogeneous_generators,
     irrelevant_saturate,
-    saturate_single,
 )
 from .kernel.linalg import (
     kernel_basis,
@@ -36,7 +41,6 @@ from .kernel.zerodim import (
     count_distinct_points,
     enumerate_points_prime_field,
     is_zero_dimensional,
-    random_linear_combination,
 )
 
 
@@ -57,12 +61,6 @@ class ProjectivePoint:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = field.inv(pivot)
         return ProjectivePoint(tuple(field.mul(c, inv) for c in coords))
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,6 @@ class ProjectiveVariety:
     @property
     def field(self):
         return self.ideal.ring.field
-
-    def gens(self):
-        return self.ideal.gens
 
     def contains_point(self, pt: ProjectivePoint) -> bool:
         zero = self.field.zero
@@ -168,48 +163,29 @@ def projection_frame(field, rows, n: int):
 # -- implicitization -----------------------------------------------------------
 
 
-def implicitize(
-    param: Parametrization,
-    field=None,
-    budget: Budget | None = None,
-    rng: random.Random | None = None,
-    locus=(),
-) -> Ideal:
+def implicitize(param: Parametrization, budget: Budget | None = None, locus=()) -> Ideal:
     """Ideal of the closure of the parametrization image (of the parameter
     locus cut out by the ``locus`` forms, when given).
 
-    Builds the 2 x (r+1) matrix [y; P(s)], takes its 2x2 minors, saturates by
-    a random combination of the parametrization forms (which removes both the
-    irrelevant parameter locus and any base-point fibers), and eliminates the
-    parameters.
+    Eliminates the parameters from the graph ideal (locus forms, x_i - P_i(s))
+    under a block order: its intersection with k[x] is the kernel of
+    k[x] -> k[s]/(locus), x_i -> P_i(s).  The forms P_i share one degree, so
+    that map is graded and the kernel is the homogeneous ideal of the image
+    cone; a base point maps to the cone's vertex x = 0, which is no point of
+    P^r, so no saturation is needed.
     """
-    rng = rng or random.Random(0)
     pring = param.ring
-    field = field or pring.field
-    r = len(param.forms) - 1
-    names = tuple(pring.names) + tuple(f"x{i}" for i in range(r + 1))
-    big = RingContext(names, field, Block(pring.nvars))
     m = pring.nvars
+    r = len(param.forms) - 1
+    big = RingContext(tuple(pring.names) + tuple(f"x{i}" for i in range(r + 1)), pring.field, Block(m))
 
     def lift(f):
-        return big.from_dict({tuple(mm) + (0,) * (r + 1): c for mm, c in f.terms})
+        return big.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms})
 
-    forms_big = [lift(f) for f in param.forms]
-    ys = [big.variable(m + i) for i in range(r + 1)]
     gens = [lift(g) for g in locus]
-    for i in range(r + 1):
-        for j in range(i + 1, r + 1):
-            gens.append(ys[i] * forms_big[j] - ys[j] * forms_big[i])
-    combo = big.zero()
-    for f in forms_big:
-        combo = combo + f.scale(field.coerce(random_scalar(field, rng)))
-    if combo.is_zero():
-        combo = forms_big[0]
-    sat = saturate_single(Ideal.of(big, gens), combo, budget)
-    out = eliminate(sat.map_ring(big), m, budget)
-    target = ambient_ring(r, field)
-    out = Ideal.of(target, [Polynomial(target, g.terms) for g in out.gens])
-    return homogeneous_generators(out)
+    gens += [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
+    out = eliminate(Ideal.of(big, gens), m, budget)
+    return homogeneous_generators(out.map_ring(ambient_ring(r, pring.field)))
 
 
 # -- projections, cones, slices --------------------------------------------------
@@ -287,64 +263,62 @@ def cone_over(B: ProjectiveVariety) -> ProjectiveVariety:
     return ProjectiveVariety(r, Ideal.of(target, gens), new_param, meta)
 
 
-def affine_chart(ring: RingContext, rng: random.Random, extra=()):
-    """A seeded random affine chart {c . x = 1} of the projective ring.
+def affine_chart(ring: RingContext, rng: random.Random, extra=(), cuts=0):
+    """A seeded random affine chart {c . x = 1} of the projective ring, cut by
+    ``cuts`` seeded random hyperplanes {l . x = 0}.
 
-    The affine ring drops the chart's pivot variable and appends the ``extra``
-    variable names.  Returns (affine ring, images of the projective variables,
-    chart) where chart recovers full projective coordinates from an affine
-    solution vector (extra values are ignored).
+    The cut forms are drawn first, then the chart form.  One rref on reversed
+    columns solves the system for its pivots, the last variables it can (for
+    ``cuts=0`` the last one with a nonzero chart coefficient).  The affine ring
+    keeps the other variables in order and appends the ``extra`` names.
+    Returns (affine ring, images of the projective variables, chart), where
+    chart evaluates the images at an affine solution vector; None when the
+    drawn forms are dependent.
     """
     field = ring.field
     n = ring.nvars
-    coeffs = random_coords(field, rng, n)
-    pivot = max(i for i, c in enumerate(coeffs) if c != field.zero)
-    names = tuple(nm for i, nm in enumerate(ring.names) if i != pivot) + tuple(extra)
-    aring = RingContext(names, field)
-    images = []
-    slot = 0
-    remaining = []
-    for i in range(n):
-        if i == pivot:
-            images.append(None)
-            continue
-        v = aring.variable(slot)
-        remaining.append((i, slot))
-        images.append(v)
-        slot += 1
-    expr = aring.constant(field.one)
-    for i, s in remaining:
-        expr = expr - aring.variable(s).scale(coeffs[i])
-    images[pivot] = expr.scale(field.inv(coeffs[pivot]))
+    rows = [random_coords(field, rng, n)[::-1] + [field.zero] for _ in range(cuts)]
+    rows.append(random_coords(field, rng, n)[::-1] + [field.one])
+    red, piv = rref(rows, field)
+    if len(piv) < len(rows) or piv[-1] == n:
+        return None
+    solved = {n - 1 - j: row for j, row in zip(piv, red)}
+    free = [i for i in range(n) if i not in solved]
+    aring = RingContext(tuple(ring.names[i] for i in free) + tuple(extra), field)
+    pad = [field.zero] * len(extra)
+    images = [None] * n
+    for slot, i in enumerate(free):
+        images[i] = aring.variable(slot)
+    for i, row in solved.items():
+        images[i] = aring.constant(row[n]) - aring.linear_form([row[n - 1 - j] for j in free] + pad)
 
     def chart(values):
-        full = [None] * n
-        acc = field.one
-        for (i, s) in remaining:
-            full[i] = values[s]
-            acc = field.sub(acc, field.mul(coeffs[i], values[s]))
-        full[pivot] = field.mul(acc, field.inv(coeffs[pivot]))
-        return tuple(full)
+        return tuple(img.evaluate(values) for img in images)
 
     return aring, images, chart
 
 
-def dehomogenize(ideal: Ideal, rng: random.Random):
-    """The ideal on a seeded random affine chart: (affine ring, affine
-    generators, chart) as in :func:`affine_chart`."""
-    aring, images, chart = affine_chart(ideal.ring, rng)
+def dehomogenize(ideal: Ideal, rng: random.Random, cuts=0):
+    """The ideal on a seeded random affine chart, cut by ``cuts`` seeded
+    random hyperplanes: (affine ring, affine generators, chart) as in
+    :func:`affine_chart`, or None when its draws are dependent."""
+    found = affine_chart(ideal.ring, rng, cuts=cuts)
+    if found is None:
+        return None
+    aring, images, chart = found
     return aring, [g.substitute(images, aring) for g in ideal.gens], chart
 
 
 def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
-    """Cut a projective ideal with ``cuts`` seeded random hyperplanes, pass to
-    a seeded random chart and return (grevlex basis, chart) when the affine
-    slice is nonempty and zero-dimensional, else None (the slice or chart
-    missed every point, or the slice was not generic)."""
-    gens = list(ideal.gens)
-    for _ in range(cuts):
-        gens.append(random_linear_combination(ideal.ring, rng))
-    aring, agens, chart = dehomogenize(Ideal.of(ideal.ring, gens), rng)
+    """Restrict a projective ideal to ``cuts`` seeded random hyperplanes on a
+    seeded random chart, by substituting the solved linear section, and
+    return (grevlex basis, chart) when the affine slice is nonempty and
+    zero-dimensional, else None (the slice or chart missed every point, or
+    the slice was not generic)."""
+    cut = dehomogenize(ideal, rng, cuts)
+    if cut is None:
+        return None
+    aring, agens, chart = cut
     gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
     if gb.is_unit() or not is_zero_dimensional(gb):
         return None

@@ -12,6 +12,9 @@ same system recovers the individual factor degrees over a prime field, from
 Sylvester resultants linear in a parameter z (``univar.u_det_pencil``).
 A caller whose input is a ``squarefree_part`` counts with ``_factor_count``,
 which skips the squarefreeness check that ``absolute_factor_count`` makes.
+
+Every function here takes plane polynomials: elements of a ring in exactly
+two variables, x first and y second.  Another ring raises ValueError.
 """
 
 from __future__ import annotations
@@ -35,23 +38,9 @@ from .univar import (
     u_trim,
 )
 
-_SCRATCH_NAMES = ("x", "y")
-
-
-def compress_to_plane(f: Polynomial):
-    """Rewrite a polynomial in <= 2 effective variables into a 2-variable ring.
-
-    Returns (plane polynomial, used variable indices in the original ring).
-    """
-    used = f.variables_used()
-    if len(used) > 2:
-        raise ValueError("polynomial has more than 2 effective variables")
-    ring = RingContext(_SCRATCH_NAMES, f.ring.field)
-    out = {}
-    for m, c in f.terms:
-        key = tuple(m[i] for i in used) + (0,) * (2 - len(used))
-        out[key] = c
-    return ring.from_dict(out), used
+def _require_plane(f: Polynomial):
+    if f.ring.nvars != 2:
+        raise ValueError(f"need a plane polynomial, got a ring in {f.ring.nvars} variables")
 
 
 def _as_y_coeffs(f: Polynomial, field):
@@ -188,7 +177,8 @@ def _repeated_part(plane: Polynomial) -> Polynomial:
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """f / gcd(f, df/dy, df/dx), monic (<= 2 effective vars)."""
+    """f / gcd(f, df/dy, df/dx), monic."""
+    _require_plane(f)
     field = f.ring.field
     if field.char != 0 and field.char <= f.total_degree():
         raise CharacteristicError(
@@ -196,24 +186,12 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         )
     if f.is_zero() or f.total_degree() == 0:
         return f.monic() if not f.is_zero() else f
-    plane, used = compress_to_plane(f)
-    result = poly_exact_div(plane, _repeated_part(plane)).monic()
-    # map back into the original ring
-    out = {}
-    n = f.ring.nvars
-    for (ex, ey), c in result.terms:
-        m = [0] * n
-        if len(used) >= 1:
-            m[used[0]] = ex
-        if len(used) >= 2:
-            m[used[1]] = ey
-        out[tuple(m)] = c
-    return f.ring.from_dict(out)
+    return poly_exact_div(f, _repeated_part(f)).monic()
 
 
 def is_squarefree(f: Polynomial) -> bool:
-    plane, _ = compress_to_plane(f)
-    return _repeated_part(plane).total_degree() == 0
+    _require_plane(f)
+    return _repeated_part(f).total_degree() == 0
 
 
 def _random_affine_image(plane: Polynomial, rng: random.Random):
@@ -269,8 +247,8 @@ def _pde_kernel(plane: Polynomial):
 
 
 def absolute_factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
-    """Number of absolutely irreducible factors of a squarefree polynomial in
-    <= 2 effective variables."""
+    """Number of absolutely irreducible factors of a squarefree plane
+    polynomial."""
     if f.total_degree() >= 1 and not is_squarefree(f):
         raise NotSquarefreeError("absolute factor count requires squarefree input")
     return _factor_count(f, rng)
@@ -280,6 +258,7 @@ def _factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
     """:func:`absolute_factor_count` for a polynomial known to be squarefree,
     such as the output of :func:`squarefree_part`: it skips the second
     repeated-part gcd chain."""
+    _require_plane(f)
     rng = rng or random.Random(0)
     field = f.ring.field
     n = f.total_degree()
@@ -287,10 +266,9 @@ def _factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
         raise ValueError("need total degree >= 1")
     if field.char != 0 and field.char <= n * (n - 1):
         raise CharacteristicError(f"prime {field.char} too small: need p > {n * (n - 1)}")
-    plane, _ = compress_to_plane(f)
-    if plane.degree_in(0) < 1 or plane.degree_in(1) < 1:
-        plane = _random_affine_image(plane, rng)
-    kernel, _, _ = _pde_kernel(plane)
+    if f.degree_in(0) < 1 or f.degree_in(1) < 1:
+        f = _random_affine_image(f, rng)
+    kernel, _, _ = _pde_kernel(f)
     return len(kernel)
 
 
@@ -304,6 +282,7 @@ def absolute_factor_degrees(f: Polynomial, rng: random.Random | None = None):
     gcd(f, q*(g, df/dx)) is the product of the e conjugate factors, so each
     has degree deg(gcd)/e.  Returns the sorted degree list.
     """
+    _require_plane(f)
     field = f.ring.field
     if not isinstance(field, PrimeField):
         raise ValueError("factor degree extraction runs over a prime field")
@@ -315,8 +294,7 @@ def absolute_factor_degrees(f: Polynomial, rng: random.Random | None = None):
     last_err = None
     for _ in range(6):
         try:
-            plane, _ = compress_to_plane(f)
-            plane = _random_affine_image(plane, rng)
+            plane = _random_affine_image(f, rng)
             kernel, g_monos, _ = _pde_kernel(plane)
             r = len(kernel)
             if r == 1:

@@ -34,12 +34,11 @@ def _minimalize(gens):
     return out
 
 
-def _poly_mul_int(a, b):
+def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
@@ -61,7 +60,7 @@ def _series_numerator(gens, nvars: int):
         for m in gens:
             d = sum(m)
             factor = [1] + [0] * (d - 1) + [-1]
-            acc = _poly_mul_int(acc, factor)
+            acc = _poly_mul(acc, factor)
         return acc
     counts = [0] * nvars
     for s in supports:
@@ -110,19 +109,11 @@ def _binomial_poly(shift: int, d: int):
     """binomial(T + shift, d) as Fraction coefficients in T."""
     num = [Fraction(1)]
     for i in range(1, d + 1):
-        num = _poly_mul_frac(num, [Fraction(shift + i), Fraction(1)])
+        num = _poly_mul(num, [Fraction(shift + i), Fraction(1)])
     fact = 1
     for i in range(2, d + 1):
         fact *= i
     return [c / fact for c in num]
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def hilbert_invariants(ideal: Ideal, budget: Budget | None = None) -> HilbertInvariants:

@@ -118,12 +118,10 @@ def verify_groebner_basis(gb: GroebnerBasis, budget: Budget | None = None) -> bo
 def eliminate(ideal: Ideal, k: int, budget: Budget | None = None) -> Ideal:
     """Intersection of the ideal with the subring omitting the first k variables.
 
-    Computed from a block(k) Groebner basis; the result lives in the subring
-    (for k = 0 this is just a Groebner basis of the input in its own ring).
+    Computed from a block(k) Groebner basis; the result lives in the grevlex
+    subring (block(0) orders like grevlex, so for k = 0 this is a grevlex
+    basis of the input).
     """
-    if k == 0:
-        gb = groebner_basis(ideal, GREVLEX, budget)
-        return Ideal.of(ideal.ring.with_order(GREVLEX), gb.basis)
     gb = groebner_basis(ideal, Block(k), budget)
     sub = ideal.ring.subring(k)
     kept = []

@@ -174,14 +174,6 @@ class Polynomial:
             return -1
         return max(m[i] for m, _ in self.terms)
 
-    def variables_used(self):
-        used = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return sorted(used)
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -320,13 +312,14 @@ class Polynomial:
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         field = target.field
+        if field != self.ring.field:
+            raise RingMismatchError("cannot move coefficients between different fields")
         p = field.char
         acc = {}
         # image powers as raw term lists, per variable and exponent
         powers = [{} for _ in images]
         one = ((target._zero_mono, field.one),)
         for m, c in self.terms:
-            c = self.ring_coeff_to(field, c)
             part = one
             for i, e in enumerate(m):
                 if not e:
@@ -339,12 +332,6 @@ class Polynomial:
                 prev = acc.get(mono)
                 acc[mono] = c * d if prev is None else prev + c * d
         return Polynomial(target, target.sorted_terms(_reduced(acc, p)))
-
-    def ring_coeff_to(self, field, c):
-        """Move a coefficient between identical fields (no cross-field maps here)."""
-        if field == self.ring.field:
-            return c
-        raise RingMismatchError("cannot move coefficients between different fields")
 
     def reduce_mod(self, target: RingContext) -> "Polynomial":
         """Image of a Q-polynomial in an F_p ring with the same variables."""

@@ -12,7 +12,7 @@ Format (one item per line, blank lines and '#' comments ignored):
 from __future__ import annotations
 
 from .geometry import Parametrization, ProjectiveVariety
-from .kernel.errors import ParseError
+from .kernel.errors import CoefficientError, ParseError
 from .kernel.fields import field_from_descriptor
 from .kernel.ideals import Ideal
 from .kernel.poly import RingContext
@@ -34,7 +34,10 @@ def read_variety(text: str) -> ProjectiveVariety:
                 raise ParseError(f"line {lineno}: ring line needs 'over <field>'", 0)
             names_part, field_part = body.rsplit(" over ", 1)
             names = tuple(names_part.split())
-            field = field_from_descriptor(field_part)
+            try:
+                field = field_from_descriptor(field_part)
+            except CoefficientError as err:
+                raise ParseError(f"line {lineno}: {err}", 0) from None
             ring = RingContext(names, field)
         elif line.startswith("param "):
             if ring is None:

@@ -6,7 +6,7 @@ import pytest
 from entryloci.cli import main
 from entryloci.varfile import read_variety
 from entryloci.catalog import build_catalog_variety
-from entryloci.kernel import PrimeField
+from entryloci.kernel import QQ, PrimeField
 from helpers import write_variety
 
 
@@ -94,6 +94,75 @@ def test_entry_locus_accepts_variety_file(capsys, tmp_path):
     assert rc == 0
     data = json.loads(out)
     assert data["reduced_degree"] == 2
+
+
+# A variety file's field is the run's field.  The argument lists name the
+# file as {path}; "pair-segre" pairs it with a catalog curve.
+FILE_COMMANDS = [
+    ["entry-locus", "--variety", "{path}"],
+    ["secant-dims", "--variety", "{path}"],
+    ["decomp", "--variety", "{path}"],
+    ["segre", "--curve", "{path}"],
+    ["pair-segre", "--y", "{path}", "--t", "rnc3"],
+]
+
+
+def _rnc3_file(tmp_path, field_text, name="rnc3.var"):
+    # integer coefficients, written over Q, read over the field under test
+    text = write_variety(build_catalog_variety("rnc3", 1, QQ))
+    path = tmp_path / name
+    path.write_text(text.replace("over Q", f"over {field_text}"))
+    return str(path)
+
+
+def _usage_error(capsys, argv):
+    rc = main(argv)
+    return rc == 2 and capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=[a[0] for a in FILE_COMMANDS])
+def test_file_prime_below_the_bound_is_usage_error(capsys, tmp_path, argv):
+    path = _rnc3_file(tmp_path, "Fp:7")
+    assert _usage_error(capsys, [a.format(path=path) for a in argv])
+    # the Groebner basis makes no seeded choice: it runs over F_7
+    rc, out = run_cli(capsys, "gb", "--input", path)
+    assert rc == 0 and json.loads(out)["field"] == "Fp:7"
+
+
+@pytest.mark.parametrize("field_text", ["Fp:8", "Fp:abc", "GF7"])
+def test_bad_file_field_is_usage_error(capsys, tmp_path, field_text):
+    path = _rnc3_file(tmp_path, field_text)
+    assert _usage_error(capsys, ["gb", "--input", path])
+    for argv in FILE_COMMANDS:
+        assert _usage_error(capsys, [a.format(path=path) for a in argv])
+
+
+@pytest.mark.parametrize("flag", ["Q", "fp:auto", "fp:2147483693"])
+def test_field_flag_disagreeing_with_the_file_is_usage_error(capsys, tmp_path, flag):
+    path = _rnc3_file(tmp_path, "Fp:2147483659")
+    for argv in FILE_COMMANDS:
+        assert _usage_error(capsys, [a.format(path=path) for a in argv] + ["--field", flag])
+
+
+def test_variety_files_over_two_fields_are_usage_error(capsys, tmp_path):
+    y = _rnc3_file(tmp_path, "Fp:2147483659", "y.var")
+    t = _rnc3_file(tmp_path, "Q", "t.var")
+    assert _usage_error(capsys, ["pair-segre", "--y", y, "--t", t])
+
+
+@pytest.mark.parametrize("field_text,flag", [("Fp:2147483659", None), ("Q", None), ("Q", "Q")])
+def test_reports_name_the_file_field(capsys, tmp_path, field_text, flag):
+    path = _rnc3_file(tmp_path, field_text)
+    argv = ["decomp", "--variety", path] + (["--field", flag] if flag else [])
+    rc, out = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert rc == 0 and data["field"] == field_text and data["count"] == 1
+    # the point is drawn over the file's field: the catalog curve over the
+    # same field gets the same one
+    rc, out = run_cli(capsys, "decomp", "--variety", "rnc3", "--field", field_text)
+    assert rc == 0 and json.loads(out)["q"] == data["q"]
+    rc, out = run_cli(capsys, "secant-dims", "--variety", path)
+    assert rc == 0 and json.loads(out)["field"] == field_text
 
 
 def test_usage_error_exit_code(capsys):

@@ -149,13 +149,17 @@ def test_squarefree_part_keeps_factors_free_of_a_variable(field):
 
 
 @pytest.mark.parametrize("field", SQF_FIELDS, ids=["fp:auto", "Q"])
-def test_squarefree_part_in_two_of_three_variables(field):
-    # compress_to_plane maps (y, z) to the plane's (x, y) and back
+def test_factor_tools_reject_a_ring_that_is_not_a_plane(field):
+    # every caller hands over a polynomial of a two-variable ring; a third
+    # variable is an error even where the polynomial uses only two
     ring = RingContext(("x", "y", "z"), field)
     x, y, z = ring.gens()
-    assert squarefree_part(y * z * z) == y * z
-    assert squarefree_part((y + z) ** 2 * z) == ((y + z) * z).monic()
-    assert is_squarefree(x * z) and not is_squarefree(x * x * z)
+    for call in (squarefree_part, is_squarefree, absolute_factor_count):
+        with pytest.raises(ValueError, match="plane polynomial"):
+            call(y * z * z)
+    if isinstance(field, PrimeField):
+        with pytest.raises(ValueError, match="plane polynomial"):
+            absolute_factor_degrees(x * z)
 
 
 _PLANE_MONOMIALS = [(a, b) for a in range(3) for b in range(3 - a)]

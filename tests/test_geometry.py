@@ -1,10 +1,15 @@
-import pytest
+import random
 
+import pytest
+import sympy
+
+from entryloci import entry_locus, geometry
 from entryloci.catalog import build_catalog_variety, catalog_keys, catalog_metadata
 from entryloci.geometry import (
     Parametrization,
     ProjectivePoint,
     ProjectiveVariety,
+    affine_chart,
     ambient_ring,
     cone_over,
     dehomogenize,
@@ -14,17 +19,31 @@ from entryloci.geometry import (
     reduced_dim_degree,
     span_form_rows,
     witness_points,
+    zero_dim_slice,
 )
 from entryloci.kernel import (
     QQ,
+    Block,
     DegenerateInputError,
+    GREVLEX,
     HomogeneityError,
     Ideal,
     PrimeField,
     RingContext,
+    eliminate,
+    groebner_basis,
+    homogeneous_generators,
+    saturate_single,
 )
 from entryloci.kernel.hilbert import hilbert_invariants
-from entryloci.kernel.rng import seeded_rng
+from entryloci.kernel.rng import random_coords, random_scalar, seeded_rng
+from entryloci.kernel.zerodim import (
+    count_distinct_points,
+    enumerate_points_prime_field,
+    is_zero_dimensional,
+    random_linear_combination,
+)
+from entryloci.suite import resolve_field
 from helpers import sample_point
 
 FP = PrimeField(2147483659)
@@ -214,3 +233,169 @@ def test_dehomogenize_chart_roundtrip():
     assert aring.nvars == 3
     full = chart((FP.one, FP.one, FP.one))
     assert len(full) == 4
+
+
+# -- oracles for the graph-ideal implicitization and the substituted slice -----
+
+
+def _ref_implicitize(param, rng, locus=()):
+    """The former route: the 2x2 minors of [x; P(s)], saturated by a seeded
+    random combination of the forms, then the parameters eliminated."""
+    pring = param.ring
+    field = pring.field
+    m = pring.nvars
+    r = len(param.forms) - 1
+    big = RingContext(tuple(pring.names) + tuple(f"x{i}" for i in range(r + 1)), field, Block(m))
+
+    def lift(f):
+        return big.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms})
+
+    forms = [lift(f) for f in param.forms]
+    xs = [big.variable(m + i) for i in range(r + 1)]
+    gens = [lift(g) for g in locus]
+    gens += [xs[i] * forms[j] - xs[j] * forms[i] for i in range(r + 1) for j in range(i + 1, r + 1)]
+    combo = big.zero()
+    for f in forms:
+        combo = combo + f.scale(field.coerce(random_scalar(field, rng)))
+    if combo.is_zero():
+        combo = forms[0]
+    out = eliminate(saturate_single(Ideal.of(big, gens), combo).map_ring(big), m)
+    return homogeneous_generators(out.map_ring(ambient_ring(r, field)))
+
+
+def _ref_affine_chart(ring, rng, extra=()):
+    """The former chart: {c . x = 1} solved for the last variable with a
+    nonzero coefficient, one pivot at a time."""
+    field = ring.field
+    n = ring.nvars
+    coeffs = random_coords(field, rng, n)
+    pivot = max(i for i, c in enumerate(coeffs) if c != field.zero)
+    names = tuple(nm for i, nm in enumerate(ring.names) if i != pivot) + tuple(extra)
+    aring = RingContext(names, field)
+    images = []
+    remaining = []
+    for i in range(n):
+        if i == pivot:
+            images.append(None)
+            continue
+        remaining.append((i, len(remaining)))
+        images.append(aring.variable(len(remaining) - 1))
+    expr = aring.constant(field.one)
+    for i, s in remaining:
+        expr = expr - aring.variable(s).scale(coeffs[i])
+    images[pivot] = expr.scale(field.inv(coeffs[pivot]))
+    return aring, images
+
+
+def _ref_zero_dim_slice(ideal, cuts, rng):
+    """The former slice: the cut forms appended as generators, then the
+    chart substituted, so the sliced ring keeps a variable per cut."""
+    gens = list(ideal.gens) + [random_linear_combination(ideal.ring, rng) for _ in range(cuts)]
+    aring, images = _ref_affine_chart(ideal.ring, rng)
+    gb = groebner_basis(Ideal.of(aring, [g.substitute(images, aring) for g in gens]), GREVLEX)
+    if gb.is_unit() or not is_zero_dimensional(gb):
+        return None
+    return gb, images
+
+
+ORACLE_FIELDS = [resolve_field("fp:auto", 1), QQ]
+# the catalog entries that carry a parametrization
+PARAMETRIZED = [
+    "rnc3", "rnc4", "rnc5", "rnc6", "rational_quartic3", "scroll12", "cone_twisted_cubic",
+    "veronese5", "veronese_proj4",
+]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["fp:auto", "Q"])
+@pytest.mark.parametrize("key", PARAMETRIZED)
+def test_implicitize_matches_the_minors_route(key, field):
+    param = build_catalog_variety(key, 1, field).param
+    assert implicitize(param).gens == _ref_implicitize(param, random.Random(17)).gens
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["fp:auto", "Q"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("key", ["rnc3", "rational_quartic3", "scroll12", "cone_twisted_cubic", "veronese5"])
+def test_implicitize_of_a_parameter_locus_matches_the_minors_route(monkeypatch, key, seed, field):
+    # the parametrized entry-locus route implicitizes a parameter locus
+    calls = []
+    real = entry_locus.implicitize
+    monkeypatch.setattr(
+        entry_locus, "implicitize", lambda param, budget, locus: calls.append(locus) or real(param, budget, locus)
+    )
+    var = build_catalog_variety(key, seed, field)
+    rng = seeded_rng("locus-oracle", key, seed)
+    q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
+    ours = entry_locus._parametrized_entry_locus(var, q, None)
+    assert len(calls) == 1 and calls[0]
+    assert ours.gens == _ref_implicitize(var.param, rng, locus=calls[0]).gens
+
+
+def _to_sympy(g, symbols):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[v**e for v, e in zip(symbols, m)])
+        for m, c in g.terms
+    )
+
+
+@pytest.mark.parametrize("key", ["rnc3", "rational_quartic3"])
+def test_implicitize_matches_sympy_elimination_of_the_graph_ideal(key):
+    # independent oracle: sympy's lex basis of (x_i - P_i(s)) over QQ, its
+    # s-free part, and the reduced grevlex basis of that
+    param = build_catalog_variety(key, 1, QQ).param
+    ss = sympy.symbols(" ".join(param.ring.names))
+    xs = sympy.symbols(" ".join(f"x{i}" for i in range(len(param.forms))))
+    graph = [x - _to_sympy(f, ss) for x, f in zip(xs, param.forms)]
+    lex = sympy.groebner(graph, *ss, *xs, order="lex")
+    free = [e for e in lex.exprs if not e.free_symbols & set(ss)]
+    theirs = sympy.groebner(free, *xs, order="grevlex")
+    ours = implicitize(param)
+    assert {sympy.Poly(_to_sympy(g, xs), *xs).monic() for g in ours.gens} == {
+        sympy.Poly(e, *xs).monic() for e in theirs.exprs
+    }
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["fp:auto", "Q"])
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+def test_affine_chart_without_cuts_matches_the_former_chart(field, nvars):
+    ring = ambient_ring(nvars - 1, field)
+    for seed in range(8):
+        for extra in ((), ("lam",)):
+            aring, images, chart = affine_chart(ring, seeded_rng("chart-pin", seed), extra)
+            ref_ring, ref_images = _ref_affine_chart(ring, seeded_rng("chart-pin", seed), extra)
+            assert aring == ref_ring
+            assert [img.terms for img in images] == [img.terms for img in ref_images]
+            values = random_coords(field, seeded_rng("chart-values", seed), aring.nvars)
+            assert chart(values) == tuple(img.evaluate(values) for img in ref_images)
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_zero_dim_slice_matches_the_appended_cuts(key):
+    # same distinct-point count and same F_p points as the former slice
+    for seed in (1, 2, 3):
+        var = build_catalog_variety(key, seed, FP)
+        dim = hilbert_invariants(var.ideal).dimension
+        ours = zero_dim_slice(var.ideal, dim, seeded_rng("slice-oracle", key, seed), None)
+        ref = _ref_zero_dim_slice(var.ideal, dim, seeded_rng("slice-oracle", key, seed))
+        assert (ours is None) == (ref is None)
+        if ours is None:
+            continue
+        counts = [count_distinct_points(gb, seeded_rng("count", seed)) for gb in (ours[0], ref[0])]
+        assert counts[0] == counts[1] >= 1
+        ours_pts = {
+            ProjectivePoint.make(FP, ours[1](v)).coords
+            for v in enumerate_points_prime_field(ours[0], seeded_rng("pts", seed), require_all=False)
+        }
+        ref_pts = {
+            ProjectivePoint.make(FP, [img.evaluate(v) for img in ref[1]]).coords
+            for v in enumerate_points_prime_field(ref[0], seeded_rng("pts", seed), require_all=False)
+        }
+        assert ours_pts == ref_pts
+
+
+def test_affine_chart_with_dependent_draws_is_none(monkeypatch):
+    # two equal cut forms leave the section underdetermined
+    ring = ambient_ring(3, FP)
+    monkeypatch.setattr(geometry, "random_coords", lambda field, rng, n: [1, 2, 3, 4])
+    assert affine_chart(ring, seeded_rng("dep"), cuts=1) is None
+    assert zero_dim_slice(Ideal.of(ring, ring.gens()[:1]), 1, seeded_rng("dep"), None) is None
