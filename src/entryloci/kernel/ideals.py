@@ -5,10 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import HomogeneityError, RingMismatchError
+from .errors import DegenerateInputError, HomogeneityError, RingMismatchError
 from .groebner import Budget, Divisors, buchberger, normal_form as nf_terms, spolynomial
 from .orders import GREVLEX, Block
 from .poly import Polynomial, RingContext
+
+
+QUOTIENT_CAP = 4096  # largest quotient basis the dense solvers accept
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,47 @@ class GroebnerBasis:
         """The basis prepared for division, built on first use and kept on
         this object for every later normal form against it."""
         return Divisors(self.basis, self.ring)
+
+    @cached_property
+    def staircase(self):
+        """Monomial basis of ring/I for a zero-dimensional I, else None; kept
+        on this object after the first walk.
+
+        The staircase is walked depth first, in lexicographic order with the
+        first variable most significant; a prefix divisible by a leading
+        monomial ends its branch, and the walk raises as soon as it passes
+        ``QUOTIENT_CAP``.
+        """
+        n = self.ring.nvars
+        lts = [g.leading_monomial() for g in self.basis]
+        if any(sum(m) == 0 for m in lts):
+            return []
+        # leading monomials grouped by their last variable: the only ones a
+        # prefix can newly become divisible by when that variable grows
+        by_last = [[] for _ in range(n)]
+        for m in lts:
+            by_last[max(i for i, e in enumerate(m) if e)].append(m)
+        if any(not any(m[i] == sum(m) for m in by_last[i]) for i in range(n)):
+            return None  # some variable has no pure power among the leading terms
+        out = []
+
+        def walk(prefix):
+            k = len(prefix)
+            if k == n:
+                out.append(prefix)
+                if len(out) > QUOTIENT_CAP:
+                    raise DegenerateInputError("quotient basis larger than cap")
+                return
+            e = 0
+            while True:
+                mono = prefix + (e,)
+                if any(all(a >= b for a, b in zip(mono, lt)) for lt in by_last[k]):
+                    return  # x_k^e divides into the ideal; so does every larger e
+                walk(mono)
+                e += 1
+
+        walk(())
+        return out
 
 
 _GB_CACHE: dict = {}

@@ -18,7 +18,7 @@ import re
 from operator import add
 
 from .errors import CoefficientError, ParseError, RingMismatchError
-from .fields import QQ, PrimeField, Rationals
+from .fields import QQ, PrimeField
 from .orders import GREVLEX
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -187,9 +187,6 @@ class Polynomial:
             buckets.setdefault(sum(m), {})[m] = c
         return [self.ring.from_dict(buckets[d]) for d in sorted(buckets, reverse=True)]
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -277,20 +274,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, self.terms))
 
-    def proportional_to(self, other: "Polynomial") -> bool:
-        """True if self = c * other for a nonzero constant c."""
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if len(self.terms) != len(other.terms):
-            return False
-        field = self.ring.field
-        ratio = field.div(self.leading_coeff(), other.leading_coeff())
-        for (m1, c1), (m2, c2) in zip(self.terms, other.terms):
-            if m1 != m2 or c1 != field.mul(ratio, c2):
-                return False
-        return True
-
     # -- substitution / evaluation -----------------------------------------
 
     def evaluate(self, point):
@@ -332,21 +315,6 @@ class Polynomial:
                 prev = acc.get(mono)
                 acc[mono] = c * d if prev is None else prev + c * d
         return Polynomial(target, target.sorted_terms(_reduced(acc, p)))
-
-    def reduce_mod(self, target: RingContext) -> "Polynomial":
-        """Image of a Q-polynomial in an F_p ring with the same variables."""
-        if self.ring.names != target.names:
-            raise RingMismatchError("variable mismatch in modular reduction")
-        field = target.field
-        out = {}
-        for m, c in self.terms:
-            if isinstance(self.ring.field, Rationals) and isinstance(field, PrimeField):
-                v = field.from_rational(c.numerator, c.denominator)
-            else:
-                v = field.coerce(c)
-            if v != field.zero:
-                out[m] = v
-        return target.from_dict(out)
 
     def derivative(self, i: int) -> "Polynomial":
         field = self.ring.field

@@ -140,16 +140,50 @@ def u_squarefree_part(a, field):
     return u_monic(q, field)
 
 
-def u_pow_mod(base, e, mod, field):
-    result = [field.one]
-    base = u_divmod(base, mod, field)[1]
+def u_pow_mod(base, e, mod, field: PrimeField):
+    """base^e modulo ``mod`` over F_p, the canonical remainder (so equal to
+    repeated ``u_divmod`` of ``u_mul`` products).  e = 0 gives [1], the empty
+    product, unreduced: modulo a constant it is not the remainder [].
+
+    Plain ints mod p: the modulus is made monic once, each product and its
+    reduction are accumulated unreduced, and every coefficient takes one
+    ``% p`` (before it is used as a multiplier, or at the end).
+    """
+    if not mod:
+        raise ZeroDivisionError("univariate division by zero")
+    p = field.p
+    inv = pow(mod[-1], -1, p)
+    tail = [c * inv % p for c in mod[:-1]]  # x^d = -tail(x) modulo mod
+    result = [1]
+    base = _mul_mod([1], base, tail, p)
     while e:
         if e & 1:
-            result = u_divmod(u_mul(result, base, field), mod, field)[1]
+            result = _mul_mod(result, base, tail, p)
         e >>= 1
         if e:
-            base = u_divmod(u_mul(base, base, field), mod, field)[1]
+            base = _mul_mod(base, base, tail, p)
     return result
+
+
+def _mul_mod(a, b, tail, p):
+    """a * b modulo the monic x^d + tail(x), d = len(tail), over F_p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    d = len(tail)
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i] % p
+        if c:
+            for j, y in enumerate(tail, i - d):
+                out[j] -= c * y
+    out = [x % p for x in out[:d]]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def u_rational_root_part(a, field: PrimeField):

@@ -22,6 +22,7 @@ from .errors import DegenerateInputError
 from .fields import PrimeField
 from .groebner import Budget
 from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
+from .ideals import QUOTIENT_CAP  # noqa: F401  (re-exported: the staircase walk's cap)
 from .linalg import rref
 from .orders import GREVLEX
 from .poly import Polynomial, RingContext
@@ -29,46 +30,11 @@ from .rng import random_coords
 from .univar import u_degree, u_roots_prime_field, u_squarefree_part
 
 
-QUOTIENT_CAP = 4096  # largest quotient basis the dense solvers accept
-
-
 def quotient_monomials(gb: GroebnerBasis):
-    """Monomial basis of ring/I for a zero-dimensional I, else None.
-
-    The staircase is walked depth first, in lexicographic order with the
-    first variable most significant; a prefix divisible by a leading monomial
-    ends its branch, and the walk raises as soon as it passes the cap.
-    """
-    n = gb.ring.nvars
-    lts = [g.leading_monomial() for g in gb.basis]
-    if any(sum(m) == 0 for m in lts):
-        return []
-    # leading monomials grouped by their last variable: the only ones a
-    # prefix can newly become divisible by when that variable grows
-    by_last = [[] for _ in range(n)]
-    for m in lts:
-        by_last[max(i for i, e in enumerate(m) if e)].append(m)
-    if any(not any(m[i] == sum(m) for m in by_last[i]) for i in range(n)):
-        return None  # some variable has no pure power among the leading terms
-    out = []
-
-    def walk(prefix):
-        k = len(prefix)
-        if k == n:
-            out.append(prefix)
-            if len(out) > QUOTIENT_CAP:
-                raise DegenerateInputError("quotient basis larger than cap")
-            return
-        e = 0
-        while True:
-            mono = prefix + (e,)
-            if any(all(a >= b for a, b in zip(mono, lt)) for lt in by_last[k]):
-                return  # x_k^e divides into the ideal; so does every larger e
-            walk(mono)
-            e += 1
-
-    walk(())
-    return out
+    """Monomial basis of ring/I for a zero-dimensional I, else None: the
+    basis's staircase (:attr:`GroebnerBasis.staircase`), walked once per
+    basis."""
+    return gb.staircase
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -133,14 +99,23 @@ def count_distinct_points(
 ) -> int:
     """Number of distinct solutions of a zero-dimensional system over the
     algebraic closure: the squarefree degree of the minimal polynomial of a
-    random separating linear form (max over trials; a non-separating form can
-    only undercount)."""
+    random separating linear form, maximized over up to ``trials`` forms (a
+    non-separating form can only undercount).
+
+    The count never exceeds D = dim ring/I, the staircase's length, so the
+    first trial that reaches D is exact and the rest are not computed; their
+    forms are still drawn, so ``rng`` leaves here in the same state whatever
+    the trials found.
+    """
+    monos = quotient_monomials(gb)
+    if monos is None:
+        raise DegenerateInputError("ideal is not zero-dimensional")
     best = 0
     for _ in range(trials):
         t = random_linear_combination(gb.ring, rng)
-        mp = minimal_polynomial_of(t, gb, budget)
-        sf = u_squarefree_part(mp, gb.ring.field)
-        best = max(best, u_degree(sf))
+        if best < len(monos):
+            mp = minimal_polynomial_of(t, gb, budget)
+            best = max(best, u_degree(u_squarefree_part(mp, gb.ring.field)))
     return best
 
 

@@ -4,8 +4,13 @@ of length-2 decompositions of a point.
 Secant dimensions use the classical tangent-span computation: the tangent
 space to the s-th secant at a general point of the span of s general points is
 the span of the tangent spaces at those points, so its dimension is the rank
-of the stacked Jacobians.  Ranks are maximized over independent trials since a
-special sample can only under-estimate.
+of the stacked Jacobians.  Ranks are maximized over up to ``SECANT_TRIALS``
+independent trials, since a special sample can only under-estimate; the
+trials stop early once every step reaches the expected dimension
+min(s(n+1) - 1, r), an upper bound on dim sigma_s (Terracini's lemma).
+Decompositions are counted on seeded affine charts, and a one-sided
+certificate ends the count after the first chart when it provably misses
+nothing (:func:`two_decompositions`).
 """
 
 from __future__ import annotations
@@ -28,14 +33,16 @@ from .kernel.linalg import kernel_basis, rank
 from .kernel.orders import GREVLEX
 from .kernel.poly import Polynomial
 from .kernel.rng import random_coords, seeded_rng
+from .kernel.univar import u_divmod
 from .kernel.zerodim import (
     count_distinct_points,
     enumerate_points_prime_field,
     is_zero_dimensional,
+    minimal_polynomial_of,
 )
 
 
-SECANT_TRIALS = 3  # independent samples; the secant ranks are maximized over them
+SECANT_TRIALS = 3  # at most this many independent samples; the secant ranks are maximized over them
 
 
 @dataclass(frozen=True)
@@ -119,13 +126,17 @@ def secant_dims(
 
     Parametrized varieties stack parametrization Jacobians at seeded random
     parameter points; implicit ones use generator-Jacobian kernels at rational
-    witness points (prime fields only).
+    witness points (prime fields only).  A trial in which every step reaches
+    its expected dimension ends the sampling: by Terracini's lemma no sample
+    of general points gives more, and each trial draws from its own seeded
+    stream, so the trials run do not depend on the ones skipped.
     """
     field = X.field
     r = X.ambient
     n = X.meta.get("n")
     if n is None:
         n = hilbert_invariants(X.ideal, budget).dimension
+    expected = [min(s * (n + 1) - 1, r) for s in range(1, s_max + 1)]
     best = [0] * s_max
     for trial in range(SECANT_TRIALS):
         rng = seeded_rng(("terracini", X.meta.get("key"), seed, trial))
@@ -142,12 +153,13 @@ def secant_dims(
             dim_s = rank(stacked, field) - 1
             if dim_s > best[s - 1]:
                 best[s - 1] = dim_s
+        if best == expected:
+            break  # every step is at its upper bound: later trials cannot raise it
     steps = []
     r_gen = None
     for s in range(1, s_max + 1):
-        expected = min(s * (n + 1) - 1, r)
         dim_s = best[s - 1]
-        steps.append(SecantStep(s, dim_s, expected, dim_s < expected))
+        steps.append(SecantStep(s, dim_s, expected[s - 1], dim_s < expected[s - 1]))
         if r_gen is None and dim_s == r:
             r_gen = s
     return SecantProfile(tuple(steps), r_gen)
@@ -217,12 +229,42 @@ def incidence_generators(X: ProjectiveVariety, q: ProjectivePoint, ring, a_imgs,
 
 def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: random.Random):
     """Affine incidence system for rank-2 decompositions through q, with the
-    a-block dehomogenized on a seeded random chart.  Returns the system and
-    the chart recovering a from a solution, whose last coordinate is lam.
+    a-block dehomogenized on a seeded random chart {c . a = 1}.  Returns the
+    system, the chart recovering a from a solution (whose last coordinate is
+    lam) and c . q.
     """
     aff, a_imgs, chart = affine_chart(X.ring, rng, ("lam",))
     gens = incidence_generators(X, q, aff, a_imgs, aff.variable(aff.nvars - 1))
-    return Ideal.of(aff, gens), chart
+    return Ideal.of(aff, gens), chart, _chart_value(chart, aff.nvars, q, X.field)
+
+
+def _chart_value(chart, nvars, q: ProjectivePoint, field):
+    """c . q for the chart {c . x = 1} that ``chart`` parametrizes.
+
+    The chart solves for one pivot coordinate k: x_k = (1 - sum_{j != k}
+    c_j x_j) / c_k, and keeps the others as affine coordinates.  So the
+    chart's origin has x_k = 1 / c_k and its other coordinates 0, and at
+    the affine point y with the other coordinates of q (and lam = 0),
+    c . q = 1 + c_k * (q_k - x_k(y)).
+    """
+    zero = field.zero
+    origin = chart([zero] * nvars)
+    k = next(i for i, v in enumerate(origin) if v != zero)
+    y = [c for i, c in enumerate(q.coords) if i != k] + [zero]
+    diff = field.sub(q.coords[k], chart(y)[k])
+    return field.add(field.one, field.div(diff, origin[k]))
+
+
+def _misses_nothing(gb, count: int, cq, budget) -> bool:
+    """True when a chart's zero-dimensional system, with ``count`` distinct
+    solutions, provably holds every decomposition, each once (conditions
+    (i)-(iii) of :func:`two_decompositions`)."""
+    field = gb.ring.field
+    if cq == field.zero or count != len(gb.staircase):
+        return False
+    lam = gb.ring.variable(gb.ring.nvars - 1)
+    mp = minimal_polynomial_of(lam, gb, budget)
+    return bool(u_divmod(mp, [cq, field.one], field)[1])  # the remainder is mp(-cq)
 
 
 def two_decompositions(
@@ -235,6 +277,23 @@ def two_decompositions(
 
     Counting is chart- and field-robust (squarefree eliminant degree); explicit
     pairs are produced when the solution coordinates split over a prime field.
+
+    Each round solves b = lam * a + q on a seeded chart {c . a = 1}; its
+    distinct solutions are the ordered pairs (A, B) with c . A != 0, so a
+    round can only undercount, and the count is the largest over up to three
+    rounds (two that agree end it).  Round 0 is exact, and the later rounds
+    are skipped, when (i) c . q != 0, (ii) its distinct-point count equals
+    D = dim ring/I (the count never exceeds D, so it is then exact and the
+    system radical) and (iii) m(-c . q) != 0 for the minimal polynomial m of
+    lam on ring/I, whose roots are lam's values at the solutions.  Proof: a
+    missed ordered pair (A, B) has c . A = 0; q = alpha * A + beta * B gives
+    c . B = c . q / beta != 0, so (B, A) is a chart solution, and b = B /
+    (c . B) with lam * b + q proportional to A forces lam = -beta * c . B =
+    -c . q, which (iii) excludes.  A unit ideal with c . q != 0 certifies
+    the count 0 the same way, and a positive-dimensional family of
+    decompositions missed by the chart would put infinitely many solutions
+    at lam = -c . q.  The later rounds can then only undercount, so the
+    maximum is round 0's count and round 0's basis is the one enumerated.
     """
     if X.contains_point(q):
         raise DegenerateInputError("base point lies on the variety")
@@ -243,10 +302,12 @@ def two_decompositions(
     best = None
     for round_idx in range(3):
         rng = seeded_rng(("decomp", X.meta.get("key"), seed, round_idx))
-        system, chart = _incidence_affine_system(X, q, rng)
+        system, chart, cq = _incidence_affine_system(X, q, rng)
         gb = groebner_basis(system, GREVLEX, budget)
         if gb.is_unit():
             counts.append(0)
+            if round_idx == 0 and cq != field.zero:
+                break
             continue
         if not is_zero_dimensional(gb):
             return DecompositionSet(True, None, None)
@@ -254,6 +315,8 @@ def two_decompositions(
         counts.append(c)
         if best is None or c > counts[best[0]]:
             best = (round_idx, gb, chart, rng)
+        if round_idx == 0 and _misses_nothing(gb, c, cq, budget):
+            break
         if round_idx == 1 and counts[0] == counts[1]:
             break
     solutions = max(counts)

@@ -1,0 +1,168 @@
+"""The early stops of the decomposition count, the distinct-point count and
+the secant profile against reference copies of the routes that ran every
+round and every trial (``helpers._ref_*``), and the certificate forced to
+refuse."""
+
+import pytest
+
+from entryloci import geometry, rank_secant
+from entryloci.catalog import build_catalog_variety, catalog_keys
+from entryloci.geometry import ProjectivePoint, random_point, zero_dim_slice
+from entryloci.kernel import GREVLEX, QQ, Ideal, KernelError, PrimeField, RingContext, groebner_basis
+from entryloci.kernel.hilbert import hilbert_invariants
+from entryloci.kernel.rng import random_coords, random_scalar, seeded_rng
+from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
+from entryloci.rank_secant import secant_dims, two_decompositions
+from entryloci.suite import resolve_field
+from helpers import _ref_count_distinct_points, _ref_secant_dims, _ref_two_decompositions
+
+CASES = [(k, f) for k in catalog_keys() for f in ("fp:auto", "Q")]
+
+
+def _outcome(fn):
+    """The value of fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except KernelError as err:
+        return type(err), str(err)
+
+
+def _dot(field, c, x):
+    total = field.zero
+    for a, b in zip(c, x):
+        total = field.add(total, field.mul(a, b))
+    return total
+
+
+@pytest.mark.parametrize("key,field_desc", CASES)
+def test_decompositions_and_secant_profiles_match_every_round(key, field_desc):
+    for seed in (1, 2, 3):
+        field = resolve_field(field_desc, seed)
+        var = build_catalog_variety(key, seed, field)
+        # the general point of `el decomp`
+        q = random_point(field, seeded_rng(("cli-decomp", seed)), var.ambient + 1,
+                         off_coordinate_hyperplanes=True)
+        assert _outcome(lambda: two_decompositions(var, q, seed=seed)) == _outcome(
+            lambda: _ref_two_decompositions(var, q, seed=seed))
+        assert _outcome(lambda: secant_dims(var, 2, seed=seed)) == _outcome(
+            lambda: _ref_secant_dims(var, 2, seed=seed))
+
+
+def _zero_dim_bases(var, seed):
+    """Round 0's decomposition system and a dimension-many slice of var."""
+    field = var.field
+    q = random_point(field, seeded_rng(("cert-q", seed)), var.ambient + 1)
+    if not var.contains_point(q):
+        rng = seeded_rng(("decomp", var.meta.get("key"), seed, 0))
+        system = rank_secant._incidence_affine_system(var, q, rng)[0]
+        yield groebner_basis(system, GREVLEX)
+    dim = hilbert_invariants(var.ideal).dimension
+    cut = zero_dim_slice(var.ideal, dim, seeded_rng(("cert-slice", seed)), None)
+    if cut is not None:
+        yield cut[0]
+
+
+@pytest.mark.parametrize("key,field_desc", CASES)
+def test_point_counts_match_every_trial_and_leave_the_stream_alike(key, field_desc):
+    for seed in (1, 2, 3):
+        var = build_catalog_variety(key, seed, resolve_field(field_desc, seed))
+        for gb in _zero_dim_bases(var, seed):
+            if not is_zero_dimensional(gb):
+                continue
+            for trials in (1, 2, 3):
+                ours, ref = seeded_rng("cert-count", seed), seeded_rng("cert-count", seed)
+                assert count_distinct_points(gb, ours, trials) == _ref_count_distinct_points(
+                    gb, ref, trials)
+                assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("field", [PrimeField(65537), QQ], ids=str)
+def test_certificate_conditions_on_small_systems(field):
+    # lam is the last variable, as on a decomposition chart
+    ring = RingContext(("x", "lam"), field)
+
+    def gb(*gens):
+        return groebner_basis(Ideal.of(ring, [ring.from_string(g) for g in gens]), GREVLEX)
+
+    radical = gb("x^2 - 1", "lam - 5")  # two points, both at lam = 5
+    assert rank_secant._misses_nothing(radical, 2, field.coerce(3), None)
+    assert not rank_secant._misses_nothing(radical, 2, field.zero, None)  # (i)
+    assert not rank_secant._misses_nothing(radical, 1, field.coerce(3), None)  # (ii): 1 < D = 2
+    assert not rank_secant._misses_nothing(radical, 2, field.coerce(-5), None)  # (iii): m(5) = 0
+    double = gb("x^2", "lam - 5")  # one point of multiplicity 2
+    assert count_distinct_points(double, seeded_rng("double")) == 1
+    assert not rank_secant._misses_nothing(double, 1, field.coerce(3), None)
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Every (count, c . q, verdict) of round 0's certificate."""
+    seen = []
+    real = rank_secant._misses_nothing
+
+    def spy(gb, count, cq, budget):
+        verdict = real(gb, count, cq, budget)
+        seen.append((count, cq, verdict))
+        return verdict
+
+    monkeypatch.setattr(rank_secant, "_misses_nothing", spy)
+    return seen
+
+
+def _check07_pair(seed=1):
+    """The pair {a, b} and the point q = a + l*b of check 07 on rnc3."""
+    field = resolve_field("fp:auto", seed)
+    var = build_catalog_variety("rnc3", seed, field)
+    rng = seeded_rng(("rnc3-pair", seed))
+    a, b = (ProjectivePoint.make(field, var.param.evaluate(random_coords(field, rng, 2)))
+            for _ in range(2))
+    lam = field.coerce(random_scalar(field, rng)) or field.one
+    q = ProjectivePoint.make(field, [field.add(x, field.mul(lam, y))
+                                     for x, y in zip(a.coords, b.coords)])
+    return field, var, a, b, q
+
+
+def test_a_chart_through_one_point_of_the_pair_is_refused(monkeypatch, certificates):
+    field, var, a, b, q = _check07_pair()
+    real = geometry.random_coords
+    calls = []
+
+    def through_a(fld, rng, n):
+        # round 0's chart form, moved so that c . a = 0
+        c = real(fld, rng, n)
+        if not calls:
+            c[0] = field.neg(_dot(field, c[1:], a.coords[1:]))  # a.coords[0] == 1
+            assert _dot(field, c, a.coords) == field.zero
+        calls.append(c)
+        return c
+
+    monkeypatch.setattr(geometry, "random_coords", through_a)
+    ds = two_decompositions(var, q, seed=1)
+    # round 0 sees only the ordered pair (b, a), at lam = -c . q
+    assert certificates == [(1, _dot(field, calls[0], q.coords), False)]
+    assert len(calls) == 3  # so rounds 1 and 2 ran, and they find both orders
+    assert ds.count == 1 and not ds.positive_dimensional
+    assert {p.coords for p in ds.pairs[0]} == {a.coords, b.coords}
+
+
+def test_a_point_on_the_charts_polar_hyperplane_is_refused(certificates):
+    field, var, _, _, _ = _check07_pair()
+    c = random_coords(field, seeded_rng(("decomp", "rnc3", 1, 0)), 4)  # round 0's chart form
+    general = random_point(field, seeded_rng("cert-general"), 4)
+    system_rng = seeded_rng(("decomp", "rnc3", 1, 0))
+    assert rank_secant._incidence_affine_system(var, general, system_rng)[2] == _dot(
+        field, c, general.coords)
+    rng = seeded_rng("cert-polar")
+    k = max(i for i, x in enumerate(c) if x != field.zero)
+    while True:
+        v = random_coords(field, rng, 4)
+        v[k] = field.div(field.neg(_dot(field, c[:k] + c[k + 1:], v[:k] + v[k + 1:])), c[k])
+        q = ProjectivePoint.make(field, v)
+        if not var.contains_point(q):
+            break
+    assert _dot(field, c, q.coords) == field.zero
+    ds = two_decompositions(var, q, seed=1)
+    assert [verdict for _, cq, verdict in certificates] == [False]
+    assert certificates[0][1] == field.zero
+    assert ds == _ref_two_decompositions(var, q, seed=1)
+    assert ds.count == 1 and ds.pairs is not None

@@ -23,6 +23,7 @@ from entryloci.kernel.linalg import det
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_interpolate, u_scale, u_sub, u_trim
 from entryloci.suite import classified, resolve_field
+from helpers import proportional_to
 
 
 @pytest.fixture
@@ -33,17 +34,17 @@ def plane():
 def test_squarefree_strips_repeated_factor(plane):
     f = plane.from_string("x - y") ** 2 * plane.from_string("x + y")
     sf = squarefree_part(f)
-    assert sf.proportional_to(plane.from_string("x^2 - y^2"))
+    assert proportional_to(sf, plane.from_string("x^2 - y^2"))
 
 
 def test_squarefree_idempotent_on_squarefree_input(plane):
     f = plane.from_string("x^2 + y^2 - 1")
-    assert squarefree_part(f).proportional_to(f)
+    assert proportional_to(squarefree_part(f), f)
 
 
 def test_squarefree_perfect_square(plane):
     f = plane.from_string("x^4 - 2*x^2*y^2 + y^4")
-    assert squarefree_part(f).proportional_to(plane.from_string("x^2 - y^2"))
+    assert proportional_to(squarefree_part(f), plane.from_string("x^2 - y^2"))
 
 
 def test_squarefree_characteristic_guard():
@@ -56,8 +57,8 @@ def test_bivariate_gcd(plane):
     a = plane.from_string("x - y") * plane.from_string("x + y + 1")
     b = plane.from_string("x - y") * plane.from_string("x^2 + y")
     g = bivariate_gcd(a, b)
-    assert g.proportional_to(plane.from_string("x - y"))
-    assert poly_exact_div(a, g).proportional_to(plane.from_string("x + y + 1"))
+    assert proportional_to(g, plane.from_string("x - y"))
+    assert proportional_to(poly_exact_div(a, g), plane.from_string("x + y + 1"))
 
 
 def test_factor_count_fixed_triple(plane):
@@ -182,7 +183,7 @@ def test_squarefree_part_matches_sympy(factors):
     theirs = sympy.Poly(sympy.sqf_part(sympy.expand(expr)), sx, sy)
     expected = ring.from_dict({m: int(c) for m, c in theirs.terms()})
     ours = squarefree_part(f)
-    assert ours.proportional_to(expected)
+    assert proportional_to(ours, expected)
     assert is_squarefree(ours)
 
 

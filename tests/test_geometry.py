@@ -44,7 +44,7 @@ from entryloci.kernel.zerodim import (
     random_linear_combination,
 )
 from entryloci.suite import resolve_field
-from helpers import sample_point
+from helpers import proportional_to, sample_point
 
 FP = PrimeField(2147483659)
 
@@ -78,7 +78,7 @@ def test_implicitize_conic():
     assert len(ideal.gens) == 1
     g = ideal.gens[0]
     target = ideal.ring
-    assert g.proportional_to(target.from_string("x1^2 - x0*x2"))
+    assert proportional_to(g, target.from_string("x1^2 - x0*x2"))
 
 
 def test_implicitize_twisted_cubic():

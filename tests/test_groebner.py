@@ -19,6 +19,7 @@ from entryloci.kernel import (
 )
 from entryloci.kernel import groebner
 from entryloci.kernel.orders import GREVLEX, LEX, Block
+from helpers import reduce_mod
 
 
 def test_single_generator_is_its_own_basis():
@@ -113,7 +114,7 @@ def test_groebner_over_prime_field_matches_rational_leading_terms():
     gens_q = [ring_q.from_string("x^2 + y*z - 1"), ring_q.from_string("x*z - y + 2")]
     p = 2147483659
     ring_p = RingContext(("x", "y", "z"), PrimeField(p))
-    gens_p = [g.reduce_mod(ring_p) for g in gens_q]
+    gens_p = [reduce_mod(g, ring_p) for g in gens_q]
     gb_q = groebner_basis(Ideal.of(ring_q, gens_q))
     gb_p = groebner_basis(Ideal.of(ring_p, gens_p))
     assert [g.leading_monomial() for g in gb_q.basis] == [
