@@ -7,9 +7,7 @@ decomposition point as b = lam * a + q: with the second line coordinate fixed
 to 1, the diagonal branch b ~ a never appears, and eliminating lam projects
 onto the first factor in one Groebner run over one added variable
 (``rank_secant.incidence_generators`` builds the system and proves that this
-equals saturating by the second coordinate).  A parametrized route
-substitutes a = phi(s), b = phi(u); it is kept as an independent reference
-that the tests compare the implicit route against.
+equals saturating by the second coordinate).
 
 The entry locus is a closure, so every invariant is read off the ideal
 saturated by the irrelevant ideal.  That saturation is
@@ -29,7 +27,6 @@ from .geometry import (
     ProjectivePoint,
     ProjectiveVariety,
     dehomogenize,
-    implicitize,
     graded_piece_rows,
     project_image,
     random_point,
@@ -115,30 +112,6 @@ def _implicit_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> I
     a_vars = [big.variable(1 + i) for i in range(ring.nvars)]
     gens = incidence_generators(X, q, big, a_vars, big.variable(0))
     return homogeneous_generators(eliminate(Ideal.of(big, gens), 1, budget).map_ring(ring))
-
-
-def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> Ideal:
-    """Entry locus via a = phi(s), b = phi(u) = lam * phi(s) + q: eliminate
-    lam and u, then implicitize the resulting parameter locus."""
-    if X.param is None:
-        raise DegenerateInputError("parametrized route needs a parametrization")
-    pring = X.param.ring
-    field = X.field
-    m = pring.nvars
-    names = ("lam_",) + tuple(f"u{i}" for i in range(m)) + tuple(pring.names)
-    big = RingContext(names, field, Block(1 + m))
-    lam = big.variable(0)
-    u_vars = [big.variable(1 + i) for i in range(m)]
-    s_vars = [big.variable(1 + m + i) for i in range(m)]
-    gens = [
-        f.substitute(u_vars, big) - lam * f.substitute(s_vars, big) - big.constant(c)
-        for f, c in zip(X.param.forms, q.coords)
-    ]
-    s_locus = eliminate(Ideal.of(big, gens), 1 + m, budget)
-    s_ring = RingContext(tuple(pring.names), field)
-    s_locus = homogeneous_generators(s_locus.map_ring(s_ring))
-    # image of the parameter locus under phi
-    return implicitize(X.param, budget, locus=s_locus.gens)
 
 
 # -- component counting ----------------------------------------------------------

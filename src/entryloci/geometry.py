@@ -163,16 +163,15 @@ def projection_frame(field, rows, n: int):
 # -- implicitization -----------------------------------------------------------
 
 
-def implicitize(param: Parametrization, budget: Budget | None = None, locus=()) -> Ideal:
-    """Ideal of the closure of the parametrization image (of the parameter
-    locus cut out by the ``locus`` forms, when given).
+def implicitize(param: Parametrization, budget: Budget | None = None) -> Ideal:
+    """Ideal of the closure of the parametrization image.
 
-    Eliminates the parameters from the graph ideal (locus forms, x_i - P_i(s))
-    under a block order: its intersection with k[x] is the kernel of
-    k[x] -> k[s]/(locus), x_i -> P_i(s).  The forms P_i share one degree, so
-    that map is graded and the kernel is the homogeneous ideal of the image
-    cone; a base point maps to the cone's vertex x = 0, which is no point of
-    P^r, so no saturation is needed.
+    Eliminates the parameters from the graph ideal (x_i - P_i(s)) under a
+    block order: its intersection with k[x] is the kernel of k[x] -> k[s],
+    x_i -> P_i(s).  The forms P_i share one degree, so that map is graded
+    and the kernel is the homogeneous ideal of the image cone; a base point
+    maps to the cone's vertex x = 0, which is no point of P^r, so no
+    saturation is needed.
     """
     pring = param.ring
     m = pring.nvars
@@ -182,8 +181,7 @@ def implicitize(param: Parametrization, budget: Budget | None = None, locus=()) 
     def lift(f):
         return big.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms})
 
-    gens = [lift(g) for g in locus]
-    gens += [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
+    gens = [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
     out = eliminate(Ideal.of(big, gens), m, budget)
     return homogeneous_generators(out.map_ring(ambient_ring(r, pring.field)))
 

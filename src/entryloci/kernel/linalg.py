@@ -3,23 +3,39 @@
 Matrices are plain lists of row lists holding field-element payloads
 (Fractions over Q, ints over F_p).  Everything here is Gaussian elimination.
 
-:func:`rref` is one sparse Gauss-Jordan loop.  Each row is a ``{column:
-value}`` dict of its nonzero entries.  For each column in turn, the live row
-with the fewest entries that holds the column becomes the pivot (Markowitz,
-Management Science 3, 1957) and clears the column from every other live row
-and from every earlier pivot row; a row operation walks only the pivot row's
-entries.  The reduced row echelon form is unique, so the rows and pivots are
-those of a dense elimination in any pivot order.  Two row operations share
+:func:`echelon` is one sparse forward-elimination loop.  Each row is a
+``{column: value}`` dict of its nonzero entries.  For each column in turn,
+the live row with the fewest entries that holds the column becomes the pivot
+(Markowitz, Management Science 3, 1957) and clears the column from every
+other live row; a row operation walks only the pivot row's entries.  A live
+row never holds a column left of the current one, so the pivot rows form a
+row echelon form, and their number is the rank.  Two row operations share
 the loop:
 
 * over F_p the pivot row is scaled by its inverse and a row ``x`` loses
   ``f`` times it as ``(x - f * y) % p``, so each new entry is reduced once;
-* over Q (``field.char == 0``) no ``Fraction`` arithmetic runs inside the
-  elimination.  Each row is first scaled by the lcm of its denominators, a
-  row operation is the integer cross-multiplication ``row_i <- (pv/g) *
-  row_i - (f/g) * row_r`` with ``g = gcd(pv, f)``, every changed row is
-  divided by its content, and each finished pivot row is divided by its
-  pivot once.
+* over Q (``field.char == 0``) the rows are integers and no ``Fraction``
+  arithmetic runs inside the elimination: a row operation is the integer
+  cross-multiplication ``row_i <- (pv/g) * row_i - (f/g) * row_r`` with
+  ``g = gcd(pv, f)``, and every changed row is divided by its content.
+
+:func:`rref` is that forward pass plus one back-substitution pass
+(:func:`reduce_echelon`): from the last pivot to the first, each pivot
+column is cleared from the earlier pivot rows.  A pivot row holds no column
+left of its pivot, so when pivot k is used every later pivot column has
+already been cleared from it, and one pass leaves each pivot column with a
+single nonzero entry.  The reduced row echelon form of a matrix depends only
+on its row space, so the rows and pivots are those of a dense Gauss-Jordan
+elimination in any pivot order; over Q each finished pivot row is divided by
+its pivot once.  :func:`rank` runs the forward pass only, and
+:func:`echelon_solution` reads a null vector over F_p off the forward pass
+by back substitution, with chosen values at the free columns.
+
+Modulo a prime p, an integer matrix can only lose rank: a set of columns
+independent mod p has a nonzero minor mod p, hence over Q.  So the rank of
+every leading block of columns mod p is at most its rank over Q, and the
+pivot columns over Q, read left to right, are the lexicographically first
+among the pivot columns of all reductions of full rank.
 
 :func:`det` is one dense loop for both fields: Bareiss's fraction-free
 elimination (Math. Comp. 22, 1968), exact over any integral domain.  Each
@@ -47,9 +63,13 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _sparse(row):
-    """The ``{column: value}`` dict of a row's nonzero entries."""
-    return {j: x for j, x in enumerate(row) if x}
+def _sparse_rows(rows, field):
+    """The ``{column: value}`` dicts of the nonzero rows; over Q each row is
+    first cleared to a primitive integer row."""
+    if not field.char:
+        rows = [_primitive(_cleared(row)[0]) for row in rows]
+    live = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return [row for row in live if row]
 
 
 def _clear_mod_p(row, c, pivot_items, p):
@@ -84,17 +104,17 @@ def _clear_integer(row, c, pivot_items, pv):
             row[j] //= g
 
 
-def rref(rows, field):
-    """Reduced row echelon form. Returns (new rows, pivot column list)."""
-    if not rows:
-        return [], []
-    m, n = len(rows), len(rows[0])
+def _clear(pivot, c, p):
+    """(row operation, its last argument) for the pivot row of column ``c``."""
+    return (_clear_mod_p, p) if p else (_clear_integer, pivot[c])
+
+
+def echelon(rows, n, field):
+    """Forward elimination of ``n``-column sparse rows, which it consumes
+    (over Q they must be integer rows).  Returns the ``(column, row)``
+    pivots of a row echelon form in column order; over F_p each pivot is 1."""
     p = field.char
-    if p:
-        live = [_sparse(row) for row in rows]
-    else:
-        live = [_sparse(_primitive(_cleared(row)[0])) for row in rows]
-    live = [row for row in live if row]
+    live = [row for row in rows if row]
     pivots = []
     for c in range(n):
         if not live:
@@ -107,23 +127,53 @@ def rref(rows, field):
             inv = field.inv(pivot[c])
             for j in pivot:
                 pivot[j] = pivot[j] * inv % p
-            clear, arg = _clear_mod_p, p
-        else:
-            clear, arg = _clear_integer, pivot[c]
+        clear, arg = _clear(pivot, c, p)
         items = tuple(pivot.items())
         for row in holders:
             if row is not pivot:
                 clear(row, c, items, arg)
-        for _, row in pivots:
-            if c in row:
-                clear(row, c, items, arg)
         live = [row for row in live if row and row is not pivot]
         pivots.append((c, pivot))
+    return pivots
+
+
+def reduce_echelon(pivots, field):
+    """Back substitution on :func:`echelon`'s pivots, in place: afterwards
+    each pivot column is nonzero in its own pivot row only."""
+    p = field.char
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pivot = pivots[k]
+        clear, arg = _clear(pivot, c, p)
+        items = tuple(pivot.items())
+        for _, row in pivots[:k]:
+            if c in row:
+                clear(row, c, items, arg)
+    return pivots
+
+
+def echelon_solution(pivots, n, free_values, p):
+    """The null vector over F_p of :func:`echelon`'s pivots with the values
+    ``free_values`` (``{column: value}``; missing free columns are 0) at the
+    free columns, solved from the last pivot row to the first."""
+    vec = [0] * n
+    for j, x in free_values.items():
+        vec[j] = x
+    for c, row in reversed(pivots):
+        vec[c] = -sum(x * vec[j] for j, x in row.items() if j != c) % p
+    return vec
+
+
+def rref(rows, field):
+    """Reduced row echelon form. Returns (new rows, pivot column list)."""
+    if not rows:
+        return [], []
+    m, n = len(rows), len(rows[0])
+    pivots = reduce_echelon(echelon(_sparse_rows(rows, field), n, field), field)
     zero = field.zero
     out = []
     for c, row in pivots:
         dense = [zero] * n
-        if p:
+        if field.char:
             for j, x in row.items():
                 dense[j] = x
         else:
@@ -135,8 +185,9 @@ def rref(rows, field):
 
 
 def rank(rows, field) -> int:
-    _, piv = rref(rows, field)
-    return len(piv)
+    if not rows:
+        return 0
+    return len(echelon(_sparse_rows(rows, field), len(rows[0]), field))
 
 
 def kernel_basis(rows, field):

@@ -221,53 +221,6 @@ def u_roots_prime_field(a, field: PrimeField, rng):
     return roots
 
 
-def u_factor_squarefree(a, field: PrimeField, rng):
-    """Irreducible factors of a squarefree monic polynomial over F_p.
-
-    Distinct-degree splitting by gcd with x^(p^d) - x, then Cantor-Zassenhaus
-    equal-degree splitting.  Returns monic factors sorted by (degree, coeffs).
-    """
-    a = u_monic(a, field)
-    p = field.p
-    out = []
-    x = [field.zero, field.one]
-    frob = u_pow_mod(x, p, a, field)  # x^p mod a
-    power = list(frob)
-    d = 1
-    rest = list(a)
-    while u_degree(rest) >= 1:
-        if 2 * d > u_degree(rest):
-            out.append(u_monic(rest, field))
-            break
-        g = u_gcd(rest, u_sub(power, x, field), field)
-        if u_degree(g) >= 1:
-            out.extend(_equal_degree_split(g, d, field, rng))
-            rest = u_divmod(rest, g, field)[0]
-        d += 1
-        if u_degree(rest) >= 1:
-            power = u_pow_mod(power, p, rest, field)
-    out.sort(key=lambda f: (u_degree(f), f))
-    return out
-
-
-def _equal_degree_split(g, d, field: PrimeField, rng):
-    """Split a product of distinct irreducibles, all of degree d."""
-    if u_degree(g) == d:
-        return [u_monic(g, field)]
-    p = field.p
-    exponent = (p**d - 1) // 2
-    while True:
-        h = [field.coerce(rng.randrange(p)) for _ in range(u_degree(g))] + [field.one]
-        w = u_pow_mod(h, exponent, g, field)
-        w = u_sub(w, [field.one], field)
-        f1 = u_gcd(g, w, field)
-        if 0 < u_degree(f1) < u_degree(g):
-            f2 = u_divmod(g, f1, field)[0]
-            return _equal_degree_split(f1, d, field, rng) + _equal_degree_split(
-                f2, d, field, rng
-            )
-
-
 def u_interpolate(xs, ys, field):
     """Lagrange interpolation through (xs[i], ys[i])."""
     out = []

@@ -1,31 +1,54 @@
 """Helpers that only the tests call: seeded points on a parametrized
 variety, scheme equality of two homogeneous ideals, the variety-file writer,
-a deterministic stream of large primes, polynomial predicates, and reference
-copies of the repeated-trial routes that the library now ends early."""
+a deterministic stream of large primes, polynomial predicates, the
+parametrized entry-locus route, and reference copies of the repeated-trial
+routes that the library now ends early and of the factor stage's former
+routes."""
 
 from __future__ import annotations
 
 import random
 
 from entryloci import rank_secant
-from entryloci.geometry import ProjectivePoint, ProjectiveVariety, witness_points
+from entryloci.geometry import (
+    Parametrization,
+    ProjectivePoint,
+    ProjectiveVariety,
+    ambient_ring,
+    witness_points,
+)
 from entryloci.kernel import (
     GREVLEX,
+    Block,
     Budget,
+    CharacteristicError,
     DegenerateInputError,
     Ideal,
+    NotSquarefreeError,
     PrimeField,
+    RingContext,
     RingMismatchError,
+    eliminate,
     groebner_basis,
+    homogeneous_generators,
     irrelevant_saturate,
     next_prime,
 )
+from entryloci.kernel import factor
 from entryloci.kernel.fields import Rationals
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.ideals import same_ideal
-from entryloci.kernel.linalg import rank
+from entryloci.kernel.linalg import kernel_basis, rank
 from entryloci.kernel.rng import random_coords, seeded_rng
-from entryloci.kernel.univar import u_degree, u_squarefree_part
+from entryloci.kernel.univar import (
+    u_degree,
+    u_divmod,
+    u_gcd,
+    u_monic,
+    u_pow_mod,
+    u_squarefree_part,
+    u_sub,
+)
 from entryloci.kernel.zerodim import (
     enumerate_points_prime_field,
     is_zero_dimensional,
@@ -208,3 +231,224 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
             if len(seen) == npairs:
                 pairs = tuple(seen[k] for k in sorted(seen))
     return rank_secant.DecompositionSet(False, npairs, pairs)
+
+
+# -- the parametrized entry-locus route ---------------------------------------
+
+
+def _implicitize_locus(param: Parametrization, locus, budget=None) -> Ideal:
+    """Ideal of the image under the parametrization of the parameter locus
+    cut out by the ``locus`` forms: the graph ideal (locus, x_i - P_i(s))
+    with the parameters eliminated, as ``geometry.implicitize`` does without
+    a locus."""
+    pring = param.ring
+    m = pring.nvars
+    r = len(param.forms) - 1
+    big = RingContext(tuple(pring.names) + tuple(f"x{i}" for i in range(r + 1)), pring.field, Block(m))
+
+    def lift(f):
+        return big.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms})
+
+    gens = [lift(g) for g in locus]
+    gens += [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
+    out = eliminate(Ideal.of(big, gens), m, budget)
+    return homogeneous_generators(out.map_ring(ambient_ring(r, pring.field)))
+
+
+def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget=None) -> Ideal:
+    """Entry locus via a = phi(s), b = phi(u) = lam * phi(s) + q: eliminate
+    lam and u, then implicitize the resulting parameter locus.  An
+    independent route that the tests compare the implicit one against."""
+    if X.param is None:
+        raise DegenerateInputError("parametrized route needs a parametrization")
+    pring = X.param.ring
+    field = X.field
+    m = pring.nvars
+    names = ("lam_",) + tuple(f"u{i}" for i in range(m)) + tuple(pring.names)
+    big = RingContext(names, field, Block(1 + m))
+    lam = big.variable(0)
+    u_vars = [big.variable(1 + i) for i in range(m)]
+    s_vars = [big.variable(1 + m + i) for i in range(m)]
+    gens = [
+        f.substitute(u_vars, big) - lam * f.substitute(s_vars, big) - big.constant(c)
+        for f, c in zip(X.param.forms, q.coords)
+    ]
+    s_locus = eliminate(Ideal.of(big, gens), 1 + m, budget)
+    s_ring = RingContext(tuple(pring.names), field)
+    s_locus = homogeneous_generators(s_locus.map_ring(s_ring))
+    # image of the parameter locus under phi
+    return _implicitize_locus(X.param, s_locus.gens, budget)
+
+
+# -- reference routes of the factor stage: the gcd chain, Gao's kernel over
+# the field, and the factor degrees from weight orbits --------------------------
+
+
+def _ref_is_squarefree(f) -> bool:
+    """``is_squarefree`` by the repeated-part gcd chain alone."""
+    return factor._repeated_part(f).total_degree() == 0
+
+
+def _ref_squarefree_part(f):
+    """``squarefree_part`` by the gcd chain alone."""
+    field = f.ring.field
+    if field.char != 0 and field.char <= f.total_degree():
+        raise CharacteristicError(f"characteristic {field.char} too small")
+    if f.is_zero() or f.total_degree() == 0:
+        return f.monic()
+    return factor.poly_exact_div(f, factor._repeated_part(f)).monic()
+
+
+def _ref_pde_matrix(plane):
+    """Gao's system over the plane's field as a dense matrix, its columns the
+    polynomial products f * d(m)/dy - m * f_y and m * f_x - f * d(m)/dx over
+    the g monomials m, then the h monomials, and those monomials."""
+    ring = plane.ring
+    field = ring.field
+    n1 = plane.degree_in(0)
+    n2 = plane.degree_in(1)
+    fx = plane.derivative(0)
+    fy = plane.derivative(1)
+    g_monos = [(i, j) for i in range(n1) for j in range(n2 + 1)]
+    h_monos = [(i, j) for i in range(n1 + 1) for j in range(n2)]
+    columns = []
+    for i, j in g_monos:
+        mono = ring.monomial((i, j))
+        columns.append(plane * mono.derivative(1) - mono * fy)
+    for i, j in h_monos:
+        mono = ring.monomial((i, j))
+        columns.append(mono * fx - plane * mono.derivative(0))
+    rows_index = {}
+    for col in columns:
+        for m, _ in col.terms:
+            rows_index.setdefault(m, len(rows_index))
+    matrix = [[field.zero] * len(columns) for _ in range(len(rows_index))]
+    for cidx, col in enumerate(columns):
+        for m, c in col.terms:
+            matrix[rows_index[m]][cidx] = c
+    return matrix, g_monos, h_monos
+
+
+def _ref_pde_kernel(plane):
+    """Kernel basis of Gao's system over the plane's field, and the g
+    monomials its first coordinates belong to."""
+    matrix, g_monos, _ = _ref_pde_matrix(plane)
+    return kernel_basis(matrix, plane.ring.field), g_monos
+
+
+def _ref_factor_count(f, rng=None) -> int:
+    """``absolute_factor_count``: the chain's squarefreeness check, then the
+    size of the kernel basis over the plane's field."""
+    if f.total_degree() >= 1 and not _ref_is_squarefree(f):
+        raise NotSquarefreeError("absolute factor count requires squarefree input")
+    rng = rng or random.Random(0)
+    field = f.ring.field
+    n = f.total_degree()
+    if field.char != 0 and field.char <= n * (n - 1):
+        raise CharacteristicError(f"prime {field.char} too small")
+    if f.degree_in(0) < 1 or f.degree_in(1) < 1:
+        f = factor._random_affine_image(f, rng)
+    return len(_ref_pde_kernel(f)[0])
+
+
+def _ref_factor_squarefree(a, field, rng):
+    """Irreducible factors of a squarefree polynomial over F_p: distinct-degree
+    splitting by gcd with x^(p^d) - x, then Cantor-Zassenhaus."""
+    a = u_monic(a, field)
+    p = field.p
+    out = []
+    x = [field.zero, field.one]
+    power = u_pow_mod(x, p, a, field)
+    d = 1
+    rest = list(a)
+    while u_degree(rest) >= 1:
+        if 2 * d > u_degree(rest):
+            out.append(u_monic(rest, field))
+            break
+        g = u_gcd(rest, u_sub(power, x, field), field)
+        if u_degree(g) >= 1:
+            out.extend(_ref_equal_degree_split(g, d, field, rng))
+            rest = u_divmod(rest, g, field)[0]
+        d += 1
+        if u_degree(rest) >= 1:
+            power = u_pow_mod(power, p, rest, field)
+    out.sort(key=lambda f: (u_degree(f), f))
+    return out
+
+
+def _ref_equal_degree_split(g, d, field, rng):
+    if u_degree(g) == d:
+        return [u_monic(g, field)]
+    p = field.p
+    while True:
+        h = [field.coerce(rng.randrange(p)) for _ in range(u_degree(g))] + [field.one]
+        w = u_sub(u_pow_mod(h, (p**d - 1) // 2, g, field), [field.one], field)
+        f1 = u_gcd(g, w, field)
+        if 0 < u_degree(f1) < u_degree(g):
+            f2 = u_divmod(g, f1, field)[0]
+            return _ref_equal_degree_split(f1, d, field, rng) + _ref_equal_degree_split(f2, d, field, rng)
+
+
+def _ref_absolute_factor_degrees(f, rng=None):
+    """``absolute_factor_degrees`` by weight orbits: the z-content of two
+    resultants Res_y(f, g - z * f_x), split into irreducible orbits, and for
+    each orbit a bivariate gcd whose degree is the product of its factors."""
+    field = f.ring.field
+    if not isinstance(field, PrimeField):
+        raise ValueError("factor degree extraction runs over a prime field")
+    rng = rng or random.Random(0)
+    n = f.total_degree()
+    if n >= 1 and not _ref_is_squarefree(f):
+        raise NotSquarefreeError("absolute factor degrees require squarefree input")
+    last_err = None
+    for _ in range(6):
+        try:
+            plane = factor._random_affine_image(f, rng)
+            kernel, g_monos = _ref_pde_kernel(plane)
+            r = len(kernel)
+            if r == 1:
+                return [n]
+            ring = plane.ring
+            weights = [rng.randrange(1, field.p) for _ in kernel]
+            g_data = {}
+            for w, vec in zip(weights, kernel):
+                for mono, coeff in zip(g_monos, vec[: len(g_monos)]):
+                    g_data[mono] = field.add(g_data.get(mono, field.zero), field.mul(w, coeff))
+            g_poly = ring.from_dict(g_data)
+            fx = plane.derivative(0)
+            resultants = []
+            for _ in range(2):
+                a = field.coerce(rng.randrange(field.p))
+                res_z = factor._resultant_linear_z(
+                    factor._eval_x(plane, a, field), factor._eval_x(g_poly, a, field),
+                    factor._eval_x(fx, a, field), field,
+                )
+                if not res_z:
+                    raise DegenerateInputError("degenerate x sample in weight extraction")
+                resultants.append(res_z)
+            content = u_gcd(resultants[0], resultants[1], field)
+            if u_degree(content) < 1:
+                raise DegenerateInputError("weight content collapsed")
+            degs = []
+            for orbit in _ref_factor_squarefree(u_squarefree_part(content, field), field, rng):
+                e = u_degree(orbit)
+                if e == 1:
+                    part = factor.bivariate_gcd(plane, g_poly - fx.scale(field.neg(orbit[0])))
+                else:
+                    combo = ring.zero()
+                    for j, qj in enumerate(orbit):
+                        if qj != field.zero:
+                            combo = combo + (g_poly**j * fx ** (e - j)).scale(qj)
+                    part = factor.bivariate_gcd(plane, combo)
+                d = part.total_degree()
+                if d == 0:
+                    continue
+                if e > 1 and d % e != 0:
+                    raise DegenerateInputError("orbit degree not divisible by orbit size")
+                degs.extend([d // e] * e if e > 1 else [d])
+            if len(degs) == r and sum(degs) == n and all(dd >= 1 for dd in degs):
+                return sorted(degs)
+            raise DegenerateInputError("factor extraction inconsistent; retrying")
+        except (DegenerateInputError, ArithmeticError, ZeroDivisionError) as err:
+            last_err = err
+    raise DegenerateInputError(f"factor degree extraction failed: {last_err}")

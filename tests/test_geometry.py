@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from entryloci import entry_locus, geometry
+from entryloci import geometry
 from entryloci.catalog import build_catalog_variety, catalog_keys, catalog_metadata
 from entryloci.geometry import (
     Parametrization,
@@ -44,6 +44,7 @@ from entryloci.kernel.zerodim import (
     random_linear_combination,
 )
 from entryloci.suite import resolve_field
+import helpers
 from helpers import proportional_to, sample_point
 
 FP = PrimeField(2147483659)
@@ -319,14 +320,14 @@ def test_implicitize_matches_the_minors_route(key, field):
 def test_implicitize_of_a_parameter_locus_matches_the_minors_route(monkeypatch, key, seed, field):
     # the parametrized entry-locus route implicitizes a parameter locus
     calls = []
-    real = entry_locus.implicitize
+    real = helpers._implicitize_locus
     monkeypatch.setattr(
-        entry_locus, "implicitize", lambda param, budget, locus: calls.append(locus) or real(param, budget, locus)
+        helpers, "_implicitize_locus", lambda param, locus, budget: calls.append(locus) or real(param, locus, budget)
     )
     var = build_catalog_variety(key, seed, field)
     rng = seeded_rng("locus-oracle", key, seed)
     q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
-    ours = entry_locus._parametrized_entry_locus(var, q, None)
+    ours = helpers._parametrized_entry_locus(var, q, None)
     assert len(calls) == 1 and calls[0]
     assert ours.gens == _ref_implicitize(var.param, rng, locus=calls[0]).gens
 

@@ -49,7 +49,7 @@ from entryloci.kernel import (
     RingContext,
     groebner_basis,
 )
-from entryloci.kernel import ideals, linalg
+from entryloci.kernel import ideals
 from entryloci.kernel.groebner import (
     DEFAULT_BUDGET,
     MAX_EXPONENT,
@@ -64,7 +64,7 @@ from entryloci.kernel.groebner import (
     normal_form,
     spolynomial,
 )
-from entryloci.kernel.factor import _pde_kernel
+from entryloci.kernel.factor import _gao_rows
 from entryloci.kernel.linalg import det, kernel_basis, rref
 from entryloci.kernel.orders import GREVLEX, LEX
 from entryloci.kernel.rng import seeded_rng
@@ -629,26 +629,10 @@ def test_sparse_rref_matches_field_method_reference(field, data):
     assert all(_canonical(field, x) for r in red for x in r)
 
 
-def _pde_matrices(monkeypatch, plane):
-    """Kernel of Gao's PDE system for ``plane``, and every matrix that
-    ``rref`` saw while computing it."""
-    seen = []
-    real = linalg.rref
-
-    def recording(rows, field):
-        seen.append([list(r) for r in rows])
-        return real(rows, field)
-
-    monkeypatch.setattr(linalg, "rref", recording)
-    kernel, _, _ = _pde_kernel(plane)
-    monkeypatch.undo()
-    return kernel, seen
-
-
 @pytest.mark.parametrize(
     "field,conics", [(resolve_field("fp:auto", 1), 3), (QQ, 2)], ids=["fp-degree6", "Q-degree4"]
 )
-def test_pde_system_of_conics_matches_reference(monkeypatch, field, conics):
+def test_pde_system_of_conics_matches_reference(field, conics):
     # over Q the coefficients have numerators up to 10^12 over denominators up to 10^6
     ring = RingContext(("x", "y"), field)
     rng = seeded_rng(("pde-conics", conics))
@@ -661,14 +645,15 @@ def test_pde_system_of_conics_matches_reference(monkeypatch, field, conics):
             coeffs = [Fraction(rng.randrange(1, 10**12), rng.randrange(1, 10**6)) for _ in monos]
         plane = plane * ring.from_dict(dict(zip(monos, coeffs)))
     d = 2 * conics
-    kernel, seen = _pde_matrices(monkeypatch, plane)
-    assert len(kernel) == conics
+    rows, unknowns = _gao_rows(plane)
     # one unknown per coefficient of g (deg_x < d) and of h (deg_y < d)
-    assert len(seen) == 1 and len(seen[0][0]) == 2 * d * (d + 1)
-    red, piv = rref(seen[0], field)
-    assert (red, piv) == _ref_rref(seen[0], field)
+    assert len(unknowns) == 2 * d * (d + 1)
+    matrix = [[field.coerce(row.get(j, 0)) for j in range(len(unknowns))] for row in rows]
+    red, piv = rref(matrix, field)
+    assert (red, piv) == _ref_rref(matrix, field)
+    assert len(unknowns) - len(piv) == conics
     assert all(_canonical(field, x) for r in red for x in r)
-    assert all(_canonical(field, x) for v in kernel for x in v)
+    assert all(_canonical(field, x) for v in kernel_basis(matrix, field) for x in v)
 
 
 def _ref_det(rows, field):
