@@ -12,6 +12,7 @@ same field, and its prime, like any --field prime, must be at least 2^16.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,9 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="write the JSON report here as well")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="el", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

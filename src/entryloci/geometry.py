@@ -31,7 +31,7 @@ from .kernel.ideals import (
 from .kernel.linalg import (
     kernel_basis,
     mat_inverse,
-    rank,
+    pivot_columns,
     rref,
 )
 from .kernel.orders import GREVLEX, Block
@@ -146,17 +146,20 @@ def projection_frame(field, rows, n: int):
     """Invertible n x n matrix B whose first columns are the independent
     ``rows``, completed deterministically by standard basis vectors, so that
     under x = B y the rows become the first coordinate points
-    (DegenerateInputError when the rows are dependent)."""
-    base = [list(r) for r in rows]
-    for i in range(n):
-        cand = [field.one if j == i else field.zero for j in range(n)]
-        trial = base + [cand]
-        if rank(trial, field) == len(trial):
-            base.append(cand)
-        if len(base) == n:
-            break
-    if len(base) != n:
-        raise DegenerateInputError("could not complete basis")
+    (DegenerateInputError when the rows are dependent).
+
+    The completion is the greedy one, e_0, e_1, ... in turn whenever it is
+    independent of the rows and the e_j already taken, read off one
+    echelon of the rows with reversed columns: e_i is independent of the
+    rows and e_0, ..., e_{i-1} exactly when no vector of the row space has
+    its last nonzero entry at i, and those last entries are the pivot
+    columns of the reversed rows.
+    """
+    rows = [list(r) for r in rows]
+    last = {n - 1 - c for c in pivot_columns([r[::-1] for r in rows], field)}
+    if len(last) < len(rows):
+        raise DegenerateInputError("could not complete basis: the rows are dependent")
+    base = rows + [[field.one if j == i else field.zero for j in range(n)] for i in range(n) if i not in last]
     return [[base[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -261,24 +264,30 @@ def cone_over(B: ProjectiveVariety) -> ProjectiveVariety:
     return ProjectiveVariety(r, Ideal.of(target, gens), new_param, meta)
 
 
-def affine_chart(ring: RingContext, rng: random.Random, extra=(), cuts=0):
+def affine_chart(ring: RingContext, rng: random.Random, extra=(), cuts=0, given=()):
     """A seeded random affine chart {c . x = 1} of the projective ring, cut by
-    ``cuts`` seeded random hyperplanes {l . x = 0}.
+    ``cuts`` seeded random hyperplanes {l . x = 0} and by the ``given``
+    hyperplanes (coefficient rows of linear forms known to vanish on the
+    variety; they may be dependent).
 
-    The cut forms are drawn first, then the chart form.  One rref on reversed
-    columns solves the system for its pivots, the last variables it can (for
-    ``cuts=0`` the last one with a nonzero chart coefficient).  The affine ring
-    keeps the other variables in order and appends the ``extra`` names.
-    Returns (affine ring, images of the projective variables, chart), where
-    chart evaluates the images at an affine solution vector; None when the
-    drawn forms are dependent.
+    The cut forms are drawn first, then the chart form; ``given`` draws
+    nothing.  One rref on reversed columns solves the system for its pivots,
+    the last variables it can (for ``cuts=0`` and no ``given`` the last one
+    with a nonzero chart coefficient).  The affine ring keeps the other
+    variables in order and appends the ``extra`` names.  Returns (affine
+    ring, images of the projective variables, chart, c), where chart
+    evaluates the images at an affine solution vector and c is the drawn
+    chart form; None when the system is inconsistent (for ``cuts=0``, when c
+    is a combination of the given rows) or the drawn forms are dependent.
     """
     field = ring.field
     n = ring.nvars
-    rows = [random_coords(field, rng, n)[::-1] + [field.zero] for _ in range(cuts)]
-    rows.append(random_coords(field, rng, n)[::-1] + [field.one])
+    drawn = [random_coords(field, rng, n) for _ in range(cuts)]
+    form = random_coords(field, rng, n)
+    rows = [row[::-1] + [field.zero] for row in (*given, *drawn)]
+    rows.append(form[::-1] + [field.one])
     red, piv = rref(rows, field)
-    if len(piv) < len(rows) or piv[-1] == n:
+    if piv[-1] == n or len(piv) < len(rows) - len(given):
         return None
     solved = {n - 1 - j: row for j, row in zip(piv, red)}
     free = [i for i in range(n) if i not in solved]
@@ -293,7 +302,7 @@ def affine_chart(ring: RingContext, rng: random.Random, extra=(), cuts=0):
     def chart(values):
         return tuple(img.evaluate(values) for img in images)
 
-    return aring, images, chart
+    return aring, images, chart, form
 
 
 def dehomogenize(ideal: Ideal, rng: random.Random, cuts=0):
@@ -303,7 +312,7 @@ def dehomogenize(ideal: Ideal, rng: random.Random, cuts=0):
     found = affine_chart(ideal.ring, rng, cuts=cuts)
     if found is None:
         return None
-    aring, images, chart = found
+    aring, images, chart, _ = found
     return aring, [g.substitute(images, aring) for g in ideal.gens], chart
 
 

@@ -1,11 +1,21 @@
 """Buchberger's algorithm: reduced Groebner bases with explicit budgets.
 
 Strategy: the sugar selection of Giovini, Mora, Niesi, Robbiano & Traverso
-("One sugar cube, please", ISSAC 1991), the product (coprime leading term)
-criterion and the chain criterion.  Every basis element carries a sugar: an
-input's is its total degree, an S-pair's is
-``max(sugar_i + deg lcm - deg lt_i, sugar_j + deg lcm - deg lt_j)`` and a new
-element takes its pair's.  Pairs are popped by (sugar, order key of the lcm),
+("One sugar cube, please", ISSAC 1991) and the pair update of Gebauer &
+Moeller (J. Symb. Comput. 6, 1988).  Each element, the inputs included,
+enters through one update, which prunes pairs as they are made: of the new
+pairs it keeps one per minimal lcm, a coprime one first (criteria M and F),
+then drops the coprime ones (the product criterion); of the pending pairs it
+drops each whose lcm the new leading monomial divides and equals neither
+lcm with the new element (criterion B_k).  An element whose leading
+monomial the new one divides makes no more pairs but stays a reducer.  A
+popped pair is only counted and reduced, and the meter reads the clock once
+per update too, so ``max_seconds`` holds when every pair is pruned.
+
+Every basis element carries a sugar: an input's is its total degree, an
+S-pair's is ``max(sugar_i + deg lcm - deg lt_i, sugar_j + deg lcm -
+deg lt_j)`` and a new element takes its pair's.  Pairs are popped by (sugar,
+order key of the lcm),
 so an inhomogeneous system or a block or lex order is worked through degree by
 degree, as if it were homogenised, instead of following the elimination
 order.  For homogeneous input under grevlex the sugar is the degree of the
@@ -91,6 +101,9 @@ class _Meter:
         self.pairs += 1
         if self.pairs > self.budget.max_pairs:
             raise BudgetExceededError("groebner", f"{self.pairs} S-pairs")
+        self.check_clock()
+
+    def check_clock(self):
         limit = self.budget.max_seconds
         if limit is not None and time.monotonic() - self.started > limit:
             raise BudgetExceededError("groebner", f"wall time over {limit}s")
@@ -316,40 +329,49 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
     sugar = [max(sum(exponents[k]) for k, _ in terms) for terms, _ in basis]
 
     pair_heap = []
-    pending = set()
+    active = []  # the elements that still make pairs
 
-    def push_pair(i, j):
-        lcm = tuple(map(max, lts[i], lts[j]))
-        d = sum(lcm)
-        pair_sugar = max(sugar[i] + d - degs[i], sugar[j] + d - degs[j])
-        # a smaller lcm has a larger code
-        heapq.heappush(pair_heap, (pair_sugar, -sum(map(mul, lcm, weights)), i, j))
-        pending.add((i, j))
+    def update(new):
+        """The Gebauer-Moller update for the new element ``new``."""
+        meter.check_clock()  # a run whose pairs are all pruned pops none
+        lt_new, e_new = lead[new], lts[new]
+        # the lcm code of each element with new
+        lcms = [sum(map(mul, map(max, e, e_new), weights)) for e in lts]
+        # B_k: a pending pair whose lcm lt_new divides, and equals neither
+        # lcm with new, is generated through its two pairs with new
+        kept = [
+            entry for entry in pair_heap
+            if (-entry[1] - lt_new) & guard or -entry[1] in (lcms[entry[2]], lcms[entry[3]])
+        ]
+        if len(kept) < len(pair_heap):
+            pair_heap[:] = kept
+            heapq.heapify(pair_heap)
+        # M and F, in the order of ``active``: a pair is dropped when another
+        # new pair's lcm divides its lcm, unless the two lcms are equal and
+        # that pair is an earlier one that is not coprime; then the coprime
+        # pairs are dropped (the product criterion)
+        new_pairs = [(lcms[k], k, lcms[k] == lead[k] + lt_new) for k in active]
+        for c, (code, k, coprime) in enumerate(new_pairs):
+            if coprime or any(
+                not (code - other) & guard and (other != code or d > c or cop)
+                for d, (other, _, cop) in enumerate(new_pairs) if d != c
+            ):
+                continue
+            deg = sum(map(max, lts[k], e_new))
+            pair_sugar = max(sugar[k] + deg - degs[k], sugar[new] + deg - degs[new])
+            # a smaller lcm has a larger code
+            heapq.heappush(pair_heap, (pair_sugar, -code, k, new))
+        # an element whose leading term lt_new divides makes no more pairs,
+        # but stays a reducer
+        active[:] = [k for k in active if (lead[k] - lt_new) & guard] + [new]
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
+    for idx in range(len(basis)):
+        update(idx)
 
     while pair_heap:
         pair_sugar, neg_lcm, i, j = heapq.heappop(pair_heap)
-        lcm = -neg_lcm
-        pending.discard((i, j))
         meter.tick_pair()
-        # product criterion: coprime leading monomials, whose lcm is their product
-        if lcm == lead[i] + lead[j]:
-            continue
-        # chain criterion
-        skip = False
-        for k, lt_k in enumerate(lead):
-            if not (lcm - lt_k) & guard and k != i and k != j:
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly_terms(basis[i], basis[j], lcm, meter)
+        s = _spoly_terms(basis[i], basis[j], -neg_lcm, meter)
         rem, _ = _normal_form_terms(s, basis, field, guard, meter)
         if not rem:
             continue
@@ -359,9 +381,7 @@ def buchberger(polys, ring: RingContext, budget: Budget | None = None):
         lts.append(exponents[rem[0][0]])
         degs.append(sum(lts[-1]))
         sugar.append(pair_sugar)
-        new = len(basis) - 1
-        for k in range(new):
-            push_pair(k, new)
+        update(len(basis) - 1)
 
     return _interreduce(basis, ring, field, codes, meter)
 

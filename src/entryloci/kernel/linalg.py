@@ -27,7 +27,7 @@ already been cleared from it, and one pass leaves each pivot column with a
 single nonzero entry.  The reduced row echelon form of a matrix depends only
 on its row space, so the rows and pivots are those of a dense Gauss-Jordan
 elimination in any pivot order; over Q each finished pivot row is divided by
-its pivot once.  :func:`rank` runs the forward pass only, and
+its pivot once.  :func:`rank` and :func:`pivot_columns` run the forward pass only, and
 :func:`echelon_solution` reads a null vector over F_p off the forward pass
 by back substitution, with chosen values at the free columns.
 
@@ -184,10 +184,16 @@ def rref(rows, field):
     return out + [[zero] * n for _ in range(m - len(out))], [c for c, _ in pivots]
 
 
-def rank(rows, field) -> int:
+def pivot_columns(rows, field):
+    """The pivot columns of the rows' row echelon form, in increasing order
+    (those of the reduced one: they depend only on the row space)."""
     if not rows:
-        return 0
-    return len(echelon(_sparse_rows(rows, field), len(rows[0]), field))
+        return []
+    return [c for c, _ in echelon(_sparse_rows(rows, field), len(rows[0]), field)]
+
+
+def rank(rows, field) -> int:
+    return len(pivot_columns(rows, field))
 
 
 def kernel_basis(rows, field):

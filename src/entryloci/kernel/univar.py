@@ -194,8 +194,12 @@ def u_rational_root_part(a, field: PrimeField):
 
 
 def u_roots_prime_field(a, field: PrimeField, rng):
-    """All distinct roots of f in F_p (equal-degree splitting of gcd(f, x^p - x))."""
+    """All distinct roots of f in F_p, sorted: equal-degree splitting of
+    gcd(f, x^p - x), or :func:`_quadratic_roots` when the squarefree part
+    has degree at most 2 (and p is odd)."""
     a = u_monic(u_squarefree_part(a, field), field)
+    if u_degree(a) <= 2 and field.p > 2:
+        return _quadratic_roots(a, field.p, rng)
     lin = u_rational_root_part(a, field)
     roots = []
     stack = [lin]
@@ -219,6 +223,61 @@ def u_roots_prime_field(a, field: PrimeField, rng):
                 break
     roots.sort()
     return roots
+
+
+def _quadratic_roots(a, p, rng):
+    """Sorted roots in F_p, p odd, of a monic squarefree ``a`` of degree at
+    most 2, with the draws of the equal-degree splitting replayed.
+
+    x^2 + b x + c has roots (-b +- s) / 2 when its discriminant is a square
+    s^2 (Euler's criterion), and none otherwise; s comes from
+    :func:`_sqrt_mod`.  Splitting g = (x - r1)(x - r2) draws delta until
+    gcd(g, (x + delta)^((p-1)/2) - 1) is a proper factor.  That power is
+    chi(r_i + delta) at r_i, for chi the quadratic character (0 at 0), so
+    the gcd holds x - r_i exactly when r_i + delta is a nonzero square, and
+    it splits g exactly when one of the two is.  Drawing delta until then
+    leaves ``rng`` where the splitting leaves it.  Degrees 0 and 1, and a
+    non-square discriminant (gcd(g, x^p - x) = 1), draw nothing.
+    """
+    if len(a) < 3:
+        return [(-a[0]) % p] if len(a) == 2 else []
+    c, b = a[0], a[1]
+    half = (p - 1) // 2
+    disc = (b * b - 4 * c) % p
+    if pow(disc, half, p) != 1:
+        return []  # disc != 0, as a is squarefree
+    s = _sqrt_mod(disc, p)
+    inv2 = (p + 1) // 2
+    r1, r2 = (-b + s) * inv2 % p, (-b - s) * inv2 % p
+    while True:
+        delta = rng.randrange(p)
+        if (pow(r1 + delta, half, p) == 1) != (pow(r2 + delta, half, p) == 1):
+            break
+    return sorted((r1, r2))
+
+
+def _sqrt_mod(n, p):
+    """A square root of the nonzero square ``n`` mod the odd prime p
+    (Tonelli-Shanks; the non-square is the least one, found without draws)."""
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def u_interpolate(xs, ys, field):

@@ -11,7 +11,10 @@ the Krylov vectors are a basis of the quotient, a second ``rref`` writes
 every coordinate as a polynomial g_i(t), and each root tau of the minimal
 polynomial is the point (g_0(tau), ..., g_{n-1}(tau)) (the rational
 univariate representation, Rouillier, AAECC 9, 1999).  Other systems pin
-each root's point through a Groebner basis of I + (t - tau).
+each root's point through a Groebner basis of I + (t - tau).  A distinct-
+point count that reaches D has found such a t, so :func:`count_in_shape`
+keeps its minimal polynomial and Krylov vectors, and :func:`shape_points`
+reads the points from them without drawing a second form.
 """
 
 from __future__ import annotations
@@ -98,25 +101,58 @@ def count_distinct_points(
     gb: GroebnerBasis, rng: random.Random, trials: int = 2, budget: Budget | None = None
 ) -> int:
     """Number of distinct solutions of a zero-dimensional system over the
-    algebraic closure: the squarefree degree of the minimal polynomial of a
-    random separating linear form, maximized over up to ``trials`` forms (a
-    non-separating form can only undercount).
+    algebraic closure: the count of :func:`count_in_shape`."""
+    return count_in_shape(gb, rng, trials, budget)[0]
+
+
+def count_in_shape(
+    gb: GroebnerBasis, rng: random.Random, trials: int = 2, budget: Budget | None = None
+):
+    """(count, shape): the number of distinct solutions of a zero-dimensional
+    system over the algebraic closure, the squarefree degree of the minimal
+    polynomial of a random separating linear form, maximized over up to
+    ``trials`` forms (a non-separating form can only undercount); and the
+    (minimal polynomial, Krylov vectors) of the form that reached D, or None.
 
     The count never exceeds D = dim ring/I, the staircase's length, so the
     first trial that reaches D is exact and the rest are not computed; their
     forms are still drawn, so ``rng`` leaves here in the same state whatever
-    the trials found.
+    the trials found.  A form that reaches D puts the system in shape
+    position: its minimal polynomial is squarefree of degree D, and its
+    Krylov vectors are a basis of the quotient (:func:`shape_points`).
     """
     monos = quotient_monomials(gb)
     if monos is None:
         raise DegenerateInputError("ideal is not zero-dimensional")
-    best = 0
+    best, shape = 0, None
     for _ in range(trials):
         t = random_linear_combination(gb.ring, rng)
         if best < len(monos):
-            mp = minimal_polynomial_of(t, gb, budget)
+            mp, krylov = _krylov(t, gb, monos, budget)
             best = max(best, u_degree(u_squarefree_part(mp, gb.ring.field)))
-    return best
+            if best == len(monos):
+                shape = mp, krylov
+    return best, shape
+
+
+def shape_points(gb: GroebnerBasis, shape, rng: random.Random, budget: Budget | None = None):
+    """The points of a system in shape position for a form whose minimal
+    polynomial and Krylov vectors ``shape`` holds (:func:`count_in_shape`),
+    when every one is F_p-rational, else None: each root tau of the
+    minimal polynomial is the point (g_0(tau), ..., g_{n-1}(tau)) of
+    :func:`_shape_coordinates`, in the order of the roots."""
+    field = gb.ring.field
+    mp, krylov = shape
+    roots = u_roots_prime_field(mp, field, rng)
+    if len(roots) != u_degree(mp):
+        return None
+    return _points_at(gb, krylov, roots, budget)
+
+
+def _points_at(gb: GroebnerBasis, krylov, roots, budget):
+    shape = _shape_coordinates(gb, quotient_monomials(gb), krylov, budget)
+    p = gb.ring.field.p
+    return [tuple(_horner(g, tau, p) for g in shape) for tau in roots]
 
 
 def enumerate_points_prime_field(
@@ -151,8 +187,7 @@ def enumerate_points_prime_field(
     if require_all and len(roots) != u_degree(sf):
         return None  # separating values live in an extension
     if u_degree(sf) == len(monos):
-        shape = _shape_coordinates(gb, monos, krylov, budget)
-        return [tuple(_horner(g, tau, field.p) for g in shape) for tau in roots]
+        return _points_at(gb, krylov, roots, budget)
     points = []
     for tau in roots:
         gens = list(gb.source.gens) + [

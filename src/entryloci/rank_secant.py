@@ -8,9 +8,10 @@ of the stacked Jacobians.  Ranks are maximized over up to ``SECANT_TRIALS``
 independent trials, since a special sample can only under-estimate; the
 trials stop early once every step reaches the expected dimension
 min(s(n+1) - 1, r), an upper bound on dim sigma_s (Terracini's lemma).
-Decompositions are counted on seeded affine charts, and a one-sided
-certificate ends the count after the first chart when it provably misses
-nothing (:func:`two_decompositions`).
+Decompositions are counted on seeded affine charts that also solve the
+incidence generators linear in the point, and a one-sided certificate ends
+the count after the first chart when it provably misses nothing
+(:func:`two_decompositions`).
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .kernel.poly import Polynomial
 from .kernel.rng import random_coords, seeded_rng
 from .kernel.univar import u_divmod
 from .kernel.zerodim import (
-    count_distinct_points,
+    count_in_shape,
     enumerate_points_prime_field,
     is_zero_dimensional,
     minimal_polynomial_of,
+    shape_points,
 )
 
 
@@ -229,30 +231,45 @@ def incidence_generators(X: ProjectiveVariety, q: ProjectivePoint, ring, a_imgs,
 
 def _incidence_affine_system(X: ProjectiveVariety, q: ProjectivePoint, rng: random.Random):
     """Affine incidence system for rank-2 decompositions through q, with the
-    a-block dehomogenized on a seeded random chart {c . a = 1}.  Returns the
-    system, the chart recovering a from a solution (whose last coordinate is
-    lam) and c . q.
+    a-block dehomogenized on a seeded random chart {c . a = 1} that also
+    solves the linear generators (:func:`_linear_incidence_rows`).  Returns
+    the system, the chart recovering a from a solution (whose last
+    coordinate is lam) and c . q.
+
+    A chart form that depends on the linear rows leaves no solution on the
+    chart: the system is then the unit ideal, and c . q = 0, as q satisfies
+    every linear row.
     """
-    aff, a_imgs, chart = affine_chart(X.ring, rng, ("lam",))
+    found = affine_chart(X.ring, rng, ("lam",), given=_linear_incidence_rows(X, q))
+    if found is None:
+        return Ideal.of(X.ring, [X.ring.one()]), None, X.field.zero
+    aff, a_imgs, chart, form = found
     gens = incidence_generators(X, q, aff, a_imgs, aff.variable(aff.nvars - 1))
-    return Ideal.of(aff, gens), chart, _chart_value(chart, aff.nvars, q, X.field)
+    return Ideal.of(aff, gens), chart, X.ring.linear_form(form).evaluate(q.coords)
 
 
-def _chart_value(chart, nvars, q: ProjectivePoint, field):
-    """c . q for the chart {c . x = 1} that ``chart`` parametrizes.
+def _linear_incidence_rows(X: ProjectiveVariety, q: ProjectivePoint):
+    """Coefficient rows in a of the generators w_j / lam of
+    :func:`incidence_generators` that are linear in a: when g_p is a
+    quadric, c_p * B_j(a, q) - c_j * B_p(a, q) for each other quadric g_j,
+    where h = lam * B(a, q) + g(q) with B(a, q) = grad g(q) . a, the polar
+    form.  q satisfies every row, as B(q, q) = 2 g(q)."""
+    field = X.field
+    gens = [g for g in X.ideal.gens if g.total_degree() > 0]
+    cs = [g.evaluate(q.coords) for g in gens]
+    p = next((i for i, c in enumerate(cs) if c != field.zero), None)
+    if p is None or gens[p].total_degree() != 2:
+        return []
 
-    The chart solves for one pivot coordinate k: x_k = (1 - sum_{j != k}
-    c_j x_j) / c_k, and keeps the others as affine coordinates.  So the
-    chart's origin has x_k = 1 / c_k and its other coordinates 0, and at
-    the affine point y with the other coordinates of q (and lam = 0),
-    c . q = 1 + c_k * (q_k - x_k(y)).
-    """
-    zero = field.zero
-    origin = chart([zero] * nvars)
-    k = next(i for i, v in enumerate(origin) if v != zero)
-    y = [c for i, c in enumerate(q.coords) if i != k] + [zero]
-    diff = field.sub(q.coords[k], chart(y)[k])
-    return field.add(field.one, field.div(diff, origin[k]))
+    def polar(g):
+        return [g.derivative(i).evaluate(q.coords) for i in range(X.ring.nvars)]
+
+    b_p, c_p = polar(gens[p]), cs[p]
+    return [
+        [field.sub(field.mul(c_p, x), field.mul(c, y)) for x, y in zip(polar(g), b_p)]
+        for j, (g, c) in enumerate(zip(gens, cs))
+        if j != p and g.total_degree() == 2
+    ]
 
 
 def _misses_nothing(gb, count: int, cq, budget) -> bool:
@@ -294,6 +311,13 @@ def two_decompositions(
     decompositions missed by the chart would put infinitely many solutions
     at lam = -c . q.  The later rounds can then only undercount, so the
     maximum is round 0's count and round 0's basis is the one enumerated.
+
+    The chart also solves the generators that are linear in a, so a round's
+    system has fewer variables (:func:`_incidence_affine_system`).  When
+    the winning round's count reached D, the points are read from its
+    counting form (``zerodim.shape_points``); otherwise a fresh separating
+    form enumerates them.  The pairs are returned as a sorted set, so they
+    do not depend on the form or on the root draws.
     """
     if X.contains_point(q):
         raise DegenerateInputError("base point lies on the variety")
@@ -311,10 +335,10 @@ def two_decompositions(
             continue
         if not is_zero_dimensional(gb):
             return DecompositionSet(True, None, None)
-        c = count_distinct_points(gb, rng, trials=2, budget=budget)
+        c, shape = count_in_shape(gb, rng, trials=2, budget=budget)
         counts.append(c)
         if best is None or c > counts[best[0]]:
-            best = (round_idx, gb, chart, rng)
+            best = (round_idx, gb, chart, rng, shape)
         if round_idx == 0 and _misses_nothing(gb, c, cq, budget):
             break
         if round_idx == 1 and counts[0] == counts[1]:
@@ -325,8 +349,11 @@ def two_decompositions(
     npairs = solutions // 2
     pairs = None
     if npairs and best is not None and isinstance(field, PrimeField):
-        _, gb, chart, rng = best
-        raw = enumerate_points_prime_field(gb, rng, budget)
+        _, gb, chart, rng, shape = best
+        if shape is not None:
+            raw = shape_points(gb, shape, rng, budget)
+        else:
+            raw = enumerate_points_prime_field(gb, rng, budget)
         if raw is not None and len(raw) == solutions:
             seen = {}
             for values in raw:

@@ -198,6 +198,12 @@ def pair_segre_test(
     Proof: g^m lies in k[y_1..y_r], so g^m is in J_T exactly when it is in
     I_T(B y); and h(y) is in I_T(B y) exactly when h(B^-1 x) is in I_T.
     So the verdict is the one the two images give, on every input.
+
+    Before any Groebner run, the pulled-back generators are evaluated at a
+    few fixed points of V(I_T) (:func:`_fixed_points`): every element of
+    rad(I_T) vanishes there, so one that does not refutes the containment
+    exactly, and only a test that no point refutes runs the membership
+    route.
     """
     if Y.ideal.gens == T.ideal.gens:
         raise DegenerateInputError("pair test needs two distinct curves")
@@ -211,8 +217,40 @@ def pair_segre_test(
     field = T.field
     binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
     ys = [T.ring.linear_form(row) for row in binv[1:]]
+    for x in _fixed_points(T, budget):
+        # the pulled-back generators at x are the generators at B^-1 x
+        y = [form.evaluate(x) for form in ys]
+        if any(g.evaluate(y) != field.zero for g in img_y.ideal.gens):
+            return False  # rad(I_T) vanishes at x, and this one does not
     pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
     if not all(radical_membership(f, T.ideal, budget) for f in pulled):
         return False
     img_t = project_image(T, [o.coords], budget)
     return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
+
+
+def _fixed_points(T: ProjectiveVariety, budget=None):
+    """Points of V(I_T) fixed by T alone, with no draws: the images of the
+    parameter values (1, t, t^2, ...), t = 1, 2, 3, when T has a
+    parametrization, else the same combinations of a kernel basis of T's
+    span rows (points of its linear span); only the points on which every
+    generator of I_T vanishes are returned."""
+    field = T.field
+    zero = field.zero
+    weights = [[field.coerce(t ** i) for i in range(T.ring.nvars)] for t in (1, 2, 3)]
+    if T.param is not None:
+        candidates = [T.param.evaluate(w[:T.param.nparams]) for w in weights]
+    else:
+        columns = list(zip(*kernel_basis(T.span_rows(budget), field)))
+        candidates = [[_dot(w, col, field) for col in columns] for w in weights]
+    return [
+        x for x in candidates
+        if any(c != zero for c in x) and all(g.evaluate(x) == zero for g in T.ideal.gens)
+    ]
+
+
+def _dot(row, x, field):
+    total = field.zero
+    for a, b in zip(row, x):
+        total = field.add(total, field.mul(a, b))
+    return total

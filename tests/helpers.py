@@ -2,8 +2,9 @@
 variety, scheme equality of two homogeneous ideals, the variety-file writer,
 a deterministic stream of large primes, polynomial predicates, the
 parametrized entry-locus route, and reference copies of the repeated-trial
-routes that the library now ends early and of the factor stage's former
-routes."""
+routes that the library now ends early, of the factor stage's former
+routes, and of the routes that the fast paths of the decomposition count,
+the pair test and quadratic root finding replace."""
 
 from __future__ import annotations
 
@@ -14,7 +15,10 @@ from entryloci.geometry import (
     Parametrization,
     ProjectivePoint,
     ProjectiveVariety,
+    affine_chart,
     ambient_ring,
+    project_image,
+    projection_frame,
     witness_points,
 )
 from entryloci.kernel import (
@@ -33,12 +37,13 @@ from entryloci.kernel import (
     homogeneous_generators,
     irrelevant_saturate,
     next_prime,
+    radical_membership,
 )
 from entryloci.kernel import factor
 from entryloci.kernel.fields import Rationals
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.ideals import same_ideal
-from entryloci.kernel.linalg import kernel_basis, rank
+from entryloci.kernel.linalg import kernel_basis, mat_inverse, rank
 from entryloci.kernel.rng import random_coords, seeded_rng
 from entryloci.kernel.univar import (
     u_degree,
@@ -46,6 +51,7 @@ from entryloci.kernel.univar import (
     u_gcd,
     u_monic,
     u_pow_mod,
+    u_rational_root_part,
     u_squarefree_part,
     u_sub,
 )
@@ -188,9 +194,19 @@ def _ref_secant_dims(X, s_max, seed=0, budget=None):
     return rank_secant.SecantProfile(tuple(steps), r_gen)
 
 
+def _ref_incidence_affine_system(X, q, rng):
+    """The decomposition system with its linear generators kept: the chart
+    solves only its own form, and every incidence generator is kept."""
+    aff, a_imgs, chart, _ = affine_chart(X.ring, rng, ("lam",))
+    gens = rank_secant.incidence_generators(X, q, aff, a_imgs, aff.variable(aff.nvars - 1))
+    return Ideal.of(aff, gens), chart
+
+
 def _ref_two_decompositions(X, q, seed=0, budget=None):
     """``two_decompositions`` as a vote of up to three rounds, with no
-    certificate: two that agree end it, else the largest count wins."""
+    certificate: two that agree end it, else the largest count wins.  It
+    keeps the linear generators in the system and enumerates the points
+    with a fresh separating form."""
     if X.contains_point(q):
         raise DegenerateInputError("base point lies on the variety")
     field = X.field
@@ -198,7 +214,7 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
     best = None
     for round_idx in range(3):
         rng = seeded_rng(("decomp", X.meta.get("key"), seed, round_idx))
-        system, chart = rank_secant._incidence_affine_system(X, q, rng)[:2]
+        system, chart = _ref_incidence_affine_system(X, q, rng)
         gb = groebner_basis(system, GREVLEX, budget)
         if gb.is_unit():
             counts.append(0)
@@ -231,6 +247,50 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
             if len(seen) == npairs:
                 pairs = tuple(seen[k] for k in sorted(seen))
     return rank_secant.DecompositionSet(False, npairs, pairs)
+
+
+def _ref_pair_segre_test(Y, T, o, budget=None):
+    """``pair_segre_test`` with no point refutation: the forward containment
+    by radical membership in I_T of the pulled-back generators of J_Y, then
+    the backward one on the two images."""
+    if Y.ideal.gens == T.ideal.gens:
+        raise DegenerateInputError("pair test needs two distinct curves")
+    img_y = project_image(Y, [o.coords], budget)
+    field = T.field
+    binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
+    ys = [T.ring.linear_form(row) for row in binv[1:]]
+    pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
+    if not all(radical_membership(f, T.ideal, budget) for f in pulled):
+        return False
+    img_t = project_image(T, [o.coords], budget)
+    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
+
+
+def _ref_u_roots_prime_field(a, field, rng):
+    """``u_roots_prime_field`` by Cantor-Zassenhaus at every degree: the
+    rational root part gcd(f, x^p - x), split by gcd(g, (x + delta)^((p-1)/2)
+    - 1) for random delta."""
+    a = u_monic(u_squarefree_part(a, field), field)
+    roots = []
+    stack = [u_rational_root_part(a, field)]
+    p = field.p
+    while stack:
+        g = stack.pop()
+        if u_degree(g) <= 0:
+            continue
+        if u_degree(g) == 1:
+            roots.append(field.neg(g[0]))
+            continue
+        while True:
+            delta = rng.randrange(p)
+            h = u_sub(u_pow_mod([delta, field.one], (p - 1) // 2, g, field), [field.one], field)
+            d = u_gcd(g, h, field)
+            if 0 < u_degree(d) < u_degree(g):
+                stack.append(d)
+                stack.append(u_divmod(g, d, field)[0])
+                break
+    roots.sort()
+    return roots
 
 
 # -- the parametrized entry-locus route ---------------------------------------

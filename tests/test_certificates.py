@@ -10,10 +10,13 @@ from entryloci.catalog import build_catalog_variety, catalog_keys
 from entryloci.geometry import ProjectivePoint, random_point, zero_dim_slice
 from entryloci.kernel import GREVLEX, QQ, Ideal, KernelError, PrimeField, RingContext, groebner_basis
 from entryloci.kernel.hilbert import hilbert_invariants
+from entryloci.kernel.linalg import rank
 from entryloci.kernel.rng import random_coords, random_scalar, seeded_rng
-from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
+from entryloci.kernel import zerodim
+from entryloci.kernel.zerodim import count_distinct_points, count_in_shape, is_zero_dimensional
 from entryloci.rank_secant import secant_dims, two_decompositions
 from entryloci.suite import resolve_field
+import helpers
 from helpers import _ref_count_distinct_points, _ref_secant_dims, _ref_two_decompositions
 
 CASES = [(k, f) for k in catalog_keys() for f in ("fp:auto", "Q")]
@@ -46,6 +49,67 @@ def test_decompositions_and_secant_profiles_match_every_round(key, field_desc):
             lambda: _ref_two_decompositions(var, q, seed=seed))
         assert _outcome(lambda: secant_dims(var, 2, seed=seed)) == _outcome(
             lambda: _ref_secant_dims(var, 2, seed=seed))
+
+
+def _cli_decomp_point(var, seed):
+    return random_point(var.field, seeded_rng(("cli-decomp", seed)), var.ambient + 1,
+                        off_coordinate_hyperplanes=True)
+
+
+@pytest.mark.parametrize("field_desc", ["fp:auto", "Q"])
+def test_linear_incidence_rows_are_solved_by_the_chart(field_desc):
+    field = resolve_field(field_desc, 1)
+    for key, rows in (("rational_quartic3", 0), ("elliptic4", 1), ("rnc3", 2), ("rnc5", 9)):
+        var = build_catalog_variety(key, 1, field)
+        q = _cli_decomp_point(var, 1)
+        linear = rank_secant._linear_incidence_rows(var, q)
+        assert len(linear) == rows  # rational_quartic3 has a single quadric: no rows
+        assert all(_dot(field, row, q.coords) == field.zero for row in linear)
+        system = rank_secant._incidence_affine_system(var, q, seeded_rng(("decomp", key, 1, 0)))[0]
+        ref = helpers._ref_incidence_affine_system(var, q, seeded_rng(("decomp", key, 1, 0)))[0]
+        assert system.ring.nvars == ref.ring.nvars - rank(linear, field)
+        ds = two_decompositions(var, q, seed=1)
+        for pair in ds.pairs or ():
+            # every decomposition's points satisfy the rows
+            assert all(_dot(field, row, p.coords) == field.zero for row in linear for p in pair)
+
+
+def test_count_in_shape_keeps_the_form_only_at_full_count():
+    ring = RingContext(("x", "lam"), PrimeField(65537))
+    radical = groebner_basis(Ideal.of(ring, [ring.from_string("x^2 - 1"), ring.from_string("lam - 5")]))
+    double = groebner_basis(Ideal.of(ring, [ring.from_string("x^2"), ring.from_string("lam - 5")]))
+    count, shape = count_in_shape(radical, seeded_rng("shape"))
+    assert count == 2 and shape is not None
+    assert sorted(zerodim.shape_points(radical, shape, seeded_rng("roots"))) == [(1, 5), (65536, 5)]
+    assert count_in_shape(double, seeded_rng("shape")) == (1, None)
+
+
+# seeds whose `el decomp` pairs are all F_p-rational, and one whose are not
+@pytest.mark.parametrize("key,seed,rational", [
+    ("rnc3", 1, True), ("rnc3", 5, True), ("elliptic4", 18, True), ("elliptic4", 22, True),
+    ("rational_quartic3", 1, False),
+])
+def test_pairs_without_a_counting_form_are_enumerated(key, seed, rational, monkeypatch):
+    # drop the counting form, as when no trial reaches D: the former
+    # enumeration with a fresh separating form finds the same pairs
+    var = build_catalog_variety(key, seed, resolve_field("fp:auto", seed))
+    q = _cli_decomp_point(var, seed)
+    fast = two_decompositions(var, q, seed=seed)
+    assert fast.count and (fast.pairs is not None) == rational
+    enumerated = []
+    real_count, real_enumerate = rank_secant.count_in_shape, rank_secant.enumerate_points_prime_field
+
+    def no_shape(gb, rng, trials=2, budget=None):
+        return real_count(gb, rng, trials, budget)[0], None
+
+    def spy(gb, rng, budget=None):
+        enumerated.append(gb)
+        return real_enumerate(gb, rng, budget)
+
+    monkeypatch.setattr(rank_secant, "count_in_shape", no_shape)
+    monkeypatch.setattr(rank_secant, "enumerate_points_prime_field", spy)
+    assert two_decompositions(var, q, seed=seed) == fast == _ref_two_decompositions(var, q, seed=seed)
+    assert len(enumerated) == 1
 
 
 def _zero_dim_bases(var, seed):

@@ -36,6 +36,7 @@ from entryloci.kernel import (
     saturate_single,
 )
 from entryloci.kernel.hilbert import hilbert_invariants
+from entryloci.kernel.linalg import rank
 from entryloci.kernel.rng import random_coords, random_scalar, seeded_rng
 from entryloci.kernel.zerodim import (
     count_distinct_points,
@@ -142,6 +143,50 @@ def test_project_rejects_dependent_center_rows(parametrized):
     twice = [FP.mul(2, c) for c in row]
     with pytest.raises(DegenerateInputError, match="could not complete basis"):
         project_image(var, [row, twice])
+
+
+def _greedy_frame(field, rows, n):
+    """The former completion of independent rows: e_0, e_1, ... appended in
+    turn whenever the rank grows."""
+    base = [list(r) for r in rows]
+    for i in range(n):
+        trial = base + [[field.one if j == i else field.zero for j in range(n)]]
+        if rank(trial, field) == len(trial):
+            base.append(trial[-1])
+    return [[base[j][i] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field_desc", ["fp:auto", "Q"])
+def test_projection_frame_is_the_greedy_completion(field_desc):
+    rng = seeded_rng("frame", field_desc)
+    for trial in range(60):
+        field = resolve_field(field_desc, 1 + trial % 3)
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        rows = [random_coords(field, rng, n) for _ in range(k)]
+        # sparse rows and repeated columns put the last nonzero entries
+        # anywhere, and a few rows dependent
+        for row in rows:
+            for j in range(n):
+                if rng.random() < 0.4:
+                    row[j] = field.zero
+        if rows and rng.random() < 0.2:
+            rows.append([field.mul(field.coerce(2), c) for c in rows[0]])
+        if rank(rows, field) < len(rows):
+            with pytest.raises(DegenerateInputError):
+                geometry.projection_frame(field, rows, n)
+        else:
+            assert geometry.projection_frame(field, rows, n) == _greedy_frame(field, rows, n)
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=str)
+def test_projection_frame_rejects_n_dependent_rows(field):
+    # n rows spanning only n - 1 dimensions: the former loop returned them
+    # as a singular frame, since its basis was already n long
+    rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    rows = [[field.coerce(c) for c in row] for row in rows]
+    with pytest.raises(DegenerateInputError):
+        geometry.projection_frame(field, rows, 3)
 
 
 def test_cone_over_conic_is_rank3_quadric():
@@ -362,7 +407,7 @@ def test_affine_chart_without_cuts_matches_the_former_chart(field, nvars):
     ring = ambient_ring(nvars - 1, field)
     for seed in range(8):
         for extra in ((), ("lam",)):
-            aring, images, chart = affine_chart(ring, seeded_rng("chart-pin", seed), extra)
+            aring, images, chart, _ = affine_chart(ring, seeded_rng("chart-pin", seed), extra)
             ref_ring, ref_images = _ref_affine_chart(ring, seeded_rng("chart-pin", seed), extra)
             assert aring == ref_ring
             assert [img.terms for img in images] == [img.terms for img in ref_images]

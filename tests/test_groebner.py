@@ -109,6 +109,37 @@ def test_budget_error_is_raised_not_partial():
         groebner_basis(Ideal.of(ring, gens), GREVLEX, Budget(max_pairs=3))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_time_budget_holds_when_every_pair_is_pruned(field):
+    # coprime leading terms: the product criterion prunes every pair as it
+    # is made, so no pair is popped and only the per-update clock reads can
+    # see the limit
+    ring = RingContext(("x0", "x1", "x2"), field)
+    gens = list(ring.gens())
+    assert groebner.buchberger(gens, ring) == gens[::-1]
+    with pytest.raises(BudgetExceededError):
+        groebner.buchberger(gens, ring, Budget(max_seconds=0.0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_pair_update_keeps_one_of_two_new_pairs_with_one_lcm(field):
+    # x*y + z enters last: its pairs with x + 1 and y + 1 share the lcm x*y
+    # and neither is coprime, so criterion F keeps exactly one of them; with
+    # neither, x*y + z would only be dropped as dominated, and z + 1 lost
+    ring = RingContext(("x", "y", "z"), field)
+    gens = [ring.from_string(g) for g in ("x + 1", "y + 1", "x*y + z")]
+    budget = _RecordingBudget()
+    basis = groebner.buchberger(gens, ring, budget)
+    assert [g.to_string() for g in basis] == ["z + 1", "y + 1", "x + 1"]
+    assert budget.meter.pairs == 1
+
+
+class _RecordingBudget(Budget):
+    def fresh(self):
+        self.meter = super().fresh()
+        return self.meter
+
+
 def test_groebner_over_prime_field_matches_rational_leading_terms():
     ring_q = RingContext(("x", "y", "z"), QQ)
     gens_q = [ring_q.from_string("x^2 + y*z - 1"), ring_q.from_string("x*z - y + 2")]

@@ -791,32 +791,36 @@ class _RecordingBudget(Budget):
 
 
 def test_budget_counts_every_skipped_leading_term():
-    # the counts of the sugar run; the field-method kernel, which subtracted
-    # the leading terms instead of skipping them, counted the same steps.
-    # The Block(1) elimination of lambda is inhomogeneous, and normal
-    # selection, which pops the pairs with the fewest lambda first whatever
-    # their degree, needs (91, 408) for the same basis.
+    # the counts of the sugar run with the Gebauer-Moller update (the chain
+    # criterion at pop time popped 55 pairs for the same 235 steps); the
+    # field-method kernel, which subtracted the leading terms instead of
+    # skipping them, counted the same steps.  The Block(1) elimination of
+    # lambda is inhomogeneous, and normal selection, which pops the pairs
+    # with the fewest lambda first whatever their degree, needs (91, 408)
+    # for the same basis.
     gens, ring = _scroll_incidence_system()
     budget = _RecordingBudget()
     basis = buchberger(gens, ring, budget)
-    assert (budget.meter.pairs, budget.meter.reductions) == (55, 235)
+    pairs, reductions = budget.meter.pairs, budget.meter.reductions
+    assert (pairs, reductions) == (14, 235)
     with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_reductions=234))
+        buchberger(gens, ring, Budget(max_reductions=reductions - 1))
     with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_pairs=54))
-    assert buchberger(gens, ring, Budget(max_reductions=235, max_pairs=55)) == basis
+        buchberger(gens, ring, Budget(max_pairs=pairs - 1))
+    assert buchberger(gens, ring, Budget(max_reductions=reductions, max_pairs=pairs)) == basis
     assert _ref_buchberger(gens, ring, budget) == basis
     assert (budget.meter.pairs, budget.meter.reductions) == (91, 408)
 
 
 def test_incidence_generators_cut_the_scroll_counts():
     # the same instance through incidence_generators: the same basis for
-    # less than half the reduction steps of the raw system above
+    # less than a third of the reduction steps of the raw system above (the
+    # chain criterion at pop time needed (28, 100))
     raw, ring = _scroll_incidence_system()
     gens, _ = _scroll_incidence_system(raw=False)
     budget = _RecordingBudget()
     basis = buchberger(gens, ring, budget)
-    assert (budget.meter.pairs, budget.meter.reductions) == (28, 100)
+    assert (budget.meter.pairs, budget.meter.reductions) == (5, 69)
     assert basis == buchberger(raw, ring)
 
 

@@ -154,7 +154,7 @@ def test_incidence_generators_give_the_raw_reduced_bases(field_desc, key):
     raw, new = _incidence_systems(var, big, a_vars, big.variable(0), q)
     assert len(new.gens) <= len(raw.gens)
     assert groebner_basis(new).basis == groebner_basis(raw).basis
-    aff, a_imgs, _ = affine_chart(var.ring, rng, ("lam",))
+    aff, a_imgs, _, _ = affine_chart(var.ring, rng, ("lam",))
     raw, new = _incidence_systems(var, aff, a_imgs, aff.variable(aff.nvars - 1), q)
     assert groebner_basis(new, GREVLEX).basis == groebner_basis(raw, GREVLEX).basis
 

@@ -28,7 +28,7 @@ from entryloci.segre import (
     segre_count_elliptic_quartic,
 )
 from entryloci.suite import resolve_field
-from helpers import prime_stream
+from helpers import _ref_pair_segre_test, prime_stream
 
 FP = PrimeField(2147483659)
 
@@ -231,7 +231,7 @@ def test_pair_segre_rejects_missing_span():
 # -- the two-image route as the oracle for pair_segre_test ----------------------
 
 
-def _ref_pair_segre_test(Y, T, o, budget=None):
+def _two_image_pair_test(Y, T, o, budget=None):
     """The former route: project both curves from o, then compare the images
     by reduced containment both ways."""
     img_y = project_image(Y, [o.coords], budget)
@@ -258,10 +258,10 @@ def _points_off(field, rng, curves, count):
     return points
 
 
-def _check10_pairs(field):
+def _check10_pairs(field, seed=None):
     """The pairs of suite check 10: skew lines, the conic and its cone
     section (from the vertex), and a plane conic against rnc4 in P^4."""
-    rng = seeded_rng(("pair-oracle", field.describe()))
+    rng = seeded_rng(("pair-oracle", field.describe()) + (() if seed is None else (seed,)))
     r3 = ambient_ring(3, field)
     x0, x1, x2, x3 = r3.gens()
     l1 = _curve(r3, [x2, x3], "l1")
@@ -273,9 +273,53 @@ def _check10_pairs(field):
     r4 = ambient_ring(4, field)
     y0, y1, y2, y3, y4 = r4.gens()
     conic5 = _curve(r4, [y3, y4, y0 * y2 - y1 * y1], "plane_conic")
-    rnc4 = build_catalog_variety("rnc4", 1, field)
+    rnc4 = build_catalog_variety("rnc4", seed or 1, field)
     pairs += [(conic5, rnc4, o) for o in _points_off(field, rng, [conic5, rnc4], 3)]
     return pairs
+
+
+def _catalog_pairs(field, seed):
+    """Every ordered pair of distinct catalog curves of P^3 (two of them
+    parametrized, elliptic4 not), from one centre off both."""
+    curves = [build_catalog_variety(k, seed, field) for k in ("rnc3", "rational_quartic3", "elliptic4")]
+    rng = seeded_rng(("pair-catalog", seed))
+    return [
+        (Y, T, o) for Y in curves for T in curves if Y is not T
+        for o in _points_off(field, rng, [Y, T], 1)
+    ]
+
+
+@pytest.mark.parametrize("field_desc", ["fp:auto", "Q"])
+@pytest.mark.parametrize("refute", [True, False], ids=["points", "membership"])
+def test_pair_segre_matches_the_membership_route(field_desc, refute, monkeypatch):
+    if not refute:
+        # no fixed point, so the Groebner route decides every pair
+        monkeypatch.setattr(segre, "_fixed_points", lambda T, budget=None: [])
+    for seed in (1, 2, 3):
+        field = resolve_field(field_desc, seed)
+        for Y, T, o in _check10_pairs(field, seed) + _catalog_pairs(field, seed):
+            assert pair_segre_test(Y, T, o) == _ref_pair_segre_test(Y, T, o)
+
+
+@pytest.mark.parametrize("field", PAIR_FIELDS, ids=["fp:auto", "Q"])
+def test_pair_segre_refutes_the_false_check10_pairs_at_points(field, monkeypatch):
+    calls = []
+    real = segre.radical_membership
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(segre, "radical_membership", counted)
+    for Y, T, o in _check10_pairs(field):
+        calls.clear()
+        verdict = pair_segre_test(Y, T, o)
+        # only the true pair, the conic and its cone section, reaches the
+        # membership route: its fixed points are off the conic
+        assert bool(calls) == verdict
+        points = segre._fixed_points(T)
+        assert all(T.contains_point(ProjectivePoint.make(field, x)) for x in points)
+        assert len(points) == (0 if T.meta["name"] == "conic_t" else 3)
 
 
 @pytest.mark.parametrize("field", PAIR_FIELDS, ids=["fp:auto", "Q"])
@@ -283,7 +327,7 @@ def test_pair_segre_matches_two_image_reference(field):
     verdicts = []
     for Y, T, o in _check10_pairs(field):
         verdict = pair_segre_test(Y, T, o)
-        assert verdict == _ref_pair_segre_test(Y, T, o)
+        assert verdict == _two_image_pair_test(Y, T, o)
         verdicts.append(verdict)
     assert verdicts == [False] * 3 + [True] + [False] * 3
 
@@ -319,12 +363,12 @@ def test_pair_segre_one_inclusion_in_both_orders(field, monkeypatch):
     # forward holds (T's image lies in the two image lines), backward fails
     assert not pair_segre_test(lines, t, o)
     assert calls == ["two_lines", "line_in_plane"]
-    assert not _ref_pair_segre_test(lines, t, o)
+    assert not _two_image_pair_test(lines, t, o)
     calls.clear()
     # forward fails at once: the second curve is never projected
     assert not pair_segre_test(t, lines, o)
     assert calls == ["line_in_plane"]
-    assert not _ref_pair_segre_test(t, lines, o)
+    assert not _two_image_pair_test(t, lines, o)
 
 
 def test_pair_segre_projects_once_when_forward_fails(monkeypatch):
