@@ -19,7 +19,7 @@ from .geometry import (
 )
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import QQ
-from .kernel.groebner import Budget
+from .kernel.groebner import Budget, current_budget, limits
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal
 from .kernel.linalg import det
@@ -145,7 +145,7 @@ def _catalecticant_det(field, coords):
     return det(m, field)
 
 
-def _veronese_proj4(field, rng: random.Random, budget) -> ProjectiveVariety:
+def _veronese_proj4(field, rng: random.Random) -> ProjectiveVariety:
     v5 = _veronese5(field)
     for _ in range(30):
         coords = [field.coerce(random_scalar(field, rng)) for _ in range(6)]
@@ -153,19 +153,19 @@ def _veronese_proj4(field, rng: random.Random, budget) -> ProjectiveVariety:
             break
     else:
         raise DegenerateInputError("no center off the secant cubic found")
-    out = project_image(v5, [coords], budget)
+    out = project_image(v5, [coords])
     out.meta.update(catalog_metadata("veronese_proj4"))
     out.meta["name"] = "veronese_proj4"
     out.meta["key"] = "veronese_proj4"
     return out
 
 
-def _rational_quartic3(field, budget) -> ProjectiveVariety:
+def _rational_quartic3(field) -> ProjectiveVariety:
     pring = RingContext(("s0", "s1"), field)
     s, t = pring.gens()
     forms = (s**4, s**3 * t, s * t**3, t**4)
     param = Parametrization(pring, forms)
-    ideal = implicitize(param, budget)
+    ideal = implicitize(param)
     meta = {
         "name": "rational_quartic3",
         "key": "rational_quartic3",
@@ -174,62 +174,61 @@ def _rational_quartic3(field, budget) -> ProjectiveVariety:
     return ProjectiveVariety(3, ideal, param, meta)
 
 
-def _complete_intersection(key, ambient, degrees, field, rng, budget) -> ProjectiveVariety:
+def _complete_intersection(key, ambient, degrees, field, rng) -> ProjectiveVariety:
     ring = ambient_ring(ambient, field)
     gens = [_random_form(ring, d, rng) for d in degrees]
     meta = {"name": key, "key": key, **catalog_metadata(key)}
     return ProjectiveVariety(ambient, Ideal.of(ring, gens), None, meta)
 
 
-def build_catalog_variety(
-    key: str, seed: int, field=None, budget: Budget | None = None
-) -> ProjectiveVariety:
-    """Construct a catalog entry; seeded instances are reseeded on sanity failure."""
+def build_catalog_variety(key: str, seed: int, field=None, budget: Budget | None = None) -> ProjectiveVariety:
+    """Construct a catalog entry; seeded instances are reseeded on sanity
+    failure.  ``budget``, when given, sets the Groebner limits of the build;
+    otherwise the current ones apply."""
     key = normalize_key(key)
     field = field or QQ
-    n_exp, d_exp, g_exp = _EXPECTED[key]
     last = None
-    for attempt in range(5):
-        rng = seeded_rng(("catalog", key, seed, attempt))
-        try:
-            if key.startswith("rnc"):
-                var = _rnc(int(key[3:]), field)
-            elif key == "scroll12":
-                var = _scroll12(field)
-            elif key == "cone_twisted_cubic":
-                var = cone_over(_rnc(3, field))
-                var.meta.update(catalog_metadata(key))
-                var.meta["name"] = key
-                var.meta["key"] = key
-            elif key == "veronese5":
-                var = _veronese5(field)
-            elif key == "veronese_proj4":
-                var = _veronese_proj4(field, rng, budget)
-            elif key == "rational_quartic3":
-                var = _rational_quartic3(field, budget)
-            elif key == "delpezzo4":
-                var = _complete_intersection(key, 4, (2, 2), field, rng, budget)
-            elif key == "elliptic4":
-                var = _complete_intersection(key, 3, (2, 2), field, rng, budget)
-            elif key == "k3_23":
-                var = _complete_intersection(key, 4, (2, 3), field, rng, budget)
-            else:
-                raise KeyError(key)
-            var.meta["seed"] = seed
-            var.meta["field"] = field.describe()
-            _sanity_check(var, key, rng, budget)
-            return var
-        except DegenerateInputError as err:
-            last = err
-            continue
+    with limits(budget or current_budget()):
+        for attempt in range(5):
+            rng = seeded_rng(("catalog", key, seed, attempt))
+            try:
+                if key.startswith("rnc"):
+                    var = _rnc(int(key[3:]), field)
+                elif key == "scroll12":
+                    var = _scroll12(field)
+                elif key == "cone_twisted_cubic":
+                    var = cone_over(_rnc(3, field))
+                    var.meta.update(catalog_metadata(key))
+                    var.meta["name"] = key
+                    var.meta["key"] = key
+                elif key == "veronese5":
+                    var = _veronese5(field)
+                elif key == "veronese_proj4":
+                    var = _veronese_proj4(field, rng)
+                elif key == "rational_quartic3":
+                    var = _rational_quartic3(field)
+                elif key == "delpezzo4":
+                    var = _complete_intersection(key, 4, (2, 2), field, rng)
+                elif key == "elliptic4":
+                    var = _complete_intersection(key, 3, (2, 2), field, rng)
+                elif key == "k3_23":
+                    var = _complete_intersection(key, 4, (2, 3), field, rng)
+                else:
+                    raise KeyError(key)
+                var.meta["seed"] = seed
+                var.meta["field"] = field.describe()
+                _sanity_check(var, key, rng)
+                return var
+            except DegenerateInputError as err:
+                last = err
     raise DegenerateInputError(f"catalog entry {key} failed sanity checks: {last}")
 
 
-def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random, budget):
+def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random):
     n_exp, d_exp, g_exp = _EXPECTED[key]
     if not _check_param_consistency(var):
         raise DegenerateInputError("parametrization does not satisfy the ideal")
-    inv = hilbert_invariants(var.ideal, budget)
+    inv = hilbert_invariants(var.ideal)
     if (inv.dimension, inv.degree) != (n_exp, d_exp):
         raise DegenerateInputError(
             f"{key}: got (dim, deg) = ({inv.dimension}, {inv.degree}), "
@@ -241,9 +240,9 @@ def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random, budget):
         )
     if key in ("delpezzo4", "k3_23"):
         slice_gens = list(var.ideal.gens) + [random_linear_combination(var.ring, rng)]
-        sl = hilbert_invariants(Ideal.of(var.ring, slice_gens), budget)
+        sl = hilbert_invariants(Ideal.of(var.ring, slice_gens))
         if (sl.dimension, sl.degree, sl.arithmetic_genus) != (1, d_exp, g_exp):
             raise DegenerateInputError(f"{key}: hyperplane slice genus check failed")
     if key == "elliptic4":
-        if pencil_det_distinct_roots(quadric_pencil(var, budget)) != 4:
+        if pencil_det_distinct_roots(quadric_pencil(var)) != 4:
             raise DegenerateInputError("elliptic quartic pencil is degenerate")

@@ -21,7 +21,7 @@ from .catalog import build_catalog_variety, catalog_keys, catalog_metadata
 from .entry_locus import classify_entry_locus
 from .geometry import random_point
 from .kernel.errors import BudgetExceededError, CoefficientError, KernelError, ParseError
-from .kernel.groebner import Budget
+from .kernel.groebner import Budget, limits
 from .kernel.ideals import groebner_basis
 from .kernel.orders import order_from_name
 from .kernel.rng import seeded_rng
@@ -118,8 +118,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # the command's Groebner limits, set once for all of it
+    budget = Budget(max_pairs=getattr(args, "max_pairs", Budget.max_pairs),
+                    max_seconds=getattr(args, "time_limit", None))
     try:
-        return _dispatch(args)
+        with limits(budget):
+            return _dispatch(args)
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return BUDGET_EXHAUSTED
@@ -147,8 +151,7 @@ def _dispatch(args) -> int:
         except ValueError as err:
             print(f"usage error: {err}", file=sys.stderr)
             return USAGE_ERROR
-        budget = Budget(max_pairs=args.max_pairs)
-        gb = groebner_basis(var.ideal, order, budget)
+        gb = groebner_basis(var.ideal, order)
         data = {
             "order": args.order,
             "basis": [g.to_string() for g in gb.basis],
@@ -162,20 +165,19 @@ def _dispatch(args) -> int:
     except CoefficientError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    budget = Budget(max_pairs=args.max_pairs, max_seconds=args.time_limit)
 
     def _load_variety(target):
-        return files[target] if target in files else build_catalog_variety(target, args.seed, field, budget)
+        return files[target] if target in files else build_catalog_variety(target, args.seed, field)
 
     if args.command == "entry-locus":
         var = _load_variety(args.variety)
-        rep = classify_entry_locus(var, args.seed, budget)
+        rep = classify_entry_locus(var, args.seed)
         _emit(rep.as_dict(), args.out)
         return 0
 
     if args.command == "secant-dims":
         var = _load_variety(args.variety)
-        prof = secant_dims(var, args.max_s, seed=args.seed, budget=budget)
+        prof = secant_dims(var, args.max_s, seed=args.seed)
         data = {"variety": args.variety, "field": field.describe(), **prof.as_dict()}
         _emit(data, args.out)
         return 0
@@ -184,7 +186,7 @@ def _dispatch(args) -> int:
         var = _load_variety(args.variety)
         rng = seeded_rng(("cli-decomp", args.seed))
         q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
-        ds = two_decompositions(var, q, seed=args.seed, budget=budget)
+        ds = two_decompositions(var, q, seed=args.seed)
         data = {
             "variety": args.variety,
             "field": field.describe(),
@@ -196,7 +198,7 @@ def _dispatch(args) -> int:
 
     if args.command == "segre":
         var = _load_variety(args.curve)
-        count, vertices = segre_count_elliptic_quartic(var, args.seed, budget)
+        count, vertices = segre_count_elliptic_quartic(var, args.seed)
         data = {
             "curve": args.curve,
             "field": field.describe(),
@@ -213,7 +215,7 @@ def _dispatch(args) -> int:
         t = _load_variety(args.t)
         rng = seeded_rng(("cli-pair", args.seed))
         o = random_point(field, rng, y.ambient + 1)
-        verdict = pair_segre_test(y, t, o, budget)
+        verdict = pair_segre_test(y, t, o)
         _emit(
             {
                 "y": args.y,

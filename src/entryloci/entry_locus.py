@@ -35,7 +35,6 @@ from .geometry import (
 from .kernel.errors import BudgetExceededError, DegenerateInputError
 from .kernel.factor import _factor_count, bivariate_gcd, squarefree_part
 from .kernel.fields import PrimeField
-from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import (
     Ideal,
@@ -95,34 +94,25 @@ class EntryLocusReport:
         }
 
 
-def entry_locus_ideal(
-    X: ProjectiveVariety,
-    q: ProjectivePoint,
-    budget: Budget | None = None,
-) -> Ideal:
+def entry_locus_ideal(X: ProjectiveVariety, q: ProjectivePoint) -> Ideal:
     """Homogeneous ideal whose zero set is the entry locus of q (r_gen = 2)."""
     if X.contains_point(q):
         raise DegenerateInputError("entry locus base point lies on the variety")
-    return irrelevant_saturate(_implicit_entry_locus(X, q, budget), budget)
+    return irrelevant_saturate(_implicit_entry_locus(X, q))
 
 
-def _implicit_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget) -> Ideal:
+def _implicit_entry_locus(X: ProjectiveVariety, q: ProjectivePoint) -> Ideal:
     ring = X.ring
     big = RingContext(("lam_",) + ring.names, X.field, Block(1))
     a_vars = [big.variable(1 + i) for i in range(ring.nvars)]
     gens = incidence_generators(X, q, big, a_vars, big.variable(0))
-    return homogeneous_generators(eliminate(Ideal.of(big, gens), 1, budget).map_ring(ring))
+    return homogeneous_generators(eliminate(Ideal.of(big, gens), 1).map_ring(ring))
 
 
 # -- component counting ----------------------------------------------------------
 
 
-def plane_model(
-    curve: Ideal,
-    rng: random.Random,
-    expected_degree: int,
-    budget: Budget | None = None,
-) -> Polynomial:
+def plane_model(curve: Ideal, rng: random.Random, expected_degree: int) -> Polynomial:
     """Squarefree affine plane model of degree ``expected_degree`` of a
     projective curve under a seeded random projection to P^2, redrawing the
     projection while the degree falls short (see :func:`component_count`).
@@ -141,7 +131,7 @@ def plane_model(
         center_rows = kernel_basis(matrix, field)
         if len(center_rows) != n - 3:
             continue
-        image = project_image(ProjectiveVariety(n - 1, curve, None, {}), center_rows, budget).ideal
+        image = project_image(ProjectiveVariety(n - 1, curve, None, {}), center_rows).ideal
         if not image.gens:
             continue
         # a seeded random chart keeps every component affine w.h.p.
@@ -161,9 +151,7 @@ def plane_model(
     raise DegenerateInputError("no non-collapsing plane projection found")
 
 
-def component_count(
-    curve: Ideal, seed: int, expected_degree: int, budget: Budget | None = None
-) -> tuple[int, Polynomial]:
+def component_count(curve: Ideal, seed: int, expected_degree: int) -> tuple[int, Polynomial]:
     """(number of geometric components, plane model) of a projective curve of
     reduced degree ``expected_degree``: the absolute factor count of the
     first seeded plane model that passes :func:`plane_model`'s degree check.
@@ -184,7 +172,7 @@ def component_count(
     for trial in range(3):
         rng = seeded_rng(("components", seed, trial))
         try:
-            model = plane_model(curve, rng, expected_degree, budget)
+            model = plane_model(curve, rng, expected_degree)
             return _factor_count(model, rng), model
         except DegenerateInputError:
             continue
@@ -201,7 +189,6 @@ def type_ab_test(
     span_rows,
     trials: int = 3,
     seed: int = 0,
-    budget: Budget | None = None,
 ) -> str:
     """A / B / undetermined: does the entry locus stay the same for general
     points of its span (the kernel of the locus's ``span_rows``)?
@@ -215,7 +202,7 @@ def type_ab_test(
     span_basis = kernel_basis(span_rows, field) if span_rows else identity(X.ring.nvars, field)
     if len(span_basis) < 2:
         raise DegenerateInputError("entry locus span is a point")
-    locus_gb = groebner_basis(locus, GREVLEX, budget)
+    locus_gb = groebner_basis(locus, GREVLEX)
     stable = True
     for trial in range(trials):
         rng = seeded_rng(("typeab", X.meta.get("key"), seed, trial))
@@ -236,24 +223,19 @@ def type_ab_test(
             stable = False
             continue
         try:
-            other = entry_locus_ideal(X, o, budget)
+            other = entry_locus_ideal(X, o)
         except (DegenerateInputError, BudgetExceededError):
             stable = False
             continue
-        fwd = ideal_contains(groebner_basis(other, GREVLEX, budget), locus, budget)
-        bwd = ideal_contains(locus_gb, other, budget)
+        fwd = ideal_contains(groebner_basis(other, GREVLEX), locus)
+        bwd = ideal_contains(locus_gb, other)
         if not fwd and not bwd:
             return "B"
         stable = stable and fwd and bwd
     return "A" if stable else "undetermined"
 
 
-def classify_entry_locus(
-    X: ProjectiveVariety,
-    seed: int,
-    budget: Budget | None = None,
-    ab_trials: int = 3,
-) -> EntryLocusReport:
+def classify_entry_locus(X: ProjectiveVariety, seed: int, ab_trials: int = 3) -> EntryLocusReport:
     """Full entry-locus report for a catalog or file variety with r_gen = 2."""
     t0 = time.monotonic()
     field = X.field
@@ -261,7 +243,7 @@ def classify_entry_locus(
     n = X.meta.get("n")
     d = X.meta.get("d")
     timings = {}
-    profile = secant_dims(X, 2, seed=seed, budget=budget)
+    profile = secant_dims(X, 2, seed=seed)
     if profile.r_gen != 2:
         raise DegenerateInputError(f"generic rank is not 2: {profile.as_dict()}")
     dim_sigma1 = profile.dim(1)
@@ -279,8 +261,8 @@ def classify_entry_locus(
         cand = random_point(field, rng, r + 1, off_coordinate_hyperplanes=True)
         if X.contains_point(cand):
             continue
-        trial_locus = entry_locus_ideal(X, cand, budget)
-        inv = hilbert_invariants(trial_locus, budget)
+        trial_locus = entry_locus_ideal(X, cand)
+        inv = hilbert_invariants(trial_locus)
         if inv.dimension != gamma_pred:
             continue
         locus, q, gamma = trial_locus, cand, inv.dimension
@@ -293,12 +275,12 @@ def classify_entry_locus(
     # the locus is saturated and generated by forms: its degree-1 part cuts out the span
     span_rows, _ = graded_piece_rows(locus, 1)
     ell = X.ring.nvars - 1 - len(span_rows)
-    _, red_degree = reduced_dim_degree(locus, seed, budget)
+    _, red_degree = reduced_dim_degree(locus, seed)
     timings["span_and_degree_s"] = round(time.monotonic() - t2, 3)
 
     t3 = time.monotonic()
     if gamma >= 1:
-        comps, model = component_count(locus, seed, red_degree, budget)
+        comps, model = component_count(locus, seed, red_degree)
     else:
         comps, model = red_degree, None
     timings["components_s"] = round(time.monotonic() - t3, 3)
@@ -308,7 +290,7 @@ def classify_entry_locus(
     if n == 2 and r == 4 and d is not None:
         rng = seeded_rng(("genus", X.meta.get("key"), seed))
         slice_gens = list(X.ideal.gens) + [random_linear_combination(X.ring, rng)]
-        sl = hilbert_invariants(Ideal.of(X.ring, slice_gens), budget)
+        sl = hilbert_invariants(Ideal.of(X.ring, slice_gens))
         genus_re = sl.arithmetic_genus
         expected = (d - 1) * (d - 2) - 2 * genus_re
         degree_formula = {
@@ -325,7 +307,7 @@ def classify_entry_locus(
 
     t4 = time.monotonic()
     if gamma >= 1 and ell >= 1:
-        ab = type_ab_test(X, q, locus, span_rows, trials=ab_trials, seed=seed, budget=budget)
+        ab = type_ab_test(X, q, locus, span_rows, trials=ab_trials, seed=seed)
     else:
         ab = "undetermined"
     timings["type_ab_s"] = round(time.monotonic() - t4, 3)

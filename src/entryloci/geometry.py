@@ -15,11 +15,11 @@ dimension and no linear generators.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
-from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import (
     Ideal,
@@ -86,7 +86,6 @@ class ProjectiveVariety:
     ideal: Ideal  # homogeneous, in x0..xr
     param: Parametrization | None
     meta: dict  # name, key, seed, n, d, g, ...
-    _span_rows: list | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ring(self) -> RingContext:
@@ -100,12 +99,39 @@ class ProjectiveVariety:
         zero = self.field.zero
         return all(g.evaluate(pt.coords) == zero for g in self.ideal.gens)
 
-    def span_rows(self, budget: Budget | None = None):
-        """``span_form_rows`` of the ideal, computed on the first call and
-        kept on this variety."""
-        if self._span_rows is None:
-            self._span_rows = span_form_rows(self.ideal, budget)
-        return self._span_rows
+    @cached_property
+    def span_rows(self):
+        """``span_form_rows`` of the ideal, computed on first use and kept on
+        this variety."""
+        return span_form_rows(self.ideal)
+
+    @cached_property
+    def fixed_points(self):
+        """Points of V(I) fixed by the variety alone, with no draws: the
+        images of the parameter values (1, t, t^2, ...), t = 1, 2, 3, when it
+        has a parametrization, else the same combinations of a kernel basis
+        of its span rows (points of its linear span); only the points on
+        which every generator of I vanishes are kept.  Computed on first use
+        and kept on this variety."""
+        field = self.field
+        zero = field.zero
+        weights = [[field.coerce(t ** i) for i in range(self.ring.nvars)] for t in (1, 2, 3)]
+        if self.param is not None:
+            candidates = [self.param.evaluate(w[:self.param.nparams]) for w in weights]
+        else:
+            columns = list(zip(*kernel_basis(self.span_rows, field)))
+            candidates = [[_dot(w, col, field) for col in columns] for w in weights]
+        return [
+            x for x in candidates
+            if any(c != zero for c in x) and all(g.evaluate(x) == zero for g in self.ideal.gens)
+        ]
+
+
+def _dot(row, x, field):
+    total = field.zero
+    for a, b in zip(row, x):
+        total = field.add(total, field.mul(a, b))
+    return total
 
 
 # -- seeded random helpers -----------------------------------------------------
@@ -166,7 +192,7 @@ def projection_frame(field, rows, n: int):
 # -- implicitization -----------------------------------------------------------
 
 
-def implicitize(param: Parametrization, budget: Budget | None = None) -> Ideal:
+def implicitize(param: Parametrization) -> Ideal:
     """Ideal of the closure of the parametrization image.
 
     Eliminates the parameters from the graph ideal (x_i - P_i(s)) under a
@@ -185,18 +211,14 @@ def implicitize(param: Parametrization, budget: Budget | None = None) -> Ideal:
         return big.from_dict({mm + (0,) * (r + 1): c for mm, c in f.terms})
 
     gens = [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
-    out = eliminate(Ideal.of(big, gens), m, budget)
+    out = eliminate(Ideal.of(big, gens), m)
     return homogeneous_generators(out.map_ring(ambient_ring(r, pring.field)))
 
 
 # -- projections, cones, slices --------------------------------------------------
 
 
-def project_image(
-    X: ProjectiveVariety,
-    center_rows,
-    budget: Budget | None = None,
-) -> ProjectiveVariety:
+def project_image(X: ProjectiveVariety, center_rows) -> ProjectiveVariety:
     """Closure of the image of X under linear projection from the span of
     the independent coordinate rows ``center_rows``.
 
@@ -219,7 +241,7 @@ def project_image(
         raise DegenerateInputError("projection center meets the variety")
     moved = apply_linear_substitution(X.ideal, B)
     moved = Ideal.of(X.ring.with_order(Block(k)), moved.gens)
-    out = eliminate(moved, k, budget)
+    out = eliminate(moved, k)
     new_r = r - k
     target = ambient_ring(new_r, field)
     ideal = Ideal.of(target, [Polynomial(target, g.terms) for g in out.gens])
@@ -316,7 +338,7 @@ def dehomogenize(ideal: Ideal, rng: random.Random, cuts=0):
     return aring, [g.substitute(images, aring) for g in ideal.gens], chart
 
 
-def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
+def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random):
     """Restrict a projective ideal to ``cuts`` seeded random hyperplanes on a
     seeded random chart, by substituting the solved linear section, and
     return (grevlex basis, chart) when the affine slice is nonempty and
@@ -326,7 +348,7 @@ def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
     if cut is None:
         return None
     aring, agens, chart = cut
-    gb = groebner_basis(Ideal.of(aring, agens), GREVLEX, budget)
+    gb = groebner_basis(Ideal.of(aring, agens), GREVLEX)
     if gb.is_unit() or not is_zero_dimensional(gb):
         return None
     return gb, chart
@@ -335,9 +357,7 @@ def zero_dim_slice(ideal: Ideal, cuts: int, rng: random.Random, budget):
 # -- dimension, degree, span -----------------------------------------------------
 
 
-def reduced_dim_degree(
-    ideal: Ideal, seed: int, budget: Budget | None = None
-) -> tuple[int, int]:
+def reduced_dim_degree(ideal: Ideal, seed: int) -> tuple[int, int]:
     """(projective dimension, set-theoretic degree) of V(I).
 
     Dimension from Hilbert invariants; reduced degree by slicing with
@@ -345,16 +365,16 @@ def reduced_dim_degree(
     squarefree eliminant of a random linear coordinate.  Two seeds must agree;
     a third arbitrates; persistent mismatch is an error.
     """
-    inv = hilbert_invariants(ideal, budget)
+    inv = hilbert_invariants(ideal)
     if inv.dimension < 0:
         return (-1, 0)
     if inv.dimension == 0:
         rng = seeded_rng((seed, "dim0"))
-        return (0, count_on_slice(ideal, 0, rng, budget))
+        return (0, count_on_slice(ideal, 0, rng))
     counts = []
     for round_idx in range(3):
         rng = seeded_rng((seed, "slice", round_idx))
-        counts.append(count_on_slice(ideal, inv.dimension, rng, budget))
+        counts.append(count_on_slice(ideal, inv.dimension, rng))
         if round_idx == 1 and counts[0] == counts[1]:
             return (inv.dimension, counts[0])
     best = max(set(counts), key=counts.count)
@@ -363,21 +383,21 @@ def reduced_dim_degree(
     return (inv.dimension, best)
 
 
-def count_on_slice(ideal: Ideal, dim: int, rng: random.Random, budget) -> int:
+def count_on_slice(ideal: Ideal, dim: int, rng: random.Random) -> int:
     """Distinct points of V(I) on a seeded random slice by ``dim`` hyperplanes
     (5 slices tried; DegenerateInputError when none is zero-dimensional)."""
     for _ in range(5):
-        cut = zero_dim_slice(ideal, dim, rng, budget)
+        cut = zero_dim_slice(ideal, dim, rng)
         if cut is not None:
-            return count_distinct_points(cut[0], rng, trials=2, budget=budget)
+            return count_distinct_points(cut[0], rng, trials=2)
     raise DegenerateInputError("could not find a generic slice")
 
 
-def span_form_rows(ideal: Ideal, budget: Budget | None = None):
+def span_form_rows(ideal: Ideal):
     """Rows of the independent linear forms vanishing on the scheme: the
     degree-1 part of the irrelevant saturation, or every form when the
     scheme is empty."""
-    return graded_piece_rows(irrelevant_saturate(ideal, budget), 1)[0]
+    return graded_piece_rows(irrelevant_saturate(ideal), 1)[0]
 
 
 def graded_piece_rows(ideal: Ideal, degree: int):
@@ -403,7 +423,7 @@ def graded_piece_rows(ideal: Ideal, degree: int):
     return [red[i] for i in range(len(piv))], monos
 
 
-def slice_by_span(ideal: Ideal, span_rows, budget: Budget | None = None) -> Ideal:
+def slice_by_span(ideal: Ideal, span_rows) -> Ideal:
     """Restrict a homogeneous ideal to the linear span cut out by the given
     form rows, rewritten in intrinsic coordinates of the span."""
     ring = ideal.ring
@@ -432,25 +452,23 @@ def slice_by_span(ideal: Ideal, span_rows, budget: Budget | None = None) -> Idea
 # -- point sampling ---------------------------------------------------------------
 
 
-def witness_points(
-    X: ProjectiveVariety, rng: random.Random, want: int = 2, budget: Budget | None = None
-):
+def witness_points(X: ProjectiveVariety, rng: random.Random, want: int = 2):
     """Distinct F_p-rational points on an implicit variety, by slicing down to
     dimension zero and enumerating; retries slices until enough points split."""
     field = X.field
     if not isinstance(field, PrimeField):
         raise DegenerateInputError("witness sampling runs over a prime field")
-    inv = hilbert_invariants(X.ideal, budget)
+    inv = hilbert_invariants(X.ideal)
     if inv.dimension < 0:
         raise DegenerateInputError("empty variety")
     found = []
     seen = set()
     for _ in range(12):
-        cut = zero_dim_slice(X.ideal, inv.dimension, rng, budget)
+        cut = zero_dim_slice(X.ideal, inv.dimension, rng)
         if cut is None:
             continue
         gb, chart = cut
-        pts = enumerate_points_prime_field(gb, rng, budget, require_all=False)
+        pts = enumerate_points_prime_field(gb, rng, require_all=False)
         if not pts:
             continue
         for values in pts:

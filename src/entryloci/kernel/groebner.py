@@ -1,4 +1,4 @@
-"""Buchberger's algorithm: reduced Groebner bases with explicit budgets.
+"""Buchberger's algorithm: reduced Groebner bases under explicit limits.
 
 Strategy: the sugar selection of Giovini, Mora, Niesi, Robbiano & Traverso
 ("One sugar cube, please", ISSAC 1991) and the pair update of Gebauer &
@@ -21,8 +21,15 @@ degree, as if it were homogenised, instead of following the elimination
 order.  For homogeneous input under grevlex the sugar is the degree of the
 lcm and the pair order is normal selection's.  The selection changes only the
 order of the work: the reduced Groebner basis is unique, so the result is the
-same.  Budgets are hard limits; overruns raise :class:`BudgetExceededError`
-rather than returning a partial basis.
+same.
+
+Limits are hard: overruns raise :class:`BudgetExceededError` rather than
+returning a partial basis.  A :class:`Budget` is set once where a command or
+a check starts (``with limits(budget):``) and read here, by
+:func:`buchberger`, :func:`normal_form` and :func:`spolynomial`; no layer in
+between passes it on.  Each of those calls still meters its own run from
+zero, so the limits hold per Groebner run, and ``ideals.groebner_basis``
+keys its cache on them.
 
 Division is heap-based with lazy coefficients and packed exponent vectors
 (Monagan & Pearce, CASC 2007).  Inside this module a monomial is one int, its
@@ -66,6 +73,8 @@ from __future__ import annotations
 
 import heapq
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -77,9 +86,13 @@ from .poly import Polynomial, RingContext
 
 @dataclass
 class Budget:
-    """Resource limits for one Groebner computation.
+    """Resource limits for each Groebner computation.
 
-    ``max_seconds`` is wall time for a single run; None disables the clock.
+    Set once for a command or a check with :func:`limits`; every
+    :func:`buchberger`, :func:`normal_form` and :func:`spolynomial` call
+    under it meters its own run against them, so ``max_seconds`` is wall
+    time for a single run; None disables the clock.  Cache hits are keyed
+    on :meth:`key`, so a hit stands for a run under the same limits.
     """
 
     max_pairs: int = 200_000
@@ -88,6 +101,9 @@ class Budget:
 
     def fresh(self) -> "_Meter":
         return _Meter(self, time.monotonic())
+
+    def key(self) -> tuple:
+        return (self.max_pairs, self.max_reductions, self.max_seconds)
 
 
 @dataclass
@@ -114,7 +130,22 @@ class _Meter:
             raise BudgetExceededError("groebner", f"{self.reductions} reduction steps")
 
 
-DEFAULT_BUDGET = Budget()
+_LIMITS: ContextVar[Budget] = ContextVar("groebner_limits", default=Budget())
+
+
+def current_budget() -> Budget:
+    """The limits in force: the innermost :func:`limits`, else ``Budget()``."""
+    return _LIMITS.get()
+
+
+@contextmanager
+def limits(value: Budget):
+    """Run the block's Groebner computations under the limits ``value``."""
+    token = _LIMITS.set(value)
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
 
 
 FIELD_BITS = 16  # bits per packed exponent, the top one a guard bit
@@ -304,15 +335,14 @@ def _spoly_terms(fi, fj, lcm, meter):
     return out
 
 
-def buchberger(polys, ring: RingContext, budget: Budget | None = None):
+def buchberger(polys, ring: RingContext):
     """Reduced Groebner basis of ``polys`` in ``ring``'s active order.
 
     Returns a list of monic :class:`Polynomial` sorted by increasing leading
     monomial, with ``Fraction`` coefficients over Q.  The zero ideal yields
     the empty list.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = budget.fresh()
+    meter = current_budget().fresh()
     field = ring.field
     prepared = Divisors(polys, ring)
     codes = prepared.codes
@@ -436,7 +466,7 @@ class Divisors:
             self.basis.append((_normalized_terms(terms, ring.field), terms[0][0]))
 
 
-def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Polynomial:
+def normal_form(f: Polynomial, basis_polys) -> Polynomial:
     """Remainder of ``f`` on division by ``basis_polys`` (a Groebner basis for
     ideal-membership semantics, any divisor list otherwise).
 
@@ -447,7 +477,7 @@ def normal_form(f: Polynomial, basis_polys, budget: Budget | None = None) -> Pol
     ring = divisors.ring
     if f.ring.names != ring.names or f.ring.field != ring.field:
         raise RingMismatchError("polynomial and divisors live in different rings")
-    meter = (budget or DEFAULT_BUDGET).fresh()
+    meter = current_budget().fresh()
     codes = divisors.codes
     field = ring.field
     terms = _coded_terms(f, codes)
@@ -467,7 +497,7 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise RingMismatchError("S-polynomial operands in different rings")
     prepared = Divisors((f, g), ring)
     codes = prepared.codes
-    meter = DEFAULT_BUDGET.fresh()
+    meter = current_budget().fresh()
     fi, gj = prepared.basis
     lcm = codes[tuple(map(max, codes.exponents[fi[1]], codes.exponents[gj[1]]))]
     s = _spoly_terms(fi, gj, lcm, meter)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HomogeneityError
-from .groebner import Budget
 from .ideals import Ideal, groebner_basis
 from .orders import GREVLEX
 
@@ -116,11 +115,11 @@ def _binomial_poly(shift: int, d: int):
     return [c / fact for c in num]
 
 
-def hilbert_invariants(ideal: Ideal, budget: Budget | None = None) -> HilbertInvariants:
+def hilbert_invariants(ideal: Ideal) -> HilbertInvariants:
     """Projective dimension, degree and Hilbert polynomial of a homogeneous ideal."""
     if not ideal.homogeneous:
         raise HomogeneityError("hilbert invariants need a homogeneous ideal")
-    gb = groebner_basis(ideal, GREVLEX, budget)
+    gb = groebner_basis(ideal, GREVLEX)
     nvars = gb.ring.nvars
     if not gb.basis:
         numerator = [1]

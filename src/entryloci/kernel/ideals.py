@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateInputError, HomogeneityError, RingMismatchError
-from .groebner import Budget, Divisors, buchberger, normal_form as nf_terms, spolynomial
+from .groebner import Divisors, buchberger, current_budget, normal_form as nf_terms, spolynomial
 from .orders import GREVLEX, Block
 from .poly import Polynomial, RingContext
 
@@ -105,11 +105,16 @@ _GB_CACHE: dict = {}
 _GB_CACHE_LIMIT = 512
 
 
-def groebner_basis(ideal: Ideal, order=None, budget: Budget | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order`` (default: ring's order)."""
+def groebner_basis(ideal: Ideal, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis of ``ideal`` under ``order`` (default: ring's order).
+
+    Bases are cached under the current limits too: whether a run finishes
+    within them depends only on the ideal, the order and the limits, so a
+    hit is exactly a recomputation, budget exit included.
+    """
     order = order if order is not None else ideal.ring.order
     ring = ideal.ring.with_order(order)
-    cache_key = (ring, ideal.gens)
+    cache_key = (ring, ideal.gens, current_budget().key())
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
         return GroebnerBasis(ideal, hit, order)
@@ -119,30 +124,30 @@ def groebner_basis(ideal: Ideal, order=None, budget: Budget | None = None) -> Gr
     # put in the basis ring's.
     gens = sorted(ideal.gens, key=lambda p: (p.total_degree(), p.terms))
     gens = [g if g.ring == ring else Polynomial(ring, ring.sorted_terms(g.terms)) for g in gens]
-    basis = tuple(buchberger(gens, ring, budget))
+    basis = tuple(buchberger(gens, ring))
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()
     _GB_CACHE[cache_key] = basis
     return GroebnerBasis(ideal, basis, order)
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget | None = None) -> Polynomial:
+def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of ``f`` modulo ``gb``, in the basis's ring."""
-    return nf_terms(f, gb.divisors, budget)
+    return nf_terms(f, gb.divisors)
 
 
-def ideal_contains(gb: GroebnerBasis, other: Ideal, budget: Budget | None = None) -> bool:
+def ideal_contains(gb: GroebnerBasis, other: Ideal) -> bool:
     """True when every generator of ``other`` reduces to zero against ``gb``."""
-    return all(normal_form(g, gb, budget).is_zero() for g in other.gens)
+    return all(normal_form(g, gb).is_zero() for g in other.gens)
 
 
-def verify_groebner_basis(gb: GroebnerBasis, budget: Budget | None = None) -> bool:
+def verify_groebner_basis(gb: GroebnerBasis) -> bool:
     """Exhaustive S-polynomial closure check (meant for bases of modest size)."""
     basis = list(gb.basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = spolynomial(basis[i], basis[j])
-            if not nf_terms(s, gb.divisors, budget).is_zero():
+            if not nf_terms(s, gb.divisors).is_zero():
                 return False
     for g in basis:
         if g.is_zero() or g.leading_coeff() != gb.ring.field.one:
@@ -159,14 +164,14 @@ def verify_groebner_basis(gb: GroebnerBasis, budget: Budget | None = None) -> bo
 # -- elimination --------------------------------------------------------------
 
 
-def eliminate(ideal: Ideal, k: int, budget: Budget | None = None) -> Ideal:
+def eliminate(ideal: Ideal, k: int) -> Ideal:
     """Intersection of the ideal with the subring omitting the first k variables.
 
     Computed from a block(k) Groebner basis; the result lives in the grevlex
     subring (block(0) orders like grevlex, so for k = 0 this is a grevlex
     basis of the input).
     """
-    gb = groebner_basis(ideal, Block(k), budget)
+    gb = groebner_basis(ideal, Block(k))
     sub = ideal.ring.subring(k)
     kept = []
     for g in gb.basis:
@@ -192,7 +197,7 @@ def extend_front(ideal: Ideal, base: str):
     return big, gens
 
 
-def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
+def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Two-ideal intersection via the u*I + (1-u)*J elimination trick."""
     if a.ring != b.ring:
         raise RingMismatchError("intersection of ideals in different rings")
@@ -201,34 +206,34 @@ def intersect(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
     u = big.variable(0)
     one = big.one()
     mixed = [u * g for g in a_gens] + [(one - u) * g for g in b_gens]
-    out = eliminate(Ideal.of(big, mixed), 1, budget)
+    out = eliminate(Ideal.of(big, mixed), 1)
     return out.map_ring(a.ring) if out.ring != a.ring else out
 
 
-def saturate_single(ideal: Ideal, g: Polynomial, budget: Budget | None = None) -> Ideal:
+def saturate_single(ideal: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity) via the added-variable trick: adjoin w, add w*g - 1."""
     big, gens = extend_front(ideal, "w")
     w = big.variable(0)
     g_big = big.from_dict({(0,) + m: c for m, c in g.terms})
     gens.append(w * g_big - big.one())
-    out = eliminate(Ideal.of(big, gens), 1, budget)
+    out = eliminate(Ideal.of(big, gens), 1)
     return out.map_ring(ideal.ring) if out.ring != ideal.ring else out
 
 
-def saturate(ideal: Ideal, by: Ideal, budget: Budget | None = None) -> Ideal:
+def saturate(ideal: Ideal, by: Ideal) -> Ideal:
     """(I : J^infinity) as the intersection over generators g of J of (I : g^inf)."""
     if ideal.ring != by.ring:
         raise RingMismatchError("saturation operands in different rings")
-    parts = [saturate_single(ideal, g, budget) for g in by.gens]
+    parts = [saturate_single(ideal, g) for g in by.gens]
     if not parts:
         return ideal
     acc = parts[0]
     for nxt in parts[1:]:
-        acc = intersect(acc, nxt, budget)
+        acc = intersect(acc, nxt)
     return acc
 
 
-def saturate_wrt_variable(ideal: Ideal, var: int, budget: Budget | None = None) -> Ideal:
+def saturate_wrt_variable(ideal: Ideal, var: int) -> Ideal:
     """(I : x_var^infinity) for homogeneous I, by the reverse-lex division trick.
 
     A grevlex basis with x_var as the smallest variable, divided termwise by
@@ -247,7 +252,7 @@ def saturate_wrt_variable(ideal: Ideal, var: int, budget: Budget | None = None) 
         pring.from_dict({tuple(m[i] for i in perm): c for m, c in g.terms})
         for g in ideal.gens
     ]
-    gb = buchberger(pgens, pring, budget)
+    gb = buchberger(pgens, pring)
     divided = []
     for g in gb:
         v = min(m[-1] for m, _ in g.terms)
@@ -261,7 +266,7 @@ def saturate_wrt_variable(ideal: Ideal, var: int, budget: Budget | None = None) 
     return Ideal.of(ring, back)
 
 
-def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
+def irrelevant_saturate(ideal: Ideal) -> Ideal:
     """(I : (x_0..x_n)^infinity) for homogeneous I: the package's one
     saturation by the irrelevant ideal.
 
@@ -274,33 +279,31 @@ def irrelevant_saturate(ideal: Ideal, budget: Budget | None = None) -> Ideal:
         raise HomogeneityError("irrelevant saturation requires a homogeneous ideal")
     if not ideal.gens:
         return ideal
-    gb = groebner_basis(ideal, GREVLEX, budget)
+    gb = groebner_basis(ideal, GREVLEX)
     parts = []
     for var in range(ideal.ring.nvars):
-        sat = saturate_wrt_variable(ideal, var, budget)
-        if ideal_contains(gb, sat, budget):
+        sat = saturate_wrt_variable(ideal, var)
+        if ideal_contains(gb, sat):
             return Ideal.of(ideal.ring, gb.basis)
         parts.append(sat)
     acc = parts[0]
     for nxt in parts[1:]:
-        acc = homogeneous_generators(intersect(acc, nxt, budget))
+        acc = homogeneous_generators(intersect(acc, nxt))
     return acc
 
 
-def in_irrelevant_saturation(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
+def in_irrelevant_saturation(f: Polynomial, ideal: Ideal) -> bool:
     """Membership of f in (I : (x_0..x_n)^infinity)."""
-    gb = groebner_basis(irrelevant_saturate(ideal, budget), GREVLEX, budget)
-    return normal_form(f, gb, budget).is_zero()
+    gb = groebner_basis(irrelevant_saturate(ideal), GREVLEX)
+    return normal_form(f, gb).is_zero()
 
 
-def same_ideal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
+def same_ideal(a: Ideal, b: Ideal) -> bool:
     """Ideal equality: mutual containment, tested on GREVLEX bases."""
-    return ideal_contains(groebner_basis(b, GREVLEX, budget), a, budget) and ideal_contains(
-        groebner_basis(a, GREVLEX, budget), b, budget
-    )
+    return ideal_contains(groebner_basis(b, GREVLEX), a) and ideal_contains(groebner_basis(a, GREVLEX), b)
 
 
-def radical_membership(f: Polynomial, ideal: Ideal, budget: Budget | None = None) -> bool:
+def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     """f in rad(I) iff 1 in I + (w*f - 1)."""
     if f.is_zero():
         return True
@@ -308,7 +311,7 @@ def radical_membership(f: Polynomial, ideal: Ideal, budget: Budget | None = None
     w = big.variable(0)
     f_big = big.from_dict({(0,) + m: c for m, c in f.terms})
     gens.append(w * f_big - big.one())
-    gb = buchberger(gens, big, budget)
+    gb = buchberger(gens, big)
     return len(gb) == 1 and gb[0].total_degree() == 0
 
 

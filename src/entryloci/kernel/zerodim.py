@@ -23,7 +23,6 @@ import random
 
 from .errors import DegenerateInputError
 from .fields import PrimeField
-from .groebner import Budget
 from .ideals import GroebnerBasis, Ideal, groebner_basis, normal_form
 from .ideals import QUOTIENT_CAP  # noqa: F401  (re-exported: the staircase walk's cap)
 from .linalg import rref
@@ -44,15 +43,15 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     return quotient_monomials(gb) is not None
 
 
-def _nf_vector(f: Polynomial, gb: GroebnerBasis, index, budget=None):
-    r = normal_form(f, gb, budget)
+def _nf_vector(f: Polynomial, gb: GroebnerBasis, index):
+    r = normal_form(f, gb)
     vec = [gb.ring.field.zero] * len(index)
     for m, c in r.terms:
         vec[index[m]] = c
     return vec
 
 
-def _krylov(f: Polynomial, gb: GroebnerBasis, monos, budget: Budget | None):
+def _krylov(f: Polynomial, gb: GroebnerBasis, monos):
     """(minimal polynomial of multiplication by f on ring/I, Krylov vectors).
 
     The vectors NF(f^k), k = 0..D on the basis ``monos`` (D = its length),
@@ -65,9 +64,9 @@ def _krylov(f: Polynomial, gb: GroebnerBasis, monos, budget: Budget | None):
     field = gb.ring.field
     index = {m: i for i, m in enumerate(monos)}
     power = gb.ring.one()
-    vectors = [_nf_vector(power, gb, index, budget)]
+    vectors = [_nf_vector(power, gb, index)]
     for _ in monos:
-        power = normal_form(power * f, gb, budget)
+        power = normal_form(power * f, gb)
         vec = [field.zero] * len(monos)
         for m, c in power.terms:
             vec[index[m]] = c
@@ -77,9 +76,7 @@ def _krylov(f: Polynomial, gb: GroebnerBasis, monos, budget: Budget | None):
     return [field.neg(red[i][k]) for i in range(k)] + [field.one], vectors[:k]
 
 
-def minimal_polynomial_of(
-    f: Polynomial, gb: GroebnerBasis, budget: Budget | None = None
-):
+def minimal_polynomial_of(f: Polynomial, gb: GroebnerBasis):
     """Minimal polynomial of multiplication by f on ring/I (I zero-dimensional).
 
     Returned as a monic little-endian coefficient list.
@@ -89,7 +86,7 @@ def minimal_polynomial_of(
         raise DegenerateInputError("ideal is not zero-dimensional")
     if not monos:
         return [gb.ring.field.one]  # unit ideal: minimal polynomial of anything is 1
-    return _krylov(f, gb, monos, budget)[0]
+    return _krylov(f, gb, monos)[0]
 
 
 def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomial:
@@ -97,17 +94,13 @@ def random_linear_combination(ring: RingContext, rng: random.Random) -> Polynomi
     return ring.linear_form(random_coords(ring.field, rng, ring.nvars))
 
 
-def count_distinct_points(
-    gb: GroebnerBasis, rng: random.Random, trials: int = 2, budget: Budget | None = None
-) -> int:
+def count_distinct_points(gb: GroebnerBasis, rng: random.Random, trials: int = 2) -> int:
     """Number of distinct solutions of a zero-dimensional system over the
     algebraic closure: the count of :func:`count_in_shape`."""
-    return count_in_shape(gb, rng, trials, budget)[0]
+    return count_in_shape(gb, rng, trials)[0]
 
 
-def count_in_shape(
-    gb: GroebnerBasis, rng: random.Random, trials: int = 2, budget: Budget | None = None
-):
+def count_in_shape(gb: GroebnerBasis, rng: random.Random, trials: int = 2):
     """(count, shape): the number of distinct solutions of a zero-dimensional
     system over the algebraic closure, the squarefree degree of the minimal
     polynomial of a random separating linear form, maximized over up to
@@ -128,14 +121,14 @@ def count_in_shape(
     for _ in range(trials):
         t = random_linear_combination(gb.ring, rng)
         if best < len(monos):
-            mp, krylov = _krylov(t, gb, monos, budget)
+            mp, krylov = _krylov(t, gb, monos)
             best = max(best, u_degree(u_squarefree_part(mp, gb.ring.field)))
             if best == len(monos):
                 shape = mp, krylov
     return best, shape
 
 
-def shape_points(gb: GroebnerBasis, shape, rng: random.Random, budget: Budget | None = None):
+def shape_points(gb: GroebnerBasis, shape, rng: random.Random):
     """The points of a system in shape position for a form whose minimal
     polynomial and Krylov vectors ``shape`` holds (:func:`count_in_shape`),
     when every one is F_p-rational, else None: each root tau of the
@@ -146,21 +139,16 @@ def shape_points(gb: GroebnerBasis, shape, rng: random.Random, budget: Budget | 
     roots = u_roots_prime_field(mp, field, rng)
     if len(roots) != u_degree(mp):
         return None
-    return _points_at(gb, krylov, roots, budget)
+    return _points_at(gb, krylov, roots)
 
 
-def _points_at(gb: GroebnerBasis, krylov, roots, budget):
-    shape = _shape_coordinates(gb, quotient_monomials(gb), krylov, budget)
+def _points_at(gb: GroebnerBasis, krylov, roots):
+    shape = _shape_coordinates(gb, quotient_monomials(gb), krylov)
     p = gb.ring.field.p
     return [tuple(_horner(g, tau, p) for g in shape) for tau in roots]
 
 
-def enumerate_points_prime_field(
-    gb: GroebnerBasis,
-    rng: random.Random,
-    budget: Budget | None = None,
-    require_all: bool = True,
-):
+def enumerate_points_prime_field(gb: GroebnerBasis, rng: random.Random, require_all: bool = True):
     """F_p-rational points of a zero-dimensional system.
 
     With ``require_all`` (the default), returns None unless every point of the
@@ -181,20 +169,20 @@ def enumerate_points_prime_field(
     if not monos:
         return []
     sep = random_linear_combination(ring, rng)
-    mp, krylov = _krylov(sep, gb, monos, budget)
+    mp, krylov = _krylov(sep, gb, monos)
     sf = u_squarefree_part(mp, field)
     roots = u_roots_prime_field(sf, field, rng)
     if require_all and len(roots) != u_degree(sf):
         return None  # separating values live in an extension
     if u_degree(sf) == len(monos):
-        return _points_at(gb, krylov, roots, budget)
+        return _points_at(gb, krylov, roots)
     points = []
     for tau in roots:
         gens = list(gb.source.gens) + [
             Polynomial(ring, sep.terms) - ring.constant(tau)
         ]
-        sub_gb = groebner_basis(Ideal.of(ring, gens), GREVLEX, budget)
-        coords = _pin_coordinates(sub_gb, rng, budget)
+        sub_gb = groebner_basis(Ideal.of(ring, gens), GREVLEX)
+        coords = _pin_coordinates(sub_gb, rng)
         if coords is None:
             if require_all:
                 return None
@@ -203,13 +191,13 @@ def enumerate_points_prime_field(
     return points
 
 
-def _shape_coordinates(gb: GroebnerBasis, monos, krylov, budget):
+def _shape_coordinates(gb: GroebnerBasis, monos, krylov):
     """Each coordinate x_i as a little-endian polynomial g_i with
     x_i = g_i(t) mod I, when the Krylov vectors NF(t^k), k < D, are a basis
     of the D-dimensional quotient."""
     ring = gb.ring
     index = {m: i for i, m in enumerate(monos)}
-    coords = [_nf_vector(ring.variable(i), gb, index, budget) for i in range(ring.nvars)]
+    coords = [_nf_vector(ring.variable(i), gb, index) for i in range(ring.nvars)]
     red, _ = rref(list(zip(*krylov, *coords)), ring.field)
     d = len(monos)
     return [[row[d + i] for row in red] for i in range(ring.nvars)]
@@ -222,7 +210,7 @@ def _horner(coeffs, x, p):
     return value
 
 
-def _pin_coordinates(gb: GroebnerBasis, rng: random.Random, budget):
+def _pin_coordinates(gb: GroebnerBasis, rng: random.Random):
     """Coordinates of the one support point of V(gb), each the root of the
     squarefree minimal polynomial of x_i on this basis; None when the support
     has more than one point or a coordinate is irrational."""
@@ -230,7 +218,7 @@ def _pin_coordinates(gb: GroebnerBasis, rng: random.Random, budget):
     field = ring.field
     coords = []
     for i in range(ring.nvars):
-        mp = minimal_polynomial_of(ring.variable(i), gb, budget)
+        mp = minimal_polynomial_of(ring.variable(i), gb)
         sf = u_squarefree_part(mp, field)
         roots = u_roots_prime_field(sf, field, rng)
         if u_degree(sf) != 1 or len(roots) != 1:

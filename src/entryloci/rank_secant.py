@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
-from .kernel.groebner import Budget
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal, groebner_basis
 from .kernel.linalg import kernel_basis, rank
@@ -118,12 +117,7 @@ def _implicit_tangent_rows(X: ProjectiveVariety, pt: ProjectivePoint):
     return kernel_basis(rows, field)
 
 
-def secant_dims(
-    X: ProjectiveVariety,
-    s_max: int,
-    seed: int = 0,
-    budget: Budget | None = None,
-) -> SecantProfile:
+def secant_dims(X: ProjectiveVariety, s_max: int, seed: int = 0) -> SecantProfile:
     """Dimensions of the secants sigma_s for s = 1..s_max, and the generic rank.
 
     Parametrized varieties stack parametrization Jacobians at seeded random
@@ -137,7 +131,7 @@ def secant_dims(
     r = X.ambient
     n = X.meta.get("n")
     if n is None:
-        n = hilbert_invariants(X.ideal, budget).dimension
+        n = hilbert_invariants(X.ideal).dimension
     expected = [min(s * (n + 1) - 1, r) for s in range(1, s_max + 1)]
     best = [0] * s_max
     for trial in range(SECANT_TRIALS):
@@ -145,7 +139,7 @@ def secant_dims(
         if X.param is not None:
             blocks = [_param_jacobian_rows(X, rng) for _ in range(s_max)]
         else:
-            pts = witness_points(X, rng, want=s_max, budget=budget)
+            pts = witness_points(X, rng, want=s_max)
             if len(pts) < s_max:
                 raise DegenerateInputError("not enough witness points for the secant profile")
             blocks = [_implicit_tangent_rows(X, p) for p in pts]
@@ -272,7 +266,7 @@ def _linear_incidence_rows(X: ProjectiveVariety, q: ProjectivePoint):
     ]
 
 
-def _misses_nothing(gb, count: int, cq, budget) -> bool:
+def _misses_nothing(gb, count: int, cq) -> bool:
     """True when a chart's zero-dimensional system, with ``count`` distinct
     solutions, provably holds every decomposition, each once (conditions
     (i)-(iii) of :func:`two_decompositions`)."""
@@ -280,16 +274,11 @@ def _misses_nothing(gb, count: int, cq, budget) -> bool:
     if cq == field.zero or count != len(gb.staircase):
         return False
     lam = gb.ring.variable(gb.ring.nvars - 1)
-    mp = minimal_polynomial_of(lam, gb, budget)
+    mp = minimal_polynomial_of(lam, gb)
     return bool(u_divmod(mp, [cq, field.one], field)[1])  # the remainder is mp(-cq)
 
 
-def two_decompositions(
-    X: ProjectiveVariety,
-    q: ProjectivePoint,
-    seed: int = 0,
-    budget: Budget | None = None,
-) -> DecompositionSet:
+def two_decompositions(X: ProjectiveVariety, q: ProjectivePoint, seed: int = 0) -> DecompositionSet:
     """The set S(X, q) of unordered pairs {a, b} on X with q in their span.
 
     Counting is chart- and field-robust (squarefree eliminant degree); explicit
@@ -327,7 +316,7 @@ def two_decompositions(
     for round_idx in range(3):
         rng = seeded_rng(("decomp", X.meta.get("key"), seed, round_idx))
         system, chart, cq = _incidence_affine_system(X, q, rng)
-        gb = groebner_basis(system, GREVLEX, budget)
+        gb = groebner_basis(system, GREVLEX)
         if gb.is_unit():
             counts.append(0)
             if round_idx == 0 and cq != field.zero:
@@ -335,11 +324,11 @@ def two_decompositions(
             continue
         if not is_zero_dimensional(gb):
             return DecompositionSet(True, None, None)
-        c, shape = count_in_shape(gb, rng, trials=2, budget=budget)
+        c, shape = count_in_shape(gb, rng, trials=2)
         counts.append(c)
         if best is None or c > counts[best[0]]:
             best = (round_idx, gb, chart, rng, shape)
-        if round_idx == 0 and _misses_nothing(gb, c, cq, budget):
+        if round_idx == 0 and _misses_nothing(gb, c, cq):
             break
         if round_idx == 1 and counts[0] == counts[1]:
             break
@@ -351,9 +340,9 @@ def two_decompositions(
     if npairs and best is not None and isinstance(field, PrimeField):
         _, gb, chart, rng, shape = best
         if shape is not None:
-            raw = shape_points(gb, shape, rng, budget)
+            raw = shape_points(gb, shape, rng)
         else:
-            raw = enumerate_points_prime_field(gb, rng, budget)
+            raw = enumerate_points_prime_field(gb, rng)
         if raw is not None and len(raw) == solutions:
             seen = {}
             for values in raw:

@@ -24,7 +24,6 @@ from .geometry import (
 )
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
-from .kernel.groebner import Budget
 from .kernel.ideals import Ideal, radical_membership
 from .kernel.linalg import kernel_basis, mat_inverse, row_space_intersection
 from .kernel.rng import seeded_rng
@@ -46,7 +45,7 @@ class QuadricPencil:
     field: object
 
 
-def quadric_pencil(curve: ProjectiveVariety | Ideal, budget: Budget | None = None) -> QuadricPencil:
+def quadric_pencil(curve: ProjectiveVariety | Ideal) -> QuadricPencil:
     """Extract the pencil of quadrics through a curve in P^3 from the degree-2
     graded piece of its ideal; errors unless that piece is 2-dimensional."""
     ideal = curve.ideal if isinstance(curve, ProjectiveVariety) else curve
@@ -128,11 +127,7 @@ def pencil_vertices(pencil: QuadricPencil, rng: random.Random):
 
 
 def is_segre_point(
-    Y: ProjectiveVariety,
-    o: ProjectivePoint,
-    seed: int = 0,
-    budget: Budget | None = None,
-    source_degree: int | None = None,
+    Y: ProjectiveVariety, o: ProjectivePoint, seed: int = 0, source_degree: int | None = None
 ) -> SegreVerdict:
     """Does projection away from o identify points of the curve Y?  True when
     the reduced image degree falls below the curve degree."""
@@ -141,21 +136,19 @@ def is_segre_point(
     if source_degree is None:
         source_degree = Y.meta.get("d")
     if source_degree is None:
-        _, source_degree = reduced_dim_degree(Y.ideal, seed, budget)
-    image = project_image(Y, [o.coords], budget)
-    _, img_degree = reduced_dim_degree(image.ideal, seed, budget)
+        _, source_degree = reduced_dim_degree(Y.ideal, seed)
+    image = project_image(Y, [o.coords])
+    _, img_degree = reduced_dim_degree(image.ideal, seed)
     return SegreVerdict(img_degree < source_degree, img_degree, source_degree)
 
 
-def segre_count_elliptic_quartic(
-    C: ProjectiveVariety, seed: int = 0, budget: Budget | None = None, want_vertices: bool = True
-):
+def segre_count_elliptic_quartic(C: ProjectiveVariety, seed: int = 0, want_vertices: bool = True):
     """Count (and over a splitting prime, the vertices) of the quadric cones
     through a degree-4 genus-1 complete-intersection curve in P^3."""
-    dim, deg = reduced_dim_degree(C.ideal, seed, budget)
+    dim, deg = reduced_dim_degree(C.ideal, seed)
     if (dim, deg) != (1, 4):
         raise DegenerateInputError(f"not a quartic curve: (dim, deg) = ({dim}, {deg})")
-    pencil = quadric_pencil(C, budget)
+    pencil = quadric_pencil(C)
     count = pencil_det_distinct_roots(pencil)
     vertices = None
     if want_vertices and isinstance(C.field, PrimeField):
@@ -163,7 +156,7 @@ def segre_count_elliptic_quartic(
         if vertices is not None:
             checked = []
             for v in vertices:
-                verdict = is_segre_point(C, v, seed, budget, source_degree=4)
+                verdict = is_segre_point(C, v, seed, source_degree=4)
                 if not verdict.verdict:
                     raise DegenerateInputError("pencil vertex failed the projection test")
                 checked.append(v)
@@ -171,23 +164,18 @@ def segre_count_elliptic_quartic(
     return count, vertices
 
 
-def union_span_is_ambient(Y: ProjectiveVariety, T: ProjectiveVariety, budget=None) -> bool:
+def union_span_is_ambient(Y: ProjectiveVariety, T: ProjectiveVariety) -> bool:
     """span(Y u T) = P^r, via the intersection of the span form spaces (each
     curve's span rows are computed once and kept on the curve)."""
-    rows_y = Y.span_rows(budget)
-    rows_t = T.span_rows(budget)
+    rows_y = Y.span_rows
+    rows_t = T.span_rows
     if not rows_y or not rows_t:
         return True
     both = row_space_intersection(rows_y, rows_t, Y.field)
     return len(both) == 0
 
 
-def pair_segre_test(
-    Y: ProjectiveVariety,
-    T: ProjectiveVariety,
-    o: ProjectivePoint,
-    budget: Budget | None = None,
-) -> bool:
+def pair_segre_test(Y: ProjectiveVariety, T: ProjectiveVariety, o: ProjectivePoint) -> bool:
     """True when the projections of T and Y away from o coincide as sets,
     tested through reduced containment of the image ideals J_Y and J_T.
 
@@ -200,7 +188,7 @@ def pair_segre_test(
     So the verdict is the one the two images give, on every input.
 
     Before any Groebner run, the pulled-back generators are evaluated at a
-    few fixed points of V(I_T) (:func:`_fixed_points`): every element of
+    few fixed points of V(I_T) (``T.fixed_points``): every element of
     rad(I_T) vanishes there, so one that does not refutes the containment
     exactly, and only a test that no point refutes runs the membership
     route.
@@ -209,48 +197,21 @@ def pair_segre_test(
         raise DegenerateInputError("pair test needs two distinct curves")
     if Y.contains_point(o) or T.contains_point(o):
         raise DegenerateInputError("candidate point lies on one of the curves")
-    if not union_span_is_ambient(Y, T, budget):
+    if not union_span_is_ambient(Y, T):
         raise DegenerateInputError("the two curves do not span the ambient space")
-    img_y = project_image(Y, [o.coords], budget)
+    img_y = project_image(Y, [o.coords])
     # V(J_T) subset of V(J_Y): every generator of J_Y, pulled back to P^r,
     # vanishes on T
     field = T.field
     binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
     ys = [T.ring.linear_form(row) for row in binv[1:]]
-    for x in _fixed_points(T, budget):
+    for x in T.fixed_points:
         # the pulled-back generators at x are the generators at B^-1 x
         y = [form.evaluate(x) for form in ys]
         if any(g.evaluate(y) != field.zero for g in img_y.ideal.gens):
             return False  # rad(I_T) vanishes at x, and this one does not
     pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
-    if not all(radical_membership(f, T.ideal, budget) for f in pulled):
+    if not all(radical_membership(f, T.ideal) for f in pulled):
         return False
-    img_t = project_image(T, [o.coords], budget)
-    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
-
-
-def _fixed_points(T: ProjectiveVariety, budget=None):
-    """Points of V(I_T) fixed by T alone, with no draws: the images of the
-    parameter values (1, t, t^2, ...), t = 1, 2, 3, when T has a
-    parametrization, else the same combinations of a kernel basis of T's
-    span rows (points of its linear span); only the points on which every
-    generator of I_T vanishes are returned."""
-    field = T.field
-    zero = field.zero
-    weights = [[field.coerce(t ** i) for i in range(T.ring.nvars)] for t in (1, 2, 3)]
-    if T.param is not None:
-        candidates = [T.param.evaluate(w[:T.param.nparams]) for w in weights]
-    else:
-        columns = list(zip(*kernel_basis(T.span_rows(budget), field)))
-        candidates = [[_dot(w, col, field) for col in columns] for w in weights]
-    return [
-        x for x in candidates
-        if any(c != zero for c in x) and all(g.evaluate(x) == zero for g in T.ideal.gens)
-    ]
-
-
-def _dot(row, x, field):
-    total = field.zero
-    for a, b in zip(row, x):
-        total = field.add(total, field.mul(a, b))
-    return total
+    img_t = project_image(T, [o.coords])
+    return all(radical_membership(g, img_y.ideal) for g in img_t.ideal.gens)

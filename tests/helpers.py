@@ -24,7 +24,6 @@ from entryloci.geometry import (
 from entryloci.kernel import (
     GREVLEX,
     Block,
-    Budget,
     CharacteristicError,
     DegenerateInputError,
     Ideal,
@@ -76,10 +75,10 @@ def sample_point(X: ProjectiveVariety, rng: random.Random) -> ProjectivePoint:
     raise DegenerateInputError("parametrization kept hitting base points")
 
 
-def same_saturation(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
+def same_saturation(a: Ideal, b: Ideal) -> bool:
     """Scheme equality of two homogeneous ideals: their irrelevant-ideal
     saturations are equal."""
-    return same_ideal(irrelevant_saturate(a, budget), irrelevant_saturate(b, budget), budget)
+    return same_ideal(irrelevant_saturate(a), irrelevant_saturate(b))
 
 
 def write_variety(var: ProjectiveVariety) -> str:
@@ -152,31 +151,31 @@ def reduce_mod(f, target):
 # -- reference routes: every trial and every round, as before the early stops --
 
 
-def _ref_count_distinct_points(gb, rng, trials=2, budget=None):
+def _ref_count_distinct_points(gb, rng, trials=2):
     """``count_distinct_points`` computing every trial."""
     best = 0
     for _ in range(trials):
         t = random_linear_combination(gb.ring, rng)
-        mp = minimal_polynomial_of(t, gb, budget)
+        mp = minimal_polynomial_of(t, gb)
         sf = u_squarefree_part(mp, gb.ring.field)
         best = max(best, u_degree(sf))
     return best
 
 
-def _ref_secant_dims(X, s_max, seed=0, budget=None):
+def _ref_secant_dims(X, s_max, seed=0):
     """``secant_dims`` running all ``SECANT_TRIALS`` trials."""
     field = X.field
     r = X.ambient
     n = X.meta.get("n")
     if n is None:
-        n = hilbert_invariants(X.ideal, budget).dimension
+        n = hilbert_invariants(X.ideal).dimension
     best = [0] * s_max
     for trial in range(rank_secant.SECANT_TRIALS):
         rng = seeded_rng(("terracini", X.meta.get("key"), seed, trial))
         if X.param is not None:
             blocks = [rank_secant._param_jacobian_rows(X, rng) for _ in range(s_max)]
         else:
-            pts = witness_points(X, rng, want=s_max, budget=budget)
+            pts = witness_points(X, rng, want=s_max)
             if len(pts) < s_max:
                 raise DegenerateInputError("not enough witness points for the secant profile")
             blocks = [rank_secant._implicit_tangent_rows(X, p) for p in pts]
@@ -202,7 +201,7 @@ def _ref_incidence_affine_system(X, q, rng):
     return Ideal.of(aff, gens), chart
 
 
-def _ref_two_decompositions(X, q, seed=0, budget=None):
+def _ref_two_decompositions(X, q, seed=0):
     """``two_decompositions`` as a vote of up to three rounds, with no
     certificate: two that agree end it, else the largest count wins.  It
     keeps the linear generators in the system and enumerates the points
@@ -215,13 +214,13 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
     for round_idx in range(3):
         rng = seeded_rng(("decomp", X.meta.get("key"), seed, round_idx))
         system, chart = _ref_incidence_affine_system(X, q, rng)
-        gb = groebner_basis(system, GREVLEX, budget)
+        gb = groebner_basis(system, GREVLEX)
         if gb.is_unit():
             counts.append(0)
             continue
         if not is_zero_dimensional(gb):
             return rank_secant.DecompositionSet(True, None, None)
-        c = _ref_count_distinct_points(gb, rng, trials=2, budget=budget)
+        c = _ref_count_distinct_points(gb, rng, trials=2)
         counts.append(c)
         if best is None or c > counts[best[0]]:
             best = (round_idx, gb, chart, rng)
@@ -234,7 +233,7 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
     pairs = None
     if npairs and best is not None and isinstance(field, PrimeField):
         _, gb, chart, rng = best
-        raw = enumerate_points_prime_field(gb, rng, budget)
+        raw = enumerate_points_prime_field(gb, rng)
         if raw is not None and len(raw) == solutions:
             seen = {}
             for values in raw:
@@ -249,21 +248,21 @@ def _ref_two_decompositions(X, q, seed=0, budget=None):
     return rank_secant.DecompositionSet(False, npairs, pairs)
 
 
-def _ref_pair_segre_test(Y, T, o, budget=None):
+def _ref_pair_segre_test(Y, T, o):
     """``pair_segre_test`` with no point refutation: the forward containment
     by radical membership in I_T of the pulled-back generators of J_Y, then
     the backward one on the two images."""
     if Y.ideal.gens == T.ideal.gens:
         raise DegenerateInputError("pair test needs two distinct curves")
-    img_y = project_image(Y, [o.coords], budget)
+    img_y = project_image(Y, [o.coords])
     field = T.field
     binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
     ys = [T.ring.linear_form(row) for row in binv[1:]]
     pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
-    if not all(radical_membership(f, T.ideal, budget) for f in pulled):
+    if not all(radical_membership(f, T.ideal) for f in pulled):
         return False
-    img_t = project_image(T, [o.coords], budget)
-    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
+    img_t = project_image(T, [o.coords])
+    return all(radical_membership(g, img_y.ideal) for g in img_t.ideal.gens)
 
 
 def _ref_u_roots_prime_field(a, field, rng):
@@ -296,7 +295,7 @@ def _ref_u_roots_prime_field(a, field, rng):
 # -- the parametrized entry-locus route ---------------------------------------
 
 
-def _implicitize_locus(param: Parametrization, locus, budget=None) -> Ideal:
+def _implicitize_locus(param: Parametrization, locus) -> Ideal:
     """Ideal of the image under the parametrization of the parameter locus
     cut out by the ``locus`` forms: the graph ideal (locus, x_i - P_i(s))
     with the parameters eliminated, as ``geometry.implicitize`` does without
@@ -311,11 +310,11 @@ def _implicitize_locus(param: Parametrization, locus, budget=None) -> Ideal:
 
     gens = [lift(g) for g in locus]
     gens += [big.variable(m + i) - lift(f) for i, f in enumerate(param.forms)]
-    out = eliminate(Ideal.of(big, gens), m, budget)
+    out = eliminate(Ideal.of(big, gens), m)
     return homogeneous_generators(out.map_ring(ambient_ring(r, pring.field)))
 
 
-def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget=None) -> Ideal:
+def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint) -> Ideal:
     """Entry locus via a = phi(s), b = phi(u) = lam * phi(s) + q: eliminate
     lam and u, then implicitize the resulting parameter locus.  An
     independent route that the tests compare the implicit one against."""
@@ -333,11 +332,11 @@ def _parametrized_entry_locus(X: ProjectiveVariety, q: ProjectivePoint, budget=N
         f.substitute(u_vars, big) - lam * f.substitute(s_vars, big) - big.constant(c)
         for f, c in zip(X.param.forms, q.coords)
     ]
-    s_locus = eliminate(Ideal.of(big, gens), 1 + m, budget)
+    s_locus = eliminate(Ideal.of(big, gens), 1 + m)
     s_ring = RingContext(tuple(pring.names), field)
     s_locus = homogeneous_generators(s_locus.map_ring(s_ring))
     # image of the parameter locus under phi
-    return _implicitize_locus(X.param, s_locus.gens, budget)
+    return _implicitize_locus(X.param, s_locus.gens)
 
 
 # -- reference routes of the factor stage: the gcd chain, Gao's kernel over

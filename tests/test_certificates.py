@@ -99,12 +99,12 @@ def test_pairs_without_a_counting_form_are_enumerated(key, seed, rational, monke
     enumerated = []
     real_count, real_enumerate = rank_secant.count_in_shape, rank_secant.enumerate_points_prime_field
 
-    def no_shape(gb, rng, trials=2, budget=None):
-        return real_count(gb, rng, trials, budget)[0], None
+    def no_shape(gb, rng, trials=2):
+        return real_count(gb, rng, trials)[0], None
 
-    def spy(gb, rng, budget=None):
+    def spy(gb, rng):
         enumerated.append(gb)
-        return real_enumerate(gb, rng, budget)
+        return real_enumerate(gb, rng)
 
     monkeypatch.setattr(rank_secant, "count_in_shape", no_shape)
     monkeypatch.setattr(rank_secant, "enumerate_points_prime_field", spy)
@@ -121,7 +121,7 @@ def _zero_dim_bases(var, seed):
         system = rank_secant._incidence_affine_system(var, q, rng)[0]
         yield groebner_basis(system, GREVLEX)
     dim = hilbert_invariants(var.ideal).dimension
-    cut = zero_dim_slice(var.ideal, dim, seeded_rng(("cert-slice", seed)), None)
+    cut = zero_dim_slice(var.ideal, dim, seeded_rng(("cert-slice", seed)))
     if cut is not None:
         yield cut[0]
 
@@ -149,13 +149,13 @@ def test_certificate_conditions_on_small_systems(field):
         return groebner_basis(Ideal.of(ring, [ring.from_string(g) for g in gens]), GREVLEX)
 
     radical = gb("x^2 - 1", "lam - 5")  # two points, both at lam = 5
-    assert rank_secant._misses_nothing(radical, 2, field.coerce(3), None)
-    assert not rank_secant._misses_nothing(radical, 2, field.zero, None)  # (i)
-    assert not rank_secant._misses_nothing(radical, 1, field.coerce(3), None)  # (ii): 1 < D = 2
-    assert not rank_secant._misses_nothing(radical, 2, field.coerce(-5), None)  # (iii): m(5) = 0
+    assert rank_secant._misses_nothing(radical, 2, field.coerce(3))
+    assert not rank_secant._misses_nothing(radical, 2, field.zero)  # (i)
+    assert not rank_secant._misses_nothing(radical, 1, field.coerce(3))  # (ii): 1 < D = 2
+    assert not rank_secant._misses_nothing(radical, 2, field.coerce(-5))  # (iii): m(5) = 0
     double = gb("x^2", "lam - 5")  # one point of multiplicity 2
     assert count_distinct_points(double, seeded_rng("double")) == 1
-    assert not rank_secant._misses_nothing(double, 1, field.coerce(3), None)
+    assert not rank_secant._misses_nothing(double, 1, field.coerce(3))
 
 
 @pytest.fixture
@@ -164,8 +164,8 @@ def certificates(monkeypatch):
     seen = []
     real = rank_secant._misses_nothing
 
-    def spy(gb, count, cq, budget):
-        verdict = real(gb, count, cq, budget)
+    def spy(gb, count, cq):
+        verdict = real(gb, count, cq)
         seen.append((count, cq, verdict))
         return verdict
 

@@ -6,7 +6,7 @@ import pytest
 from entryloci.cli import main
 from entryloci.varfile import read_variety
 from entryloci.catalog import build_catalog_variety
-from entryloci.kernel import QQ, PrimeField
+from entryloci.kernel import QQ, PrimeField, ideals
 from helpers import write_variety
 
 
@@ -220,6 +220,15 @@ def test_golden_report_digest(capsys, argv, digest):
 def test_budget_exhaustion_exit_code(capsys):
     rc = main(["entry-locus", "--variety", "veronese_proj4", "--seed", "1", "--max-pairs", "5"])
     assert rc == 3
+
+
+def test_budget_exit_does_not_depend_on_earlier_commands(capsys, monkeypatch):
+    # bases cached by a default-limit run are no hits under a smaller limit
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    argv = ["entry-locus", "--variety", "scroll12", "--seed", "1"]
+    assert main(argv + ["--max-pairs", "1"]) == 3
+    assert main(argv) == 0
+    assert main(argv + ["--max-pairs", "1"]) == 3
 
 
 def test_deterministic_reports(capsys):

@@ -83,8 +83,8 @@ def test_witness_closure_on_slice_points():
         q = general_q(var, "scroll-qw", 3)
         locus = entry_locus_ideal(var, q)
         rng = seeded_rng("wslice", attempt)
-        cut = zero_dim_slice(locus, 1, rng, None)
-        raw = cut and enumerate_points_prime_field(cut[0], rng, None, require_all=True)
+        cut = zero_dim_slice(locus, 1, rng)
+        raw = cut and enumerate_points_prime_field(cut[0], rng, require_all=True)
         if raw:
             found = (F2, var, q, [ProjectivePoint.make(F2, cut[1](v)) for v in raw])
             break
@@ -115,8 +115,8 @@ def test_witness_closure_on_slice_points():
 def test_strategy_agreement_for_scroll():
     var = build_catalog_variety("scroll12", 1, FP)
     q = general_q(var, "scroll-q2", 2)
-    implicit = _implicit_entry_locus(var, q, None)
-    parametrized = _parametrized_entry_locus(var, q, None)
+    implicit = _implicit_entry_locus(var, q)
+    parametrized = _parametrized_entry_locus(var, q)
     assert same_saturation(implicit, parametrized)
     assert hilbert_invariants(irrelevant_saturate(implicit)).degree == 2
 
@@ -141,7 +141,7 @@ def test_mu_one_equals_mu_saturation(key):
     var = build_catalog_variety(key, 1, FP)
     q = general_q(var, "mu-oracle", 1)
     expected = _mu_saturation_reference(var, q)
-    got = _implicit_entry_locus(var, q, None)
+    got = _implicit_entry_locus(var, q)
     assert [g.terms for g in got.gens] == [g.terms for g in expected.gens]
 
 
@@ -152,9 +152,9 @@ def test_type_ab_stops_at_first_b(monkeypatch, key, verdict, recomputations):
     locus = entry_locus_ideal(var, q)
     calls = []
 
-    def counting(X, o, budget=None):
+    def counting(X, o):
         calls.append(o)
-        return entry_locus_ideal(X, o, budget)
+        return entry_locus_ideal(X, o)
 
     monkeypatch.setattr(entry_locus, "entry_locus_ideal", counting)
     assert entry_locus.type_ab_test(var, q, locus, span_form_rows(locus), seed=1) == verdict

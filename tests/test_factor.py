@@ -240,7 +240,7 @@ def test_weight_resultant_matches_sylvester_reference(field, data):
 def test_check03_plane_model_resultants_match_sylvester_reference(monkeypatch):
     # the plane model and rng stream that check 03 reads its component degrees from
     field = resolve_field("fp:auto", 1)
-    _, rep = classified("veronese_proj4", 1, field, None)
+    _, rep = classified("veronese_proj4", 1, field)
     seen = []
     real = factor._resultant_linear_z
 

@@ -367,12 +367,12 @@ def test_implicitize_of_a_parameter_locus_matches_the_minors_route(monkeypatch, 
     calls = []
     real = helpers._implicitize_locus
     monkeypatch.setattr(
-        helpers, "_implicitize_locus", lambda param, locus, budget: calls.append(locus) or real(param, locus, budget)
+        helpers, "_implicitize_locus", lambda param, locus: calls.append(locus) or real(param, locus)
     )
     var = build_catalog_variety(key, seed, field)
     rng = seeded_rng("locus-oracle", key, seed)
     q = random_point(field, rng, var.ambient + 1, off_coordinate_hyperplanes=True)
-    ours = helpers._parametrized_entry_locus(var, q, None)
+    ours = helpers._parametrized_entry_locus(var, q)
     assert len(calls) == 1 and calls[0]
     assert ours.gens == _ref_implicitize(var.param, rng, locus=calls[0]).gens
 
@@ -421,7 +421,7 @@ def test_zero_dim_slice_matches_the_appended_cuts(key):
     for seed in (1, 2, 3):
         var = build_catalog_variety(key, seed, FP)
         dim = hilbert_invariants(var.ideal).dimension
-        ours = zero_dim_slice(var.ideal, dim, seeded_rng("slice-oracle", key, seed), None)
+        ours = zero_dim_slice(var.ideal, dim, seeded_rng("slice-oracle", key, seed))
         ref = _ref_zero_dim_slice(var.ideal, dim, seeded_rng("slice-oracle", key, seed))
         assert (ours is None) == (ref is None)
         if ours is None:
@@ -444,4 +444,4 @@ def test_affine_chart_with_dependent_draws_is_none(monkeypatch):
     ring = ambient_ring(3, FP)
     monkeypatch.setattr(geometry, "random_coords", lambda field, rng, n: [1, 2, 3, 4])
     assert affine_chart(ring, seeded_rng("dep"), cuts=1) is None
-    assert zero_dim_slice(Ideal.of(ring, ring.gens()[:1]), 1, seeded_rng("dep"), None) is None
+    assert zero_dim_slice(Ideal.of(ring, ring.gens()[:1]), 1, seeded_rng("dep")) is None

@@ -14,10 +14,11 @@ from entryloci.kernel import (
     RingContext,
     eliminate,
     groebner_basis,
+    limits,
     normal_form,
     verify_groebner_basis,
 )
-from entryloci.kernel import groebner
+from entryloci.kernel import groebner, ideals
 from entryloci.kernel.orders import GREVLEX, LEX, Block
 from helpers import reduce_mod
 
@@ -105,8 +106,37 @@ def test_budget_error_is_raised_not_partial():
         ring.from_string("b^3*c - a*d^2 + b"),
         ring.from_string("c^3*d - a^2*b + c"),
     ]
-    with pytest.raises(BudgetExceededError):
-        groebner_basis(Ideal.of(ring, gens), GREVLEX, Budget(max_pairs=3))
+    with pytest.raises(BudgetExceededError), limits(Budget(max_pairs=3)):
+        groebner_basis(Ideal.of(ring, gens), GREVLEX)
+
+
+def test_limits_reset_after_a_budget_exit(monkeypatch):
+    # the block that raised leaves the limits it found behind: the next
+    # basis is computed, not taken from the cache, under the default ones
+    ring = RingContext(("a", "b", "c", "d"), PrimeField(32003))
+    ideal = Ideal.of(ring, [
+        ring.from_string("a^3*b - c*d^2 + a"),
+        ring.from_string("b^3*c - a*d^2 + b"),
+        ring.from_string("c^3*d - a^2*b + c"),
+    ])
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    with pytest.raises(BudgetExceededError), limits(Budget(max_pairs=1)):
+        with limits(Budget(max_pairs=2)):
+            pass
+        assert groebner.current_budget() == Budget(max_pairs=1)
+        groebner_basis(ideal, GREVLEX)
+    assert groebner.current_budget() == Budget()
+    meters = []
+    fresh = Budget.fresh
+
+    def recording(budget):
+        meters.append((budget, fresh(budget)))
+        return meters[-1][1]
+
+    monkeypatch.setattr(Budget, "fresh", recording)
+    gb = groebner_basis(ideal, GREVLEX)
+    assert [b for b, _ in meters] == [Budget()] and meters[0][1].pairs > 1
+    assert verify_groebner_basis(gb)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
@@ -117,8 +147,8 @@ def test_time_budget_holds_when_every_pair_is_pruned(field):
     ring = RingContext(("x0", "x1", "x2"), field)
     gens = list(ring.gens())
     assert groebner.buchberger(gens, ring) == gens[::-1]
-    with pytest.raises(BudgetExceededError):
-        groebner.buchberger(gens, ring, Budget(max_seconds=0.0))
+    with pytest.raises(BudgetExceededError), limits(Budget(max_seconds=0.0)):
+        groebner.buchberger(gens, ring)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
@@ -129,7 +159,8 @@ def test_pair_update_keeps_one_of_two_new_pairs_with_one_lcm(field):
     ring = RingContext(("x", "y", "z"), field)
     gens = [ring.from_string(g) for g in ("x + 1", "y + 1", "x*y + z")]
     budget = _RecordingBudget()
-    basis = groebner.buchberger(gens, ring, budget)
+    with limits(budget):
+        basis = groebner.buchberger(gens, ring)
     assert [g.to_string() for g in basis] == ["z + 1", "y + 1", "x + 1"]
     assert budget.meter.pairs == 1
 

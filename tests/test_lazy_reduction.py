@@ -51,7 +51,6 @@ from entryloci.kernel import (
 )
 from entryloci.kernel import ideals
 from entryloci.kernel.groebner import (
-    DEFAULT_BUDGET,
     MAX_EXPONENT,
     _Codes,
     _cleared,
@@ -61,6 +60,8 @@ from entryloci.kernel.groebner import (
     _normalized_terms,
     _spoly_terms,
     buchberger,
+    current_budget,
+    limits,
     normal_form,
     spolynomial,
 )
@@ -203,10 +204,10 @@ def _ref_rref(rows, field):
     return a, piv_cols
 
 
-def _ref_buchberger(polys, ring, budget=None):
+def _ref_buchberger(polys, ring):
     """``buchberger`` with normal selection: pairs are popped by the order
     key of their lcm alone."""
-    meter = (budget or DEFAULT_BUDGET).fresh()
+    meter = current_budget().fresh()
     field = ring.field
     order_key = ring.order.key
     codes = _Codes(ring.order, ring.nvars)
@@ -299,7 +300,7 @@ class _Both:
 
     def remainders(self, poly, ref_basis=None, basis=None):
         """(reference, current) remainders and reduction counts of ``poly``."""
-        ref_meter, meter = DEFAULT_BUDGET.fresh(), DEFAULT_BUDGET.fresh()
+        ref_meter, meter = Budget().fresh(), Budget().fresh()
         ref_terms = sorted(
             ((self.key_of(m), m, c) for m, c in poly.terms), key=lambda t: t[0], reverse=True
         )
@@ -321,7 +322,7 @@ class _Both:
         lcm = tuple(map(max, self.ref_basis[i][1], self.ref_basis[j][1]))
         out = []
         for divisors, ref_divisors in ((self.basis, self.ref_basis), ([], [])):
-            ref_meter, meter = DEFAULT_BUDGET.fresh(), DEFAULT_BUDGET.fresh()
+            ref_meter, meter = Budget().fresh(), Budget().fresh()
             s_ref = _ref_spoly_terms(
                 self.ref_basis[i], self.ref_basis[j], lcm, self.key_of, self.field, ref_meter
             )
@@ -414,8 +415,10 @@ def test_prepared_basis_normal_forms_match_plain_division(field, order, data):
         # a divisor list that is no basis is made monic when it is prepared
         assert normal_form(f, gens) == normal_form(f, [g.monic() for g in gens])
         prepared, plain = _RecordingBudget(), _RecordingBudget()
-        got = ideals.normal_form(f, gb, prepared)
-        want = normal_form(f, list(gb.basis), plain)
+        with limits(prepared):
+            got = ideals.normal_form(f, gb)
+        with limits(plain):
+            want = normal_form(f, list(gb.basis))
         assert got.ring == gb.ring and got.terms == want.terms
         assert prepared.meter.reductions == plain.meter.reductions
         # a dividend from a ring with another order is divided in gb's ring
@@ -429,7 +432,7 @@ def test_monomial_spolynomial_is_empty(field):
     # skipped, so the S-polynomial has no terms, but both are still counted
     ring = RingContext(NAMES, field)
     both = _Both(ring, [ring.from_string("x*y"), ring.from_string("x*z")])
-    meter = DEFAULT_BUDGET.fresh()
+    meter = Budget().fresh()
     lcm = (1, 1, 1)
     assert _spoly_terms(both.basis[0], both.basis[1], both.codes[lcm], meter) == []
     assert meter.reductions == 2
@@ -456,7 +459,7 @@ def test_unreduced_dividend_with_repeated_monomials(field):
     ]
     canonical = ring.from_dict({(2, 1, 0): -3, (1, 0, 0): -1})
     ref, ref_count, _, _ = both.remainders(canonical)
-    meter = DEFAULT_BUDGET.fresh()
+    meter = Budget().fresh()
     cur = both.decoded(*_normal_form_terms(raw, both.basis, field, k.guard, meter))
     assert cur == ref and meter.reductions == ref_count
     assert all(0 <= c < p for _, c in cur)
@@ -471,12 +474,12 @@ def test_interreduce_tail_reduces_against_reference(field):
         ring.from_string("x^3 + x*y*z - 5"),  # dominated by x^2
     ]
     both = _Both(ring, polys)
-    out = _interreduce(both.basis, ring, field, both.codes, DEFAULT_BUDGET.fresh())
+    out = _interreduce(both.basis, ring, field, both.codes, Budget().fresh())
     kept = both.ref_basis[:2]
     expected = []
     for i in range(2):
         rem = _ref_normal_form_terms(
-            kept[i][0], kept[:i] + kept[i + 1 :], field, both.key_of, DEFAULT_BUDGET.fresh()
+            kept[i][0], kept[:i] + kept[i + 1 :], field, both.key_of, Budget().fresh()
         )
         expected.append(_pairs(_ref_monic_keyed(rem, field)))
     expected.sort(key=lambda t: both.key_of(t[0][0]))
@@ -800,15 +803,18 @@ def test_budget_counts_every_skipped_leading_term():
     # for the same basis.
     gens, ring = _scroll_incidence_system()
     budget = _RecordingBudget()
-    basis = buchberger(gens, ring, budget)
+    with limits(budget):
+        basis = buchberger(gens, ring)
     pairs, reductions = budget.meter.pairs, budget.meter.reductions
     assert (pairs, reductions) == (14, 235)
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_reductions=reductions - 1))
-    with pytest.raises(BudgetExceededError):
-        buchberger(gens, ring, Budget(max_pairs=pairs - 1))
-    assert buchberger(gens, ring, Budget(max_reductions=reductions, max_pairs=pairs)) == basis
-    assert _ref_buchberger(gens, ring, budget) == basis
+    with pytest.raises(BudgetExceededError), limits(Budget(max_reductions=reductions - 1)):
+        buchberger(gens, ring)
+    with pytest.raises(BudgetExceededError), limits(Budget(max_pairs=pairs - 1)):
+        buchberger(gens, ring)
+    with limits(Budget(max_reductions=reductions, max_pairs=pairs)):
+        assert buchberger(gens, ring) == basis
+    with limits(budget):
+        assert _ref_buchberger(gens, ring) == basis
     assert (budget.meter.pairs, budget.meter.reductions) == (91, 408)
 
 
@@ -819,7 +825,8 @@ def test_incidence_generators_cut_the_scroll_counts():
     raw, ring = _scroll_incidence_system()
     gens, _ = _scroll_incidence_system(raw=False)
     budget = _RecordingBudget()
-    basis = buchberger(gens, ring, budget)
+    with limits(budget):
+        basis = buchberger(gens, ring)
     assert (budget.meter.pairs, budget.meter.reductions) == (5, 69)
     assert basis == buchberger(raw, ring)
 

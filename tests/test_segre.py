@@ -231,14 +231,14 @@ def test_pair_segre_rejects_missing_span():
 # -- the two-image route as the oracle for pair_segre_test ----------------------
 
 
-def _two_image_pair_test(Y, T, o, budget=None):
+def _two_image_pair_test(Y, T, o):
     """The former route: project both curves from o, then compare the images
     by reduced containment both ways."""
-    img_y = project_image(Y, [o.coords], budget)
-    img_t = project_image(T, [o.coords], budget)
-    if not all(radical_membership(g, img_t.ideal, budget) for g in img_y.ideal.gens):
+    img_y = project_image(Y, [o.coords])
+    img_t = project_image(T, [o.coords])
+    if not all(radical_membership(g, img_t.ideal) for g in img_y.ideal.gens):
         return False
-    return all(radical_membership(g, img_y.ideal, budget) for g in img_t.ideal.gens)
+    return all(radical_membership(g, img_y.ideal) for g in img_t.ideal.gens)
 
 
 PAIR_FIELDS = [resolve_field("fp:auto", 1), QQ]
@@ -294,7 +294,7 @@ def _catalog_pairs(field, seed):
 def test_pair_segre_matches_the_membership_route(field_desc, refute, monkeypatch):
     if not refute:
         # no fixed point, so the Groebner route decides every pair
-        monkeypatch.setattr(segre, "_fixed_points", lambda T, budget=None: [])
+        monkeypatch.setattr(ProjectiveVariety, "fixed_points", property(lambda T: []))
     for seed in (1, 2, 3):
         field = resolve_field(field_desc, seed)
         for Y, T, o in _check10_pairs(field, seed) + _catalog_pairs(field, seed):
@@ -317,7 +317,7 @@ def test_pair_segre_refutes_the_false_check10_pairs_at_points(field, monkeypatch
         # only the true pair, the conic and its cone section, reaches the
         # membership route: its fixed points are off the conic
         assert bool(calls) == verdict
-        points = segre._fixed_points(T)
+        points = T.fixed_points
         assert all(T.contains_point(ProjectivePoint.make(field, x)) for x in points)
         assert len(points) == (0 if T.meta["name"] == "conic_t" else 3)
 
@@ -383,9 +383,9 @@ def test_pair_segre_projects_once_when_forward_fails(monkeypatch):
 def test_pair_segre_reads_each_curves_span_once(monkeypatch):
     calls = []
 
-    def counted(ideal, budget=None):
+    def counted(ideal):
         calls.append(ideal)
-        return span_form_rows(ideal, budget)
+        return span_form_rows(ideal)
 
     monkeypatch.setattr(geometry, "span_form_rows", counted)
     pairs = _check10_pairs(PAIR_FIELDS[0])
@@ -394,7 +394,7 @@ def test_pair_segre_reads_each_curves_span_once(monkeypatch):
     # six distinct curves over seven centres
     curves = {id(c): c for Y, T, _ in pairs for c in (Y, T)}
     assert len(calls) == len(curves) == 6
-    assert all(c.span_rows() == span_form_rows(c.ideal) for c in curves.values())
+    assert all(c.span_rows == span_form_rows(c.ideal) for c in curves.values())
     # the spanning guard still runs on every call, from the kept rows
     ring = ambient_ring(3, FP)
     x0, x1, x2, x3 = ring.gens()

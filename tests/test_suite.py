@@ -11,7 +11,7 @@ import json
 import pytest
 
 from entryloci import cli, suite
-from entryloci.catalog import _sanity_check
+from entryloci.catalog import _sanity_check, build_catalog_variety
 from entryloci.geometry import ProjectivePoint, ambient_ring, count_on_slice, zero_dim_slice
 from entryloci.kernel import (
     QQ,
@@ -22,6 +22,7 @@ from entryloci.kernel import (
     RingContext,
     groebner_basis,
     ideal_contains,
+    limits,
     radical_membership,
 )
 from entryloci.kernel.linalg import mat_inverse, rank
@@ -31,11 +32,8 @@ from entryloci.rank_secant import two_decompositions
 from entryloci.segre import pencil_vertices, quadric_pencil
 
 FP = PrimeField(2147483659)
-BUDGET = suite.RunConfig().budget()
-
-
 def classified(key, seed):
-    return suite.classified(key, seed, suite.resolve_field("fp:auto", seed), BUDGET)
+    return suite.classified(key, seed, suite.resolve_field("fp:auto", seed))
 
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "Q"])
@@ -69,8 +67,8 @@ def _lines_to_vertex_on_slice(locus, seed):
     slice points are not all rational."""
     field = locus.ring.field
     rng = seeded_rng(("cone-slice", seed, 0))
-    cut = zero_dim_slice(locus, 1, rng, None)
-    raw = cut and enumerate_points_prime_field(cut[0], rng, None, require_all=True)
+    cut = zero_dim_slice(locus, 1, rng)
+    raw = cut and enumerate_points_prime_field(cut[0], rng, require_all=True)
     if not raw:
         return None
     pts = [ProjectivePoint.make(field, cut[1](v)) for v in raw]
@@ -89,7 +87,7 @@ def _lines_to_vertex_on_slice(locus, seed):
 def test_cone_test_matches_slice_lines(seed):
     _, rep = classified("cone_twisted_cubic", seed)
     assert _lines_to_vertex_on_slice(rep.locus, seed) is True
-    assert suite.is_cone_with_vertex(rep.locus, 4, BUDGET) is True
+    assert suite.is_cone_with_vertex(rep.locus, 4) is True
 
 
 def _matches_on_common_slice(var, locus, row, seed):
@@ -101,7 +99,7 @@ def _matches_on_common_slice(var, locus, row, seed):
     extra = random_linear_combination(var.ring, rng)
     a_sl = Ideal.of(var.ring, list(locus.gens) + [extra])
     b_sl = Ideal.of(var.ring, list(section.gens) + [extra])
-    counts = (count_on_slice(a_sl, 0, rng, None), count_on_slice(b_sl, 0, rng, None))
+    counts = (count_on_slice(a_sl, 0, rng), count_on_slice(b_sl, 0, rng))
     mutual = all(radical_membership(g, b_sl) for g in locus.gens) and all(
         radical_membership(g, a_sl) for g in section.gens
     )
@@ -115,12 +113,12 @@ def test_hyperplane_section_matches_common_slice(seed):
     other = [var.field.coerce(c) for c in (1, 2, 3, 4, 5)]
     for h, expected in ((row, True), (other, False)):
         assert _matches_on_common_slice(var, rep.locus, h, seed) is expected
-        assert suite.is_hyperplane_section(var, rep.locus, h, BUDGET) is expected
+        assert suite.is_hyperplane_section(var, rep.locus, h) is expected
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_check_cone_decides_over_q(seed):
-    expected, computed, ok = suite.check_cone(QQ, seed, BUDGET)
+    expected, computed, ok = suite.check_cone(QQ, seed)
     assert ok and computed == expected
 
 
@@ -129,17 +127,34 @@ def test_check_cone_decides_over_q(seed):
 )
 def test_classify_cache_keys_on_every_budget_limit(tight):
     field = suite.resolve_field("fp:auto", 1)
-    suite.classified("scroll12", 1, field, Budget())
+    with limits(Budget()):
+        suite.classified("scroll12", 1, field)
+    with pytest.raises(BudgetExceededError), limits(tight):
+        suite.classified("scroll12", 1, field)
+
+
+def test_checks_entry_applies_the_budget_it_is_given():
+    # perfbench/child.py calls each CHECKS entry as fn(field, seed, budget)
+    field = suite.resolve_field("fp:auto", 1)
+    fn = {cid: fn for cid, _, fn in suite.CHECKS}["01_scroll_minimal_degree"]
+    assert fn(field, 1, suite.RunConfig().budget())[2]
     with pytest.raises(BudgetExceededError):
-        suite.classified("scroll12", 1, field, tight)
+        fn(field, 1, Budget(max_pairs=1))
+
+
+def test_catalog_build_applies_the_budget_it_is_given():
+    field = suite.resolve_field("fp:auto", 1)
+    build_catalog_variety("veronese_proj4", 1, field)
+    with pytest.raises(BudgetExceededError):
+        build_catalog_variety("veronese_proj4", 1, field, Budget(max_pairs=5))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_split_quartic_is_a_catalog_quartic_with_vertices_on_the_frame(seed):
     field = suite.resolve_field("fp:auto", seed)
     curve, move = suite.split_elliptic_quartic(field, seed)
-    _sanity_check(curve, "elliptic4", seeded_rng(("split-sanity", seed)), BUDGET)
-    vertices = pencil_vertices(quadric_pencil(curve, BUDGET), seeded_rng(("vertices", seed)))
+    _sanity_check(curve, "elliptic4", seeded_rng(("split-sanity", seed)))
+    vertices = pencil_vertices(quadric_pencil(curve), seeded_rng(("vertices", seed)))
     frame = mat_inverse(move, field)
     columns = {ProjectivePoint.make(field, col).coords for col in zip(*frame)}
     assert vertices is not None and {v.coords for v in vertices} == columns
@@ -150,13 +165,13 @@ def test_split_quartic_is_a_catalog_quartic_with_vertices_on_the_frame(seed):
 def test_rnc3_check_decomposes_its_constructed_pair(monkeypatch, field_desc, seed):
     calls = []
 
-    def recording(var, q, seed, budget):
-        ds = two_decompositions(var, q, seed=seed, budget=budget)
+    def recording(var, q, seed):
+        ds = two_decompositions(var, q, seed=seed)
         calls.append((var, q, ds))
         return ds
 
     monkeypatch.setattr(suite, "two_decompositions", recording)
-    _, _, ok = suite.check_rnc3_identifiability(suite.resolve_field(field_desc, seed), seed, BUDGET)
+    _, _, ok = suite.check_rnc3_identifiability(suite.resolve_field(field_desc, seed), seed)
     assert ok
     var, q, ds = calls[0]
     field = var.field

@@ -5,6 +5,7 @@ here instead of breaking the traced runs."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from entryloci.kernel import ideals
 from entryloci.kernel.groebner import Budget
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE_SRC = SPANS.parent.parent / "src" / "entryloci"
 SELFTEST = SPANS.parent / "selftest.py"
 CHILD = SPANS.parent / "child.py"
 WORKLOADS = SPANS.parent / "workloads.py"
@@ -87,3 +89,47 @@ def test_benchmark_child_runs_a_check_and_a_command(monkeypatch):
     argv = ["decomp", "--variety", "rnc3", "--seed", "2"]
     status, note, _ = child._run_cli(argv, {"count": 1, "positive_dimensional": False})
     assert (status, note) == ("pass", "")
+
+
+def _scoped(node, scope=""):
+    """Every node under ``node``, with the dotted name of the innermost
+    class or function around it ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{scope}.{child.name}".lstrip("."))
+        else:
+            yield from _scoped(child, scope)
+
+
+def _package_nodes():
+    for path in sorted(PACKAGE_SRC.rglob("*.py")):
+        module = path.relative_to(PACKAGE_SRC).as_posix()
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            yield module, scope, node
+
+
+def test_only_the_benchmarked_entry_points_take_a_budget():
+    # the Groebner limits are set where a command or a check starts and read
+    # by the kernel; perfbench/child.py hands a budget to the CHECKS callables
+    # and to build_catalog_variety, so only they take one
+    takers = set()
+    for module, scope, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+            if "budget" in names:
+                takers.add((module, f"{scope}.{getattr(node, 'name', '<lambda>')}".lstrip(".")))
+    assert takers == {("catalog.py", "build_catalog_variety"), ("suite.py", "_limited.limited_check")}
+    for _, _, fn in suite.CHECKS:
+        assert list(inspect.signature(fn).parameters) == ["field", "seed", "budget"]
+
+
+def test_meters_are_made_only_by_budget_fresh():
+    # perfbench/spans.py wraps Budget.fresh to credit each meter's pairs and
+    # reductions to the open span; a meter made anywhere else goes uncounted
+    makers = [
+        (module, scope) for module, scope, node in _package_nodes()
+        if isinstance(node, ast.Call) and _dotted(node.func)[-1:] == ["_Meter"]
+    ]
+    assert makers == [("kernel/groebner.py", "Budget.fresh")]

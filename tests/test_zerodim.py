@@ -17,7 +17,7 @@ FP = PrimeField(2147483659)
 RING = RingContext(("x", "y", "z"), FP)
 
 
-def _pin_incrementally(gb, rng, budget=None):
+def _pin_incrementally(gb, rng):
     """The former route: pin one coordinate at a time, adding x_i - root and
     recomputing the basis before reading the next coordinate."""
     ring = gb.ring
@@ -25,10 +25,10 @@ def _pin_incrementally(gb, rng, budget=None):
     gens = list(gb.source.gens)
     coords = []
     for i in range(ring.nvars):
-        current = groebner_basis(Ideal.of(ring, gens), GREVLEX, budget)
+        current = groebner_basis(Ideal.of(ring, gens), GREVLEX)
         if current.is_unit():
             raise DegenerateInputError("inconsistent system while pinning coordinates")
-        mp = zerodim.minimal_polynomial_of(ring.variable(i), current, budget)
+        mp = zerodim.minimal_polynomial_of(ring.variable(i), current)
         sf = u_squarefree_part(mp, field)
         roots = u_roots_prime_field(sf, field, rng)
         if u_degree(sf) != 1 or len(roots) != 1:
@@ -46,7 +46,7 @@ def _both_routes(gb, tag):
     """Pin with both routes on equal seeded streams; the streams must end in
     the same state (the same draws were made)."""
     new_rng, old_rng = seeded_rng(tag), seeded_rng(tag)
-    new = zerodim._pin_coordinates(gb, new_rng, None)
+    new = zerodim._pin_coordinates(gb, new_rng)
     old = _pin_incrementally(gb, old_rng)
     assert new_rng.getstate() == old_rng.getstate()
     return new, old
@@ -109,7 +109,7 @@ def _ref_enumerate(gb, rng, require_all):
     points = []
     for tau in roots:
         sub = groebner_basis(Ideal.of(ring, list(gb.source.gens) + [sep - ring.constant(tau)]))
-        coords = _PIN(sub, rng, None)
+        coords = _PIN(sub, rng)
         if coords is None:
             if require_all:
                 return None
@@ -123,9 +123,9 @@ def pin_calls(monkeypatch):
     """Count the calls of the per-root fallback inside the enumeration."""
     calls = []
 
-    def counted(gb, rng, budget):
+    def counted(gb, rng):
         calls.append(gb)
-        return _PIN(gb, rng, budget)
+        return _PIN(gb, rng)
 
     monkeypatch.setattr(zerodim, "_pin_coordinates", counted)
     return calls
@@ -133,7 +133,7 @@ def pin_calls(monkeypatch):
 
 def _against_reference(gb, tag, require_all):
     new_rng, ref_rng = seeded_rng(tag), seeded_rng(tag)
-    new = zerodim.enumerate_points_prime_field(gb, new_rng, None, require_all)
+    new = zerodim.enumerate_points_prime_field(gb, new_rng, require_all)
     ref = _ref_enumerate(gb, ref_rng, require_all)
     assert new == ref
     assert new_rng.getstate() == ref_rng.getstate()
@@ -216,15 +216,15 @@ def _ref_solve(rows, rhs, field):
     return x
 
 
-def _ref_krylov(f, gb, monos, budget=None):
+def _ref_krylov(f, gb, monos):
     """The former loop: one solve against the lower powers for every new
     power of f, until one depends on them."""
     field = gb.ring.field
     index = {m: i for i, m in enumerate(monos)}
     power = gb.ring.one()
-    vectors = [zerodim._nf_vector(power, gb, index, budget)]
+    vectors = [zerodim._nf_vector(power, gb, index)]
     while True:
-        power = normal_form(power * f, gb, budget)
+        power = normal_form(power * f, gb)
         vec = [field.zero] * len(monos)
         for m, c in power.terms:
             vec[index[m]] = c
@@ -258,7 +258,7 @@ def test_krylov_matches_per_power_solve(data):
     exponents = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(3 - a - b)]
     terms = data.draw(st.dictionaries(st.sampled_from(exponents), st.integers(-5, 5), max_size=4))
     f = ring.from_dict(terms)
-    mp, vectors = zerodim._krylov(f, gb, monos, None)
+    mp, vectors = zerodim._krylov(f, gb, monos)
     assert (mp, vectors) == _ref_krylov(f, gb, monos)
     assert len(mp) == len(vectors) + 1 <= len(monos) + 1
 
@@ -267,7 +267,7 @@ def test_krylov_of_each_variable_matches_per_power_solve():
     for gb, monos in _krylov_systems():
         for i in range(gb.ring.nvars):
             x = gb.ring.variable(i)
-            assert zerodim._krylov(x, gb, monos, None) == _ref_krylov(x, gb, monos)
+            assert zerodim._krylov(x, gb, monos) == _ref_krylov(x, gb, monos)
 
 
 # -- quotient monomials --------------------------------------------------------
