@@ -23,7 +23,7 @@ from .kernel.groebner import Budget, current_budget, limits
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import Ideal
 from .kernel.linalg import det
-from .kernel.poly import RingContext, _monomials_of_degree
+from .kernel.poly import RingContext, monomials_of_degree
 from .kernel.rng import random_scalar, seeded_rng
 from .kernel.zerodim import random_linear_combination
 from .segre import pencil_det_distinct_roots, quadric_pencil
@@ -71,15 +71,13 @@ def normalize_key(key: str) -> str:
     k = key.strip().lower().replace("(", "").replace(")", "")
     if k in _EXPECTED:
         return k
-    if k.startswith("rnc") and k[3:].isdigit():
-        return "rnc" + k[3:]
     raise KeyError(f"unknown catalog key {key!r}")
 
 
 def _random_form(ring: RingContext, degree: int, rng: random.Random):
     field = ring.field
     while True:
-        data = {m: field.coerce(random_scalar(field, rng)) for m in _monomials_of_degree(ring.nvars, degree)}
+        data = {m: field.coerce(random_scalar(field, rng)) for m in monomials_of_degree(ring.nvars, degree)}
         f = ring.from_dict(data)
         if not f.is_zero() and f.total_degree() == degree:
             return f

@@ -33,7 +33,7 @@ from .geometry import (
     reduced_dim_degree,
 )
 from .kernel.errors import BudgetExceededError, DegenerateInputError
-from .kernel.factor import _factor_count, bivariate_gcd, squarefree_part
+from .kernel.factor import absolute_factor_count, bivariate_gcd, squarefree_part
 from .kernel.fields import PrimeField
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import (
@@ -155,8 +155,6 @@ def component_count(curve: Ideal, seed: int, expected_degree: int) -> tuple[int,
     """(number of geometric components, plane model) of a projective curve of
     reduced degree ``expected_degree``: the absolute factor count of the
     first seeded plane model that passes :func:`plane_model`'s degree check.
-    The model is a ``squarefree_part``, so it is counted without a second
-    squarefreeness check.
 
     One such model decides the count.  Let C_1..C_k be the components, with
     degrees summing to d.  A projection maps C_i onto a plane curve of degree
@@ -173,7 +171,7 @@ def component_count(curve: Ideal, seed: int, expected_degree: int) -> tuple[int,
         rng = seeded_rng(("components", seed, trial))
         try:
             model = plane_model(curve, rng, expected_degree)
-            return _factor_count(model, rng), model
+            return absolute_factor_count(model, rng), model
         except DegenerateInputError:
             continue
     raise DegenerateInputError("all plane projections collapsed")

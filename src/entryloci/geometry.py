@@ -35,7 +35,7 @@ from .kernel.linalg import (
     rref,
 )
 from .kernel.orders import GREVLEX, Block
-from .kernel.poly import Polynomial, RingContext, _monomials_of_degree
+from .kernel.poly import Polynomial, RingContext, monomials_of_degree
 from .kernel.rng import random_coords, random_scalar, seeded_rng
 from .kernel.zerodim import (
     count_distinct_points,
@@ -389,7 +389,7 @@ def count_on_slice(ideal: Ideal, dim: int, rng: random.Random) -> int:
     for _ in range(5):
         cut = zero_dim_slice(ideal, dim, rng)
         if cut is not None:
-            return count_distinct_points(cut[0], rng, trials=2)
+            return count_distinct_points(cut[0], rng)[0]
     raise DegenerateInputError("could not find a generic slice")
 
 
@@ -405,7 +405,7 @@ def graded_piece_rows(ideal: Ideal, degree: int):
     monomials of degree d (ordered by the ring's term order, descending)."""
     ring = ideal.ring
     field = ring.field
-    monos = _monomials_of_degree(ring.nvars, degree)
+    monos = monomials_of_degree(ring.nvars, degree)
     monos.sort(key=ring.order.key, reverse=True)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
@@ -413,7 +413,7 @@ def graded_piece_rows(ideal: Ideal, degree: int):
         e = g.total_degree()
         if not g.is_homogeneous() or e > degree:
             continue
-        for shift in _monomials_of_degree(ring.nvars, degree - e):
+        for shift in monomials_of_degree(ring.nvars, degree - e):
             row = [field.zero] * len(monos)
             for m, c in g.terms:
                 mm = tuple(a + b for a, b in zip(m, shift))
@@ -425,28 +425,15 @@ def graded_piece_rows(ideal: Ideal, degree: int):
 
 def slice_by_span(ideal: Ideal, span_rows) -> Ideal:
     """Restrict a homogeneous ideal to the linear span cut out by the given
-    form rows, rewritten in intrinsic coordinates of the span."""
-    ring = ideal.ring
-    field = ring.field
-    c = len(span_rows)
-    if c == 0:
+    form rows, rewritten in intrinsic coordinates of the span: x is
+    sum_j y_j * b_j over a kernel basis b_j of the rows."""
+    if not span_rows:
         return ideal
-    point_basis = kernel_basis([list(r) for r in span_rows], field)
-    B = projection_frame(field, point_basis, ring.nvars)
-    moved = apply_linear_substitution(ideal, B)
-    keep = ring.nvars - c
-    target = ambient_ring(keep - 1, field)
-    gens = []
-    for g in moved.gens:
-        data = {}
-        for m, coeff in g.terms:
-            if any(m[keep:]):
-                continue
-            data[m[:keep]] = coeff
-        gg = target.from_dict(data)
-        if not gg.is_zero():
-            gens.append(gg)
-    return Ideal.of(target, gens)
+    ring = ideal.ring
+    point_basis = kernel_basis([list(r) for r in span_rows], ring.field)
+    target = ambient_ring(len(point_basis) - 1, ring.field)
+    images = [target.linear_form([b[i] for b in point_basis]) for i in range(ring.nvars)]
+    return Ideal.of(target, [g.substitute(images, target) for g in ideal.gens])
 
 
 # -- point sampling ---------------------------------------------------------------

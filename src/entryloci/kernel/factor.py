@@ -9,9 +9,9 @@ under the degree bounds deg_x g <= deg_x f - 1, deg_y g <= deg_y f,
 deg_x h <= deg_x f, deg_y h <= deg_y f - 1 equals the number of absolutely
 irreducible factors of f (characteristic 0 or p large), and every solution
 has g = sum_i w_i * (f_i)_x * f / f_i over the absolute factors f_i.  Each
-stage below does only the work its answer needs.  A caller whose input is a
-``squarefree_part`` counts with ``_factor_count``, which skips the
-squarefreeness check that ``absolute_factor_count`` makes.
+stage below does only the work its answer needs.  ``absolute_factor_count``
+checks its input squarefree first; on a ``squarefree_part`` output that is
+one restriction to a line, the certificate below.
 
 **Squarefree by one line.**  Restrict f to a seeded line (t, a*t + b),
 reduced modulo the run's prime (over Q, a fixed large prime that divides no
@@ -78,7 +78,7 @@ from math import isqrt, lcm
 
 from .errors import CharacteristicError, DegenerateInputError, NotSquarefreeError
 from .fields import PrimeField, next_prime
-from .linalg import _cleared, _primitive, echelon, echelon_solution, reduce_echelon
+from .linalg import cleared, echelon, echelon_solution, primitive, reduce_echelon
 from .poly import Polynomial, RingContext
 from .rng import seeded_rng
 from .univar import (
@@ -350,7 +350,7 @@ def _gao_rows(plane: Polynomial):
     coeffs = [c for _, c in plane.terms]
     p = plane.ring.field.char
     if not p:
-        coeffs = _primitive(_cleared(coeffs)[0])
+        coeffs = primitive(cleared(coeffs)[0])
     rows = {}
     for (a, b), c in zip(monos, coeffs):
         for i in range(n1):
@@ -368,17 +368,10 @@ def _gao_rows(plane: Polynomial):
 
 def absolute_factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
     """Number of absolutely irreducible factors of a squarefree plane
-    polynomial."""
+    polynomial (NotSquarefreeError otherwise)."""
+    _require_plane(f)
     if f.total_degree() >= 1 and not is_squarefree(f):
         raise NotSquarefreeError("absolute factor count requires squarefree input")
-    return _factor_count(f, rng)
-
-
-def _factor_count(f: Polynomial, rng: random.Random | None = None) -> int:
-    """:func:`absolute_factor_count` for a polynomial known to be squarefree,
-    such as the output of :func:`squarefree_part`: it skips the
-    squarefreeness check."""
-    _require_plane(f)
     rng = rng or random.Random(0)
     field = f.ring.field
     n = f.total_degree()

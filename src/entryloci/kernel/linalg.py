@@ -51,13 +51,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _cleared(row):
+def cleared(row):
     """(integer row, scale): ``row`` times the lcm ``scale`` of its denominators."""
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def _primitive(row):
+def primitive(row):
     """An integer row divided by its content (a zero row stays as it is)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
@@ -67,7 +67,7 @@ def _sparse_rows(rows, field):
     """The ``{column: value}`` dicts of the nonzero rows; over Q each row is
     first cleared to a primitive integer row."""
     if not field.char:
-        rows = [_primitive(_cleared(row)[0]) for row in rows]
+        rows = [primitive(cleared(row)[0]) for row in rows]
     live = [{j: x for j, x in enumerate(row) if x} for row in rows]
     return [row for row in live if row]
 
@@ -223,7 +223,7 @@ def det(rows, field):
     else:
         a = []
         for row in rows:
-            ints, s = _cleared(row)
+            ints, s = cleared(row)
             a.append(ints)
             scale *= s
     n = len(a)

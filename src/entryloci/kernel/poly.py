@@ -402,13 +402,13 @@ def _power(terms, n, p):
         terms = _product(terms, terms, p)
 
 
-def _monomials_of_degree(n: int, d: int):
+def monomials_of_degree(n: int, d: int):
     """Exponent vectors of degree d in n variables, first exponent ascending."""
     if n == 1:
         return [(d,)]
     out = []
     for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
+        for rest in monomials_of_degree(n - 1, d - e):
             out.append((e,) + rest)
     return out
 

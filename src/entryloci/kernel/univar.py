@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fields import PrimeField
-from .linalg import _cleared, _primitive, det
+from .linalg import cleared, det, primitive
 
 
 def u_trim(c, field):
@@ -102,9 +102,9 @@ def u_gcd(a, b, field):
 def _u_gcd_rational(a, b):
     # Euclid on Fractions lets the remainders' heights blow up; dividing each
     # integer pseudo-remainder by its content keeps its coefficients small
-    a, b = (_primitive(_cleared(c)[0]) for c in (a, b))
+    a, b = (primitive(cleared(c)[0]) for c in (a, b))
     while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+        a, b = b, primitive(_pseudo_remainder(a, b))
     return [Fraction(x, a[-1]) for x in a]
 
 

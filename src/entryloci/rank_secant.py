@@ -35,11 +35,10 @@ from .kernel.poly import Polynomial
 from .kernel.rng import random_coords, seeded_rng
 from .kernel.univar import u_divmod
 from .kernel.zerodim import (
-    count_in_shape,
+    count_distinct_points,
     enumerate_points_prime_field,
     is_zero_dimensional,
     minimal_polynomial_of,
-    shape_points,
 )
 
 
@@ -274,7 +273,7 @@ def _misses_nothing(gb, count: int, cq) -> bool:
     if cq == field.zero or count != len(gb.staircase):
         return False
     lam = gb.ring.variable(gb.ring.nvars - 1)
-    mp = minimal_polynomial_of(lam, gb)
+    mp = minimal_polynomial_of(lam, gb)[0]
     return bool(u_divmod(mp, [cq, field.one], field)[1])  # the remainder is mp(-cq)
 
 
@@ -304,9 +303,9 @@ def two_decompositions(X: ProjectiveVariety, q: ProjectivePoint, seed: int = 0) 
     The chart also solves the generators that are linear in a, so a round's
     system has fewer variables (:func:`_incidence_affine_system`).  When
     the winning round's count reached D, the points are read from its
-    counting form (``zerodim.shape_points``); otherwise a fresh separating
-    form enumerates them.  The pairs are returned as a sorted set, so they
-    do not depend on the form or on the root draws.
+    counting form (the shape of ``count_distinct_points``); otherwise a
+    fresh separating form enumerates them.  The pairs are returned as a
+    sorted set, so they do not depend on the form or on the root draws.
     """
     if X.contains_point(q):
         raise DegenerateInputError("base point lies on the variety")
@@ -324,7 +323,7 @@ def two_decompositions(X: ProjectiveVariety, q: ProjectivePoint, seed: int = 0) 
             continue
         if not is_zero_dimensional(gb):
             return DecompositionSet(True, None, None)
-        c, shape = count_in_shape(gb, rng, trials=2)
+        c, shape = count_distinct_points(gb, rng)
         counts.append(c)
         if best is None or c > counts[best[0]]:
             best = (round_idx, gb, chart, rng, shape)
@@ -339,10 +338,7 @@ def two_decompositions(X: ProjectiveVariety, q: ProjectivePoint, seed: int = 0) 
     pairs = None
     if npairs and best is not None and isinstance(field, PrimeField):
         _, gb, chart, rng, shape = best
-        if shape is not None:
-            raw = shape_points(gb, shape, rng)
-        else:
-            raw = enumerate_points_prime_field(gb, rng)
+        raw = enumerate_points_prime_field(gb, rng, shape=shape)
         if raw is not None and len(raw) == solutions:
             seen = {}
             for values in raw:

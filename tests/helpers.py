@@ -17,6 +17,7 @@ from entryloci.geometry import (
     ProjectiveVariety,
     affine_chart,
     ambient_ring,
+    apply_linear_substitution,
     project_image,
     projection_frame,
     witness_points,
@@ -156,7 +157,7 @@ def _ref_count_distinct_points(gb, rng, trials=2):
     best = 0
     for _ in range(trials):
         t = random_linear_combination(gb.ring, rng)
-        mp = minimal_polynomial_of(t, gb)
+        mp = minimal_polynomial_of(t, gb)[0]
         sf = u_squarefree_part(mp, gb.ring.field)
         best = max(best, u_degree(sf))
     return best
@@ -263,6 +264,29 @@ def _ref_pair_segre_test(Y, T, o):
         return False
     img_t = project_image(T, [o.coords])
     return all(radical_membership(g, img_y.ideal) for g in img_t.ideal.gens)
+
+
+def _ref_slice_by_span(ideal, span_rows):
+    """``slice_by_span`` through a full change of coordinates: x = B y with
+    B = ``projection_frame`` of a kernel basis of the rows, then every term
+    in the trailing c coordinates dropped."""
+    ring = ideal.ring
+    field = ring.field
+    c = len(span_rows)
+    if c == 0:
+        return ideal
+    point_basis = kernel_basis([list(r) for r in span_rows], field)
+    B = projection_frame(field, point_basis, ring.nvars)
+    moved = apply_linear_substitution(ideal, B)
+    keep = ring.nvars - c
+    target = ambient_ring(keep - 1, field)
+    gens = []
+    for g in moved.gens:
+        data = {m[:keep]: coeff for m, coeff in g.terms if not any(m[keep:])}
+        gg = target.from_dict(data)
+        if not gg.is_zero():
+            gens.append(gg)
+    return Ideal.of(target, gens)
 
 
 def _ref_u_roots_prime_field(a, field, rng):

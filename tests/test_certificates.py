@@ -13,7 +13,7 @@ from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.linalg import rank
 from entryloci.kernel.rng import random_coords, random_scalar, seeded_rng
 from entryloci.kernel import zerodim
-from entryloci.kernel.zerodim import count_distinct_points, count_in_shape, is_zero_dimensional
+from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
 from entryloci.rank_secant import secant_dims, two_decompositions
 from entryloci.suite import resolve_field
 import helpers
@@ -78,10 +78,11 @@ def test_count_in_shape_keeps_the_form_only_at_full_count():
     ring = RingContext(("x", "lam"), PrimeField(65537))
     radical = groebner_basis(Ideal.of(ring, [ring.from_string("x^2 - 1"), ring.from_string("lam - 5")]))
     double = groebner_basis(Ideal.of(ring, [ring.from_string("x^2"), ring.from_string("lam - 5")]))
-    count, shape = count_in_shape(radical, seeded_rng("shape"))
+    count, shape = count_distinct_points(radical, seeded_rng("shape"))
     assert count == 2 and shape is not None
-    assert sorted(zerodim.shape_points(radical, shape, seeded_rng("roots"))) == [(1, 5), (65536, 5)]
-    assert count_in_shape(double, seeded_rng("shape")) == (1, None)
+    points = zerodim.enumerate_points_prime_field(radical, seeded_rng("roots"), shape=shape)
+    assert sorted(points) == [(1, 5), (65536, 5)]
+    assert count_distinct_points(double, seeded_rng("shape")) == (1, None)
 
 
 # seeds whose `el decomp` pairs are all F_p-rational, and one whose are not
@@ -97,16 +98,16 @@ def test_pairs_without_a_counting_form_are_enumerated(key, seed, rational, monke
     fast = two_decompositions(var, q, seed=seed)
     assert fast.count and (fast.pairs is not None) == rational
     enumerated = []
-    real_count, real_enumerate = rank_secant.count_in_shape, rank_secant.enumerate_points_prime_field
+    real_count, real_enumerate = rank_secant.count_distinct_points, rank_secant.enumerate_points_prime_field
 
-    def no_shape(gb, rng, trials=2):
-        return real_count(gb, rng, trials)[0], None
+    def no_shape(gb, rng):
+        return real_count(gb, rng)[0], None
 
-    def spy(gb, rng):
+    def spy(gb, rng, shape=None):
         enumerated.append(gb)
-        return real_enumerate(gb, rng)
+        return real_enumerate(gb, rng, shape=shape)
 
-    monkeypatch.setattr(rank_secant, "count_in_shape", no_shape)
+    monkeypatch.setattr(rank_secant, "count_distinct_points", no_shape)
     monkeypatch.setattr(rank_secant, "enumerate_points_prime_field", spy)
     assert two_decompositions(var, q, seed=seed) == fast == _ref_two_decompositions(var, q, seed=seed)
     assert len(enumerated) == 1
@@ -127,7 +128,7 @@ def _zero_dim_bases(var, seed):
 
 
 @pytest.mark.parametrize("key,field_desc", CASES)
-def test_point_counts_match_every_trial_and_leave_the_stream_alike(key, field_desc):
+def test_point_counts_match_every_trial_and_leave_the_stream_alike(key, field_desc, monkeypatch):
     for seed in (1, 2, 3):
         var = build_catalog_variety(key, seed, resolve_field(field_desc, seed))
         for gb in _zero_dim_bases(var, seed):
@@ -135,7 +136,8 @@ def test_point_counts_match_every_trial_and_leave_the_stream_alike(key, field_de
                 continue
             for trials in (1, 2, 3):
                 ours, ref = seeded_rng("cert-count", seed), seeded_rng("cert-count", seed)
-                assert count_distinct_points(gb, ours, trials) == _ref_count_distinct_points(
+                monkeypatch.setattr(zerodim, "COUNT_TRIALS", trials)
+                assert count_distinct_points(gb, ours)[0] == _ref_count_distinct_points(
                     gb, ref, trials)
                 assert ours.getstate() == ref.getstate()
 
@@ -154,7 +156,7 @@ def test_certificate_conditions_on_small_systems(field):
     assert not rank_secant._misses_nothing(radical, 1, field.coerce(3))  # (ii): 1 < D = 2
     assert not rank_secant._misses_nothing(radical, 2, field.coerce(-5))  # (iii): m(5) = 0
     double = gb("x^2", "lam - 5")  # one point of multiplicity 2
-    assert count_distinct_points(double, seeded_rng("double")) == 1
+    assert count_distinct_points(double, seeded_rng("double"))[0] == 1
     assert not rank_secant._misses_nothing(double, 1, field.coerce(3))
 
 

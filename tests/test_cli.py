@@ -175,6 +175,14 @@ def test_unknown_key_is_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key", ["rnc7", "rnc2", "foo"])
+def test_key_outside_the_catalog_is_named(capsys, key):
+    # an rnc<d> key is a catalog key only for the degrees the catalog lists
+    rc = main(["entry-locus", "--variety", key, "--seed", "1"])
+    assert rc == 2
+    assert f"unknown catalog key '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["fp:abc", "fp:4", "GF7", "fp:3", "fp:5"])
 def test_bad_field_is_usage_error(capsys, field):
     rc = main(["entry-locus", "--variety", "scroll12", "--field", field])

@@ -178,7 +178,7 @@ def test_an_unlucky_count_prime_is_dropped(extra_lines, count, monkeypatch):
     real = factor._large_prime
     seen = []
     monkeypatch.setattr(factor, "_large_prime", lambda k: seen.append(k) or (1000003 if k == 0 else real(k)))
-    assert factor._factor_count(f) == count == _ref_factor_count(f)
+    assert absolute_factor_count(f) == count == _ref_factor_count(f)
     assert absolute_factor_count(f) == count
     assert 0 in seen and 1 in seen
 

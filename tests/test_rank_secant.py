@@ -13,6 +13,7 @@ from entryloci.kernel import (
     groebner_basis,
 )
 from entryloci.kernel.linalg import rank
+from entryloci.kernel import zerodim
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.zerodim import count_distinct_points, is_zero_dimensional
 from entryloci.rank_secant import incidence_generators, secant_dims, two_decompositions
@@ -92,7 +93,7 @@ def test_pairs_satisfy_exact_incidence():
         assert rank(stacked, F2) == 2  # q on the line spanned by the pair
 
 
-def test_node_count_matches_plane_projection_oracle():
+def test_node_count_matches_plane_projection_oracle(monkeypatch):
     # independent oracle: nodes of a generic plane projection of the twisted
     # cubic, counted by solving f = f_x = f_y = 0 on the plane model
     from entryloci.entry_locus import plane_model
@@ -104,7 +105,9 @@ def test_node_count_matches_plane_projection_oracle():
     system = Ideal.of(ring, [f, f.derivative(0), f.derivative(1)])
     gb = groebner_basis(system)
     assert is_zero_dimensional(gb)
-    nodes = count_distinct_points(gb, rng, trials=3)
+    with monkeypatch.context() as m:
+        m.setattr(zerodim, "COUNT_TRIALS", 3)
+        nodes = count_distinct_points(gb, rng)[0]
     q = random_point(FP, seeded_rng("qn"), 4, off_coordinate_hyperplanes=True)
     ds = two_decompositions(var, q, seed=9)
     assert nodes == ds.count == 1

@@ -10,8 +10,13 @@ import sys
 from pathlib import Path
 
 from entryloci import suite
+from entryloci.catalog import build_catalog_variety
+from entryloci.entry_locus import classify_entry_locus
+from entryloci.geometry import random_point
 from entryloci.kernel import ideals
 from entryloci.kernel.groebner import Budget
+from entryloci.kernel.rng import seeded_rng
+from entryloci.rank_secant import two_decompositions
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE_SRC = SPANS.parent.parent / "src" / "entryloci"
@@ -37,6 +42,28 @@ def test_traced_targets_resolve(monkeypatch):
         missing += [f"{mod}.{fn}" for fn in fns if not callable(getattr(module, fn, None))]
     assert missing == []
     assert callable(vars(Budget).get("fresh"))
+
+
+def test_traced_classification_and_decomposition_reach_the_counts(monkeypatch):
+    # the component count and the point counts run under the names that
+    # spans.TARGETS wraps, so a traced run sees their calls
+    spans = _load(monkeypatch, SPANS)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        field = suite.resolve_field("fp:auto", 1)
+        classify_entry_locus(build_catalog_variety("scroll12", 1, field), 1)
+        q = random_point(field, seeded_rng("traced-decomp"), 4)
+        two_decompositions(build_catalog_variety("rnc3", 1, field), q, seed=1)
+    finally:
+        tracer.restore()
+    seen = {span[0] for span in tracer.spans}
+    assert {
+        "kernel.factor.absolute_factor_count",
+        "kernel.zerodim.count_distinct_points",
+        "kernel.zerodim.enumerate_points_prime_field",
+        "kernel.zerodim.minimal_polynomial_of",
+    } <= seen
 
 
 def _dotted(node):
