@@ -23,8 +23,11 @@ restrictions G, H of g, h mod p, with deg G <= deg g and deg H <= deg h.
 Then deg F <= 2 deg G + deg H <= 2 deg g + deg h = deg f, and deg F = deg f
 forces deg G = deg g >= 1; G^2 divides F, so F is not squarefree.  (F is
 squarefree exactly when gcd(F, F') = 1, in any characteristic.)  The
-certificate is one-sided: when it refuses, the pseudo-remainder gcd chain
-gcd(f, f_y, f_x) runs as before, and it decides.
+certificate is one-sided: when it refuses, the gcd chain gcd(f, f_y, f_x)
+decides.  Each of its gcds is the cofactor f * g / lcm(f, g), the lcm being
+the one generator of the ideal (f) meet (g) from ``ideals.intersect`` (Cox,
+Little & O'Shea, *Ideals, Varieties, and Algorithms*, 4.3), so it is a
+Groebner run under the current limits like any other.
 
 **Gao's matrix from f's terms.**  Over the terms c * x^a * y^b of f, the g
 column of x^i y^j holds c * (j - b) at x^(a+i) y^(b+j-1), and the h column
@@ -78,127 +81,30 @@ from math import isqrt, lcm
 
 from .errors import CharacteristicError, DegenerateInputError, NotSquarefreeError
 from .fields import PrimeField, next_prime
+from .ideals import Ideal, intersect
 from .linalg import cleared, echelon, echelon_solution, primitive, reduce_echelon
-from .poly import Polynomial, RingContext
+from .poly import Polynomial
 from .rng import seeded_rng
-from .univar import (
-    u_degree,
-    u_derivative,
-    u_det_pencil,
-    u_divmod,
-    u_gcd,
-    u_monic,
-    u_mul,
-    u_sub,
-    u_trim,
-)
+from .univar import u_degree, u_derivative, u_det_pencil, u_divmod, u_gcd, u_trim
+
+
 def _require_plane(f: Polynomial):
     if f.ring.nvars != 2:
         raise ValueError(f"need a plane polynomial, got a ring in {f.ring.nvars} variables")
 
 
-def _as_y_coeffs(f: Polynomial, field):
-    """Plane polynomial -> list over y-degree of univariate x-coefficient lists."""
-    if f.is_zero():
-        return []
-    dy = f.degree_in(1)
-    dx = f.degree_in(0)
-    rows = [[field.zero] * (dx + 1) for _ in range(dy + 1)]
-    for (ex, ey), c in f.terms:
-        rows[ey][ex] = c
-    return [u_trim(r, field) for r in rows]
-
-
-def _v_trim(coeffs):
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _from_y_coeffs(ring: RingContext, coeffs):
-    data = {}
-    for ey, row in enumerate(coeffs):
-        for ex, c in enumerate(row):
-            if c != ring.field.zero:
-                data[(ex, ey)] = c
-    return ring.from_dict(data)
-
-
-def _content(coeffs, field):
-    g = []
-    for row in coeffs:
-        g = u_gcd(g, row, field) if g else u_monic(list(row), field)
-    return g
-
-
-def _divide_rows(coeffs, d, field):
-    out = []
-    for row in coeffs:
-        if not row:
-            out.append(row)
-            continue
-        q, r = u_divmod(row, d, field)
-        if r:
-            raise ArithmeticError("content division failed")
-        out.append(q)
-    return out
-
-
-def _pseudo_rem(f, g, field):
-    """Pseudo-remainder of y-coefficient lists: multiples of lc(g) kill leading terms."""
-    f = [list(r) for r in f]
-    dg = len(g) - 1
-    lg = g[-1]
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        lead = f[-1]
-        shift = df - dg
-        new = []
-        for j in range(df):
-            cj = u_mul(f[j], lg, field)
-            k = j - shift
-            if 0 <= k <= dg - 1:
-                cj = u_sub(cj, u_mul(lead, g[k], field), field)
-            new.append(cj)
-        f = _v_trim(new)
-    return f
-
-
 def bivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """GCD of two plane polynomials by a primitive pseudo-remainder sequence.
-
-    Result is monic with respect to the ring's term order (gcds are only
-    defined up to a scalar).
-    """
-    ring = f.ring
-    field = ring.field
+    """GCD of two plane polynomials, monic in the ring's term order (gcds
+    are only defined up to a scalar): f * g over their lcm, the one
+    generator of (f) meet (g) (module docstring)."""
+    _require_plane(f)
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
-    fc = _as_y_coeffs(f, field)
-    gc = _as_y_coeffs(g, field)
-    if len(fc) < len(gc):
-        fc, gc = gc, fc
-    cont_f = _content(fc, field)
-    cont_g = _content(gc, field)
-    d = u_gcd(cont_f, cont_g, field)
-    fc = _divide_rows(fc, cont_f, field)
-    gc = _divide_rows(gc, cont_g, field)
-    # both primitive in y now; a y-free primitive polynomial is the unit
-    while True:
-        if len(gc) == 1:
-            gcd_pp = [[field.one]]
-            break
-        r = _pseudo_rem(fc, gc, field)
-        if not r:
-            gcd_pp = gc
-            break
-        cont_r = _content(r, field)
-        r = _divide_rows(r, cont_r, field)
-        fc, gc = gc, r
-    result_rows = [u_mul(row, d, field) for row in gcd_pp]
-    return _from_y_coeffs(ring, result_rows).monic()
+    ring = f.ring
+    (l,) = intersect(Ideal.of(ring, [f]), Ideal.of(ring, [g])).gens
+    return poly_exact_div(f * g, l).monic()
 
 
 def poly_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -263,21 +263,3 @@ def mat_inverse(rows, field):
     if len(piv) < n or any(p >= n for p in piv):
         return None
     return [row[n:] for row in red]
-
-
-def row_space_intersection(u_rows, v_rows, field):
-    """Basis of (row space of U) intersect (row space of V)."""
-    if not u_rows or not v_rows:
-        return []
-    stacked = [list(r) for r in u_rows] + [[field.neg(x) for x in r] for r in v_rows]
-    coeffs = kernel_basis(list(map(list, zip(*stacked))), field)
-    out = []
-    for c in coeffs:
-        vec = [field.zero] * len(u_rows[0])
-        for alpha, row in zip(c[: len(u_rows)], u_rows):
-            for j, x in enumerate(row):
-                vec[j] = field.add(vec[j], field.mul(alpha, x))
-        if any(x != field.zero for x in vec):
-            out.append(vec)
-    red, piv = rref(out, field)
-    return [red[i] for i in range(len(piv))]

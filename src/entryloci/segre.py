@@ -25,7 +25,7 @@ from .geometry import (
 from .kernel.errors import DegenerateInputError
 from .kernel.fields import PrimeField
 from .kernel.ideals import Ideal, radical_membership
-from .kernel.linalg import kernel_basis, mat_inverse, row_space_intersection
+from .kernel.linalg import kernel_basis, mat_inverse, rank
 from .kernel.rng import seeded_rng
 from .kernel.univar import u_degree, u_det_pencil, u_roots_prime_field, u_squarefree_part, u_trim
 
@@ -165,14 +165,11 @@ def segre_count_elliptic_quartic(C: ProjectiveVariety, seed: int = 0, want_verti
 
 
 def union_span_is_ambient(Y: ProjectiveVariety, T: ProjectiveVariety) -> bool:
-    """span(Y u T) = P^r, via the intersection of the span form spaces (each
-    curve's span rows are computed once and kept on the curve)."""
-    rows_y = Y.span_rows
-    rows_t = T.span_rows
-    if not rows_y or not rows_t:
-        return True
-    both = row_space_intersection(rows_y, rows_t, Y.field)
-    return len(both) == 0
+    """span(Y u T) = P^r: the span form spaces of the two curves meet only in
+    0.  Each curve's span rows are independent (pivot rows, computed once and
+    kept on the curve), so that holds exactly when all of them together are."""
+    rows = Y.span_rows + T.span_rows
+    return rank(rows, Y.field) == len(rows)
 
 
 def pair_segre_test(Y: ProjectiveVariety, T: ProjectiveVariety, o: ProjectivePoint) -> bool:

@@ -4,7 +4,7 @@ a deterministic stream of large primes, polynomial predicates, the
 parametrized entry-locus route, and reference copies of the repeated-trial
 routes that the library now ends early, of the factor stage's former
 routes, and of the routes that the fast paths of the decomposition count,
-the pair test and quadratic root finding replace."""
+the pair test, the span test and quadratic root finding replace."""
 
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from entryloci.kernel import factor
 from entryloci.kernel.fields import Rationals
 from entryloci.kernel.hilbert import hilbert_invariants
 from entryloci.kernel.ideals import same_ideal
-from entryloci.kernel.linalg import kernel_basis, mat_inverse, rank
+from entryloci.kernel.linalg import kernel_basis, mat_inverse, rank, rref
 from entryloci.kernel.rng import random_coords, seeded_rng
 from entryloci.kernel.univar import (
     u_degree,
@@ -287,6 +287,25 @@ def _ref_slice_by_span(ideal, span_rows):
         if not gg.is_zero():
             gens.append(gg)
     return Ideal.of(target, gens)
+
+
+def row_space_intersection(u_rows, v_rows, field):
+    """Basis of (row space of U) intersect (row space of V): the reference
+    for ``segre.union_span_is_ambient`` and the per-variable span rows."""
+    if not u_rows or not v_rows:
+        return []
+    stacked = [list(r) for r in u_rows] + [[field.neg(x) for x in r] for r in v_rows]
+    coeffs = kernel_basis(list(map(list, zip(*stacked))), field)
+    out = []
+    for c in coeffs:
+        vec = [field.zero] * len(u_rows[0])
+        for alpha, row in zip(c[: len(u_rows)], u_rows):
+            for j, x in enumerate(row):
+                vec[j] = field.add(vec[j], field.mul(alpha, x))
+        if any(x != field.zero for x in vec):
+            out.append(vec)
+    red, piv = rref(out, field)
+    return [red[i] for i in range(len(piv))]
 
 
 def _ref_u_roots_prime_field(a, field, rng):

@@ -35,12 +35,12 @@ from entryloci.kernel import (
 from entryloci.kernel import factor
 from entryloci.kernel.factor import absolute_factor_count
 from entryloci.kernel.hilbert import hilbert_invariants
-from entryloci.kernel.linalg import identity, row_space_intersection, rref
+from entryloci.kernel.linalg import identity, rref
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_trim
 from entryloci.kernel.zerodim import enumerate_points_prime_field
 from entryloci.suite import resolve_field
-from helpers import _parametrized_entry_locus, prime_stream, same_saturation
+from helpers import _parametrized_entry_locus, prime_stream, row_space_intersection, same_saturation
 
 FP = PrimeField(2147483659)
 

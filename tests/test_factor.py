@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from entryloci.kernel import factor
 from entryloci.kernel import (
     QQ,
+    BudgetExceededError,
     CharacteristicError,
     NotSquarefreeError,
     PrimeField,
@@ -19,6 +22,7 @@ from entryloci.kernel.factor import (
     poly_exact_div,
     squarefree_part,
 )
+from entryloci.kernel.groebner import Budget, limits
 from entryloci.kernel.linalg import det
 from entryloci.kernel.rng import seeded_rng
 from entryloci.kernel.univar import u_degree, u_gcd, u_interpolate, u_scale, u_sub, u_trim
@@ -73,7 +77,6 @@ def test_irreducibility_oracle_for_elliptic_example():
     # perfect square; x^3 - x is squarefree of odd degree, hence not a square
     g = [0, -1, 0, 1]  # x^3 - x
     dg = [-1, 0, 3]
-    from fractions import Fraction
 
     gq = [Fraction(c) for c in g]
     dgq = [Fraction(c) for c in dg]
@@ -185,6 +188,71 @@ def test_squarefree_part_matches_sympy(factors):
     ours = squarefree_part(f)
     assert proportional_to(ours, expected)
     assert is_squarefree(ours)
+
+
+# -- the gcd against sympy's --------------------------------------------------
+
+
+GCD_FIELDS = [PrimeField(32003), QQ]
+_SX, _SY = sympy.symbols("x y")
+
+
+def _to_sympy(f):
+    """f as a sympy Poly over its own field."""
+    p = f.ring.field.char
+    terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in f.terms} or {(0, 0): 0}
+    return sympy.Poly.from_dict(terms, _SX, _SY, **({"modulus": p} if p else {"domain": "QQ"}))
+
+
+def _from_sympy(ring, poly):
+    field = ring.field
+    return ring.from_dict({m: field.coerce(Fraction(int(c.p), int(c.q))) for m, c in poly.terms() if c})
+
+
+def _sympy_gcd(f, g):
+    return _from_sympy(f.ring, sympy.gcd(_to_sympy(f), _to_sympy(g))).monic()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from(GCD_FIELDS), _small_factor, _small_factor, _small_factor, st.integers(1, 5))
+def test_bivariate_gcd_matches_sympy(field, a, b, c, k):
+    # independent oracle: sympy's gcd, made monic in our term order
+    ring = RingContext(("x", "y"), field)
+    a, b, c = (ring.from_dict({m: field.coerce(x) for m, x in d.items()}) for d in (a, b, c))
+    ab = a * b
+    for f, g in [(ab, a * c), (b, c), (ab, ring.zero()), (ring.zero(), ab), (ab, ring.constant(k))]:
+        assert bivariate_gcd(f, g) == _sympy_gcd(f, g)
+    assert bivariate_gcd(ring.zero(), ring.zero()).is_zero()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from(GCD_FIELDS), _small_factor, _small_factor)
+def test_squarefree_part_of_a_square_matches_sympy(field, a, b):
+    # a^2 * b has a square factor, so the line certificate refuses and the
+    # gcd chain decides.  Over Q the oracle is sympy's sqf_part; sympy has no
+    # multivariate sqf_part over F_p, so there it is f / gcd(f, f_y, f_x)
+    # with sympy's gcd
+    ring = RingContext(("x", "y"), field)
+    a, b = (ring.from_dict({m: field.coerce(x) for m, x in d.items()}) for d in (a, b))
+    f = a * a * b
+    assert not factor._line_certifies(f)
+    if field.char:
+        theirs = _to_sympy(f)
+        repeated = sympy.gcd(sympy.gcd(theirs, theirs.diff(_SY)), theirs.diff(_SX))
+        expected = _from_sympy(ring, sympy.div(theirs, repeated)[0])
+    else:
+        expected = _from_sympy(ring, sympy.sqf_part(_to_sympy(f)))
+    assert squarefree_part(f) == expected.monic()
+
+
+def test_bivariate_gcd_runs_under_the_groebner_limits():
+    ring = RingContext(("x", "y"), QQ)
+    common = ring.from_string("x + y + 1")
+    f = common * ring.from_string("x - y")
+    g = common * ring.from_string("x + 2*y")
+    with pytest.raises(BudgetExceededError), limits(Budget(max_pairs=1)):
+        bivariate_gcd(f, g)
+    assert bivariate_gcd(f, g) == common
 
 
 # -- the weight resultant against the former per-sample Sylvester matrix -------

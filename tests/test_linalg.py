@@ -7,9 +7,9 @@ from entryloci.kernel.linalg import (
     kernel_basis,
     mat_inverse,
     rank,
-    row_space_intersection,
     rref,
 )
+from helpers import row_space_intersection
 
 
 def F(x):

@@ -26,9 +26,10 @@ from entryloci.segre import (
     pencil_det_distinct_roots,
     quadric_pencil,
     segre_count_elliptic_quartic,
+    union_span_is_ambient,
 )
 from entryloci.suite import resolve_field
-from helpers import _ref_pair_segre_test, prime_stream
+from helpers import _ref_pair_segre_test, prime_stream, row_space_intersection
 
 FP = PrimeField(2147483659)
 
@@ -276,6 +277,23 @@ def _check10_pairs(field, seed=None):
     rnc4 = build_catalog_variety("rnc4", seed or 1, field)
     pairs += [(conic5, rnc4, o) for o in _points_off(field, rng, [conic5, rnc4], 3)]
     return pairs
+
+
+@pytest.mark.parametrize("field", PAIR_FIELDS, ids=["fp:auto", "Q"])
+def test_union_span_is_ambient_matches_the_span_row_intersection(field):
+    # reference: the two span form spaces meet only in 0
+    pairs = [(Y, T) for Y, T, _ in _check10_pairs(field)]
+    ring = ambient_ring(3, field)
+    x0, x1, x2, x3 = ring.gens()
+    # two conics in the plane x3 = 0 span only that plane
+    c1 = _curve(ring, [x3, x0 * x2 - x1 * x1], "c1")
+    c2 = _curve(ring, [x3, x0 * x2 - 2 * x1 * x1], "c2")
+    pairs.append((c1, c2))
+    verdicts = []
+    for Y, T in pairs:
+        verdicts.append(union_span_is_ambient(Y, T))
+        assert verdicts[-1] == (not row_space_intersection(Y.span_rows, T.span_rows, field))
+    assert verdicts == [True] * 7 + [False]
 
 
 def _catalog_pairs(field, seed):
