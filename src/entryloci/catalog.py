@@ -179,46 +179,69 @@ def _complete_intersection(key, ambient, degrees, field, rng) -> ProjectiveVarie
     return ProjectiveVariety(ambient, Ideal.of(ring, gens), None, meta)
 
 
+_VARIETY_CACHE: dict = {}
+_VARIETY_CACHE_LIMIT = 64
+
+
 def build_catalog_variety(key: str, seed: int, field=None, budget: Budget | None = None) -> ProjectiveVariety:
     """Construct a catalog entry; seeded instances are reseeded on sanity
     failure.  ``budget``, when given, sets the Groebner limits of the build;
-    otherwise the current ones apply."""
+    otherwise the current ones apply.
+
+    Each successful build is kept for the process under (key, seed, field,
+    limits), as ``ideals.groebner_basis`` keeps bases: a build is a function
+    of these alone, so a hit is exactly a rebuild, and a budget exit is never
+    kept.  Every caller of one key shares the variety and what is derived
+    from it and kept on it (span rows, Jacobians, fixed points); no caller
+    may change it.
+    """
     key = normalize_key(key)
     field = field or QQ
-    last = None
     with limits(budget or current_budget()):
-        for attempt in range(5):
-            rng = seeded_rng(("catalog", key, seed, attempt))
-            try:
-                if key.startswith("rnc"):
-                    var = _rnc(int(key[3:]), field)
-                elif key == "scroll12":
-                    var = _scroll12(field)
-                elif key == "cone_twisted_cubic":
-                    var = cone_over(_rnc(3, field))
-                    var.meta.update(catalog_metadata(key))
-                    var.meta["name"] = key
-                    var.meta["key"] = key
-                elif key == "veronese5":
-                    var = _veronese5(field)
-                elif key == "veronese_proj4":
-                    var = _veronese_proj4(field, rng)
-                elif key == "rational_quartic3":
-                    var = _rational_quartic3(field)
-                elif key == "delpezzo4":
-                    var = _complete_intersection(key, 4, (2, 2), field, rng)
-                elif key == "elliptic4":
-                    var = _complete_intersection(key, 3, (2, 2), field, rng)
-                elif key == "k3_23":
-                    var = _complete_intersection(key, 4, (2, 3), field, rng)
-                else:
-                    raise KeyError(key)
-                var.meta["seed"] = seed
-                var.meta["field"] = field.describe()
-                _sanity_check(var, key, rng)
-                return var
-            except DegenerateInputError as err:
-                last = err
+        cache_key = (key, seed, field, current_budget().key())
+        var = _VARIETY_CACHE.get(cache_key)
+        if var is None:
+            var = _build(key, seed, field)
+            if len(_VARIETY_CACHE) >= _VARIETY_CACHE_LIMIT:
+                _VARIETY_CACHE.clear()
+            _VARIETY_CACHE[cache_key] = var
+    return var
+
+
+def _build(key: str, seed: int, field) -> ProjectiveVariety:
+    last = None
+    for attempt in range(5):
+        rng = seeded_rng(("catalog", key, seed, attempt))
+        try:
+            if key.startswith("rnc"):
+                var = _rnc(int(key[3:]), field)
+            elif key == "scroll12":
+                var = _scroll12(field)
+            elif key == "cone_twisted_cubic":
+                var = cone_over(_rnc(3, field))
+                var.meta.update(catalog_metadata(key))
+                var.meta["name"] = key
+                var.meta["key"] = key
+            elif key == "veronese5":
+                var = _veronese5(field)
+            elif key == "veronese_proj4":
+                var = _veronese_proj4(field, rng)
+            elif key == "rational_quartic3":
+                var = _rational_quartic3(field)
+            elif key == "delpezzo4":
+                var = _complete_intersection(key, 4, (2, 2), field, rng)
+            elif key == "elliptic4":
+                var = _complete_intersection(key, 3, (2, 2), field, rng)
+            elif key == "k3_23":
+                var = _complete_intersection(key, 4, (2, 3), field, rng)
+            else:
+                raise KeyError(key)
+            var.meta["seed"] = seed
+            var.meta["field"] = field.describe()
+            _sanity_check(var, key, rng)
+            return var
+        except DegenerateInputError as err:
+            last = err
     raise DegenerateInputError(f"catalog entry {key} failed sanity checks: {last}")
 
 

@@ -101,6 +101,20 @@ class ProjectiveVariety:
         return all(g.evaluate(pt.coords) == zero for g in self.ideal.gens)
 
     @cached_property
+    def jacobian(self):
+        """The partial derivatives of each generator of the ideal, one row per
+        generator; computed on first use and kept on this variety."""
+        n = self.ring.nvars
+        return tuple(tuple(g.derivative(i) for i in range(n)) for g in self.ideal.gens)
+
+    @cached_property
+    def param_jacobian(self):
+        """The partial derivatives of each form of the parametrization, one
+        row per form; computed on first use and kept on this variety."""
+        n = self.param.nparams
+        return tuple(tuple(f.derivative(i) for i in range(n)) for f in self.param.forms)
+
+    @cached_property
     def span_rows(self):
         """``span_form_rows`` of the ideal, computed on first use and kept on
         this variety."""

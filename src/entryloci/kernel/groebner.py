@@ -153,8 +153,8 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
 class _Codes(dict):
-    """Integer code of each exponent vector of one ring and order, memoized
-    for one computation; ``exponents`` maps the codes back.
+    """Integer code of each exponent vector of one order on ``nvars``
+    variables, memoized; ``exponents`` maps the codes back.
 
     ``code(e) = sum(e_i * weights[i])``: the exponents packed into fields of
     ``FIELD_BITS`` bits, variable i in field i, minus the order key (the tuple
@@ -201,6 +201,27 @@ class _Exponents(dict):
     def __missing__(self, code):
         mono = self[code] = tuple(code >> s & MAX_EXPONENT for s in self.shifts)
         return mono
+
+
+_CODE_TABLES: dict = {}
+CODES_KEPT = 1 << 15  # codes and decoded exponent vectors kept over all tables
+
+
+def _code_table(order, nvars) -> _Codes:
+    """The one code table of ``order`` on ``nvars`` variables.
+
+    A code depends on nothing else, so every computation under that order
+    and number of variables shares one table and codes each monomial once
+    per process.  The tables are dropped together when they hold more than
+    ``CODES_KEPT`` entries in all; a computation that still holds a dropped
+    table keeps it, and its codes equal the new table's.
+    """
+    if sum(1 + len(t) + len(t.exponents) for t in _CODE_TABLES.values()) > CODES_KEPT:
+        _CODE_TABLES.clear()
+    table = _CODE_TABLES.get((order, nvars))
+    if table is None:
+        table = _CODE_TABLES[(order, nvars)] = _Codes(order, nvars)
+    return table
 
 
 def _coded_terms(poly: Polynomial, codes):
@@ -338,9 +359,10 @@ def _spoly_terms(fi, fj, lcm, meter):
 def buchberger(polys, ring: RingContext):
     """Reduced Groebner basis of ``polys`` in ``ring``'s active order.
 
-    Returns a list of monic :class:`Polynomial` sorted by increasing leading
-    monomial, with ``Fraction`` coefficients over Q.  The zero ideal yields
-    the empty list.
+    Returns a :class:`ReducedBasis`: a list of monic :class:`Polynomial`
+    sorted by increasing leading monomial, with ``Fraction`` coefficients
+    over Q, that also holds the basis prepared for division.  The zero ideal
+    yields the empty list.
     """
     meter = current_budget().fresh()
     field = ring.field
@@ -350,7 +372,7 @@ def buchberger(polys, ring: RingContext):
     guard = codes.guard
     basis = prepared.basis
     if not basis:
-        return []
+        return ReducedBasis((), prepared)
     weights = codes.weights
     # leading codes, exponent vectors and degrees, and sugars, by basis index
     lead = [lt for _, lt in basis]
@@ -430,32 +452,54 @@ def _interreduce(basis, ring, field, codes, meter):
                 break
         if not dominated:
             keep.append((terms, lt))
-    # tail-reduce every survivor against the others and make it monic
+    # tail-reduce every survivor against the others and normalize it
     reduced = []
     for idx, (terms, lt) in enumerate(keep):
         others = [keep[j] for j in range(len(keep)) if j != idx]
         rem = _normal_form_terms(terms, others, field, guard, meter)[0] if others else terms
-        reduced.append(_normalized_terms(rem, field) if field.char else _fractions(rem, rem[0][1]))
+        reduced.append(_normalized_terms(rem, field))
     # increasing leading monomial is decreasing code
     reduced.sort(key=lambda t: t[0][0], reverse=True)
-    return [_polynomial(ring, t, codes) for t in reduced]
+    polys = (
+        _polynomial(ring, t if field.char else _fractions(t, t[0][1]), codes) for t in reduced
+    )
+    return ReducedBasis(polys, Divisors.prepared(ring, codes, [(t, t[0][0]) for t in reduced]))
+
+
+class ReducedBasis(list):
+    """The reduced basis :func:`buchberger` returns, and ``divisors``, the
+    same basis prepared for division from its own coded terms."""
+
+    __slots__ = ("divisors",)
+
+    def __init__(self, polys, divisors):
+        super().__init__(polys)
+        self.divisors = divisors
 
 
 class Divisors:
     """A divisor list prepared once for repeated division in ``ring``: each
     polynomial coded in the ring's order, sorted and normalized (monic over
-    F_p, primitive over Z over Q), with a code memo that every division
-    against it shares.  Zero polynomials are dropped.
-    ``ideals.GroebnerBasis.divisors`` keeps one per basis, so a loop of
-    normal forms against one basis prepares it once;
+    F_p, primitive over Z over Q), with the order's shared code table.  Zero
+    polynomials are dropped.  :func:`buchberger` returns one with every
+    reduced basis, and ``ideals.groebner_basis`` caches it next to the
+    basis, so a loop of normal forms against one basis prepares it once;
     :func:`buchberger` and :func:`spolynomial` prepare their inputs here too.
     """
 
     __slots__ = ("ring", "basis", "codes")
 
+    @classmethod
+    def prepared(cls, ring: RingContext, codes, basis) -> "Divisors":
+        """Divisors from (terms, leading code) entries that are already
+        coded with ``codes``, sorted and normalized."""
+        out = cls.__new__(cls)
+        out.ring, out.codes, out.basis = ring, codes, basis
+        return out
+
     def __init__(self, polys, ring: RingContext):
         self.ring = ring
-        self.codes = codes = _Codes(ring.order, ring.nvars)
+        self.codes = codes = _code_table(ring.order, ring.nvars)
         self.basis = []
         for p in polys:
             if p.is_zero():

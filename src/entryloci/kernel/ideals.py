@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DegenerateInputError, HomogeneityError, RingMismatchError
@@ -45,19 +45,12 @@ class GroebnerBasis:
     source: Ideal
     basis: tuple
     order: object
-
-    @property
-    def ring(self) -> RingContext:
-        return self.source.ring.with_order(self.order)
+    ring: RingContext  # the source's ring under ``order``
+    # the basis prepared for division, as ``buchberger`` left it
+    divisors: Divisors = field(compare=False, repr=False)
 
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].total_degree() == 0
-
-    @cached_property
-    def divisors(self) -> Divisors:
-        """The basis prepared for division, built on first use and kept on
-        this object for every later normal form against it."""
-        return Divisors(self.basis, self.ring)
 
     @cached_property
     def staircase(self):
@@ -110,25 +103,27 @@ def groebner_basis(ideal: Ideal, order=None) -> GroebnerBasis:
 
     Bases are cached under the current limits too: whether a run finishes
     within them depends only on the ideal, the order and the limits, so a
-    hit is exactly a recomputation, budget exit included.
+    hit is exactly a recomputation, budget exit included.  Each entry holds
+    the basis and its prepared divisors, so a hit divides without coding
+    the basis again.
     """
     order = order if order is not None else ideal.ring.order
     ring = ideal.ring.with_order(order)
     cache_key = (ring, ideal.gens, current_budget().key())
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
-        return GroebnerBasis(ideal, hit, order)
+        return GroebnerBasis(ideal, *hit)
     # construction order is irrelevant to the reduced basis; sorting makes
     # the computation independent of generator ordering quirks.  The key
     # reads the terms in the ideal's order, then each generator's terms are
     # put in the basis ring's.
     gens = sorted(ideal.gens, key=lambda p: (p.total_degree(), p.terms))
     gens = [g if g.ring == ring else Polynomial(ring, ring.sorted_terms(g.terms)) for g in gens]
-    basis = tuple(buchberger(gens, ring))
+    reduced = buchberger(gens, ring)
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()
-    _GB_CACHE[cache_key] = basis
-    return GroebnerBasis(ideal, basis, order)
+    entry = _GB_CACHE[cache_key] = (tuple(reduced), order, ring, reduced.divisors)
+    return GroebnerBasis(ideal, *entry)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

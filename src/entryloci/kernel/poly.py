@@ -59,7 +59,7 @@ class RingContext:
         return f"RingContext({','.join(self.names)}; {self.field}; {self.order})"
 
     def with_order(self, order) -> "RingContext":
-        return RingContext(self.names, self.field, order)
+        return self if order == self.order else RingContext(self.names, self.field, order)
 
     def subring(self, start: int) -> "RingContext":
         """Ring in the variables from position ``start`` on (grevlex order)."""
@@ -277,17 +277,23 @@ class Polynomial:
     # -- substitution / evaluation -----------------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a tuple of field elements."""
+        """Evaluate at a tuple of field elements, with plain int (over F_p)
+        or ``Fraction`` (over Q) operators: over F_p each factor is reduced
+        mod p once and the sum once at the end."""
         field = self.ring.field
+        p = field.char
         point = [field.coerce(v) for v in point]
         total = field.zero
         for m, c in self.terms:
-            v = c
             for i, e in enumerate(m):
                 if e:
-                    v = field.mul(v, pow_field(field, point[i], e))
-            total = field.add(total, v)
-        return total
+                    x = point[i]
+                    if p:
+                        c = c * (x if e == 1 else pow(x, e, p)) % p
+                    else:
+                        c *= x if e == 1 else x**e
+            total += c
+        return total % p if p else total
 
     def substitute(self, images, target: RingContext | None = None) -> "Polynomial":
         """Map variable i to ``images[i]`` (a Polynomial of the target ring)."""
@@ -361,12 +367,6 @@ class Polynomial:
         for body in parts[1:]:
             out += " - " + body[1:] if body.startswith("-") else " + " + body
         return out
-
-
-def pow_field(field, base, e: int):
-    if isinstance(field, PrimeField):
-        return pow(base, e, field.p)
-    return base**e
 
 
 def _product(terms1, terms2, p):

@@ -92,15 +92,12 @@ class DecompositionSet:
 
 def _param_jacobian_rows(X: ProjectiveVariety, rng: random.Random):
     """Rows spanning the affine tangent space at a random parametrized point."""
-    param = X.param
     field = X.field
-    jac = [[f.derivative(i) for i in range(param.nparams)] for f in param.forms]
+    nparams = X.param.nparams
+    jac = X.param_jacobian
     for _ in range(20):
-        values = random_coords(field, rng, param.nparams)
-        rows = []
-        for i in range(param.nparams):
-            row = [jac[j][i].evaluate(values) for j in range(len(param.forms))]
-            rows.append(row)
+        values = random_coords(field, rng, nparams)
+        rows = [[partials[i].evaluate(values) for partials in jac] for i in range(nparams)]
         if any(any(c != field.zero for c in row) for row in rows):
             return rows
     raise DegenerateInputError("degenerate parametrized sample")
@@ -109,11 +106,8 @@ def _param_jacobian_rows(X: ProjectiveVariety, rng: random.Random):
 def _implicit_tangent_rows(X: ProjectiveVariety, pt: ProjectivePoint):
     """Affine tangent space at a point of an implicit variety: the kernel of
     the generator Jacobian evaluated there."""
-    field = X.field
-    rows = []
-    for g in X.ideal.gens:
-        rows.append([g.derivative(i).evaluate(pt.coords) for i in range(X.ring.nvars)])
-    return kernel_basis(rows, field)
+    rows = [[d.evaluate(pt.coords) for d in partials] for partials in X.jacobian]
+    return kernel_basis(rows, X.field)
 
 
 def secant_dims(X: ProjectiveVariety, s_max: int, seed: int = 0) -> SecantProfile:
@@ -248,19 +242,19 @@ def _linear_incidence_rows(X: ProjectiveVariety, q: ProjectivePoint):
     where h = lam * B(a, q) + g(q) with B(a, q) = grad g(q) . a, the polar
     form.  q satisfies every row, as B(q, q) = 2 g(q)."""
     field = X.field
-    gens = [g for g in X.ideal.gens if g.total_degree() > 0]
-    cs = [g.evaluate(q.coords) for g in gens]
+    gens = [(g, partials) for g, partials in zip(X.ideal.gens, X.jacobian) if g.total_degree() > 0]
+    cs = [g.evaluate(q.coords) for g, _ in gens]
     p = next((i for i, c in enumerate(cs) if c != field.zero), None)
-    if p is None or gens[p].total_degree() != 2:
+    if p is None or gens[p][0].total_degree() != 2:
         return []
 
-    def polar(g):
-        return [g.derivative(i).evaluate(q.coords) for i in range(X.ring.nvars)]
+    def polar(partials):
+        return [d.evaluate(q.coords) for d in partials]
 
-    b_p, c_p = polar(gens[p]), cs[p]
+    b_p, c_p = polar(gens[p][1]), cs[p]
     return [
-        [field.sub(field.mul(c_p, x), field.mul(c, y)) for x, y in zip(polar(g), b_p)]
-        for j, (g, c) in enumerate(zip(gens, cs))
+        [field.sub(field.mul(c_p, x), field.mul(c, y)) for x, y in zip(polar(partials), b_p)]
+        for j, ((g, partials), c) in enumerate(zip(gens, cs))
         if j != p and g.total_degree() == 2
     ]
 

@@ -245,6 +245,41 @@ def test_substitute_matches_former_loop(field, kind, data):
     assert conic.substitute([a * a, a * b, b * b], target).is_zero()
 
 
+def _ref_evaluate(f, point):
+    """The former loop: one field method call per factor and per sum."""
+    field = f.ring.field
+    point = [field.coerce(v) for v in point]
+    total = field.zero
+    for m, c in f.terms:
+        v = c
+        for i, e in enumerate(m):
+            if e:
+                power = pow(point[i], e, field.char) if field.char else point[i] ** e
+                v = field.mul(v, power)
+        total = field.add(total, v)
+    return total
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(ARITH_FIELDS + [PrimeField(32003)]), st.data())
+def test_evaluate_matches_field_method_reference(field, data):
+    ring = RingContext(("x0", "x1", "x2"), field)
+    f = data.draw(st.one_of(
+        _sub_polys(ring, 4),
+        _coeffs(field).map(ring.constant),  # constants, zero included
+    ))
+    point = data.draw(st.one_of(
+        st.lists(_coeffs(field), min_size=3, max_size=3),
+        st.just([0, 0, 0]),
+        st.lists(st.sampled_from([0, 1, -1]), min_size=3, max_size=3),
+    ))
+    got = f.evaluate(point)
+    want = _ref_evaluate(f, point)
+    assert got == want and type(got) is type(want)
+    if field.char:
+        assert 0 <= got < field.char
+
+
 def test_homogeneous_components(ring):
     f = ring.from_string("x0^2 + x1 + 3")
     comps = f.homogeneous_components()

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entryloci import geometry, segre
+from entryloci import catalog, geometry, segre
 from entryloci.catalog import build_catalog_variety
 from entryloci.geometry import (
     ProjectivePoint,
@@ -399,6 +399,9 @@ def test_pair_segre_projects_once_when_forward_fails(monkeypatch):
 
 
 def test_pair_segre_reads_each_curves_span_once(monkeypatch):
+    # a cold variety memo: a catalog curve built by an earlier test already
+    # holds its span rows
+    monkeypatch.setattr(catalog, "_VARIETY_CACHE", {})
     calls = []
 
     def counted(ideal):
