@@ -1,6 +1,7 @@
 """The variety catalog: rational normal curves, the cubic scroll, cones,
 Veronese surfaces and projections, and seeded random complete intersections.
 
+One table maps each key to its (dimension, degree, genus) and its builder.
 Seeded instances are sanity-checked (dimension, degree, genus, parametrization
 consistency) and automatically reseeded up to 5 attempts before failing.
 """
@@ -8,6 +9,7 @@ consistency) and automatically reseeded up to 5 attempts before failing.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .geometry import (
     Parametrization,
@@ -29,51 +31,6 @@ from .kernel.zerodim import random_linear_combination
 from .segre import pencil_det_distinct_roots, quadric_pencil
 
 
-def catalog_keys():
-    return [
-        "rnc3",
-        "rnc4",
-        "rnc5",
-        "rnc6",
-        "rational_quartic3",
-        "elliptic4",
-        "scroll12",
-        "cone_twisted_cubic",
-        "veronese5",
-        "veronese_proj4",
-        "delpezzo4",
-        "k3_23",
-    ]
-
-
-_EXPECTED = {
-    "rnc3": (1, 3, 0),
-    "rnc4": (1, 4, 0),
-    "rnc5": (1, 5, 0),
-    "rnc6": (1, 6, 0),
-    "rational_quartic3": (1, 4, 0),
-    "elliptic4": (1, 4, 1),
-    "scroll12": (2, 3, 0),
-    "cone_twisted_cubic": (2, 3, 0),
-    "veronese5": (2, 4, 0),
-    "veronese_proj4": (2, 4, 0),
-    "delpezzo4": (2, 4, 1),
-    "k3_23": (2, 6, 4),
-}
-
-
-def catalog_metadata(key: str):
-    n, d, g = _EXPECTED[key]
-    return {"n": n, "d": d, "g": g}
-
-
-def normalize_key(key: str) -> str:
-    k = key.strip().lower().replace("(", "").replace(")", "")
-    if k in _EXPECTED:
-        return k
-    raise KeyError(f"unknown catalog key {key!r}")
-
-
 def _random_form(ring: RingContext, degree: int, rng: random.Random):
     field = ring.field
     while True:
@@ -91,7 +48,7 @@ def _check_param_consistency(var: ProjectiveVariety):
     return all(g.substitute(images, pring).is_zero() for g in var.ideal.gens)
 
 
-def _rnc(d: int, field) -> ProjectiveVariety:
+def _rnc(d: int, field, rng=None) -> ProjectiveVariety:
     ring = ambient_ring(d, field)
     xs = ring.gens()
     gens = []
@@ -101,11 +58,10 @@ def _rnc(d: int, field) -> ProjectiveVariety:
     pring = RingContext(("s0", "s1"), field)
     s, t = pring.gens()
     forms = tuple(s ** (d - i) * t**i for i in range(d + 1))
-    meta = {"name": f"rnc{d}", "key": f"rnc{d}", **catalog_metadata(f"rnc{d}")}
-    return ProjectiveVariety(d, Ideal.of(ring, gens), Parametrization(pring, forms), meta)
+    return ProjectiveVariety(d, Ideal.of(ring, gens), Parametrization(pring, forms), {})
 
 
-def _scroll12(field) -> ProjectiveVariety:
+def _scroll12(field, rng=None) -> ProjectiveVariety:
     # 2x2 minors of [[x0, x2, x3], [x1, x3, x4]]: the cubic scroll S(1,2),
     # parametrized by the conics through one point of the plane
     ring = ambient_ring(4, field)
@@ -114,11 +70,10 @@ def _scroll12(field) -> ProjectiveVariety:
     pring = RingContext(("s0", "s1", "s2"), field)
     z0, z1, z2 = pring.gens()
     forms = (z0 * z1, z0 * z2, z1 * z1, z1 * z2, z2 * z2)
-    meta = {"name": "scroll12", "key": "scroll12", **catalog_metadata("scroll12")}
-    return ProjectiveVariety(4, Ideal.of(ring, gens), Parametrization(pring, forms), meta)
+    return ProjectiveVariety(4, Ideal.of(ring, gens), Parametrization(pring, forms), {})
 
 
-def _veronese5(field) -> ProjectiveVariety:
+def _veronese5(field, rng=None) -> ProjectiveVariety:
     ring = ambient_ring(5, field)
     x = ring.gens()
     cat = [[x[0], x[1], x[2]], [x[1], x[3], x[4]], [x[2], x[4], x[5]]]
@@ -133,8 +88,7 @@ def _veronese5(field) -> ProjectiveVariety:
     pring = RingContext(("s0", "s1", "s2"), field)
     z0, z1, z2 = pring.gens()
     forms = (z0 * z0, z0 * z1, z0 * z2, z1 * z1, z1 * z2, z2 * z2)
-    meta = {"name": "veronese5", "key": "veronese5", **catalog_metadata("veronese5")}
-    return ProjectiveVariety(5, Ideal.of(ring, gens), Parametrization(pring, forms), meta)
+    return ProjectiveVariety(5, Ideal.of(ring, gens), Parametrization(pring, forms), {})
 
 
 def _catalecticant_det(field, coords):
@@ -151,32 +105,60 @@ def _veronese_proj4(field, rng: random.Random) -> ProjectiveVariety:
             break
     else:
         raise DegenerateInputError("no center off the secant cubic found")
-    out = project_image(v5, [coords])
-    out.meta.update(catalog_metadata("veronese_proj4"))
-    out.meta["name"] = "veronese_proj4"
-    out.meta["key"] = "veronese_proj4"
-    return out
+    return project_image(v5, [coords])
 
 
-def _rational_quartic3(field) -> ProjectiveVariety:
+def _rational_quartic3(field, rng=None) -> ProjectiveVariety:
     pring = RingContext(("s0", "s1"), field)
     s, t = pring.gens()
     forms = (s**4, s**3 * t, s * t**3, t**4)
     param = Parametrization(pring, forms)
-    ideal = implicitize(param)
-    meta = {
-        "name": "rational_quartic3",
-        "key": "rational_quartic3",
-        **catalog_metadata("rational_quartic3"),
-    }
-    return ProjectiveVariety(3, ideal, param, meta)
+    return ProjectiveVariety(3, implicitize(param), param, {})
 
 
-def _complete_intersection(key, ambient, degrees, field, rng) -> ProjectiveVariety:
+def _complete_intersection(ambient, degrees, field, rng) -> ProjectiveVariety:
     ring = ambient_ring(ambient, field)
     gens = [_random_form(ring, d, rng) for d in degrees]
-    meta = {"name": key, "key": key, **catalog_metadata(key)}
-    return ProjectiveVariety(ambient, Ideal.of(ring, gens), None, meta)
+    return ProjectiveVariety(ambient, Ideal.of(ring, gens), None, {})
+
+
+# key -> ((dimension, degree, genus), builder(field, rng)); the builders
+# leave ``meta`` empty and ``_build`` fills it
+_CATALOG = {
+    "rnc3": ((1, 3, 0), partial(_rnc, 3)),
+    "rnc4": ((1, 4, 0), partial(_rnc, 4)),
+    "rnc5": ((1, 5, 0), partial(_rnc, 5)),
+    "rnc6": ((1, 6, 0), partial(_rnc, 6)),
+    "rational_quartic3": ((1, 4, 0), _rational_quartic3),
+    "elliptic4": ((1, 4, 1), partial(_complete_intersection, 3, (2, 2))),
+    "scroll12": ((2, 3, 0), _scroll12),
+    "cone_twisted_cubic": ((2, 3, 0), lambda field, rng: cone_over(_rnc(3, field))),
+    "veronese5": ((2, 4, 0), _veronese5),
+    "veronese_proj4": ((2, 4, 0), _veronese_proj4),
+    "delpezzo4": ((2, 4, 1), partial(_complete_intersection, 4, (2, 2))),
+    "k3_23": ((2, 6, 4), partial(_complete_intersection, 4, (2, 3))),
+}
+
+
+def catalog_keys():
+    return list(_CATALOG)
+
+
+def catalog_metadata(key: str):
+    n, d, g = _CATALOG[key][0]
+    return {"n": n, "d": d, "g": g}
+
+
+def catalog_entry_meta(key: str):
+    """The leading ``meta`` items of a catalog entry: name, key, n, d, g."""
+    return {"name": key, "key": key, **catalog_metadata(key)}
+
+
+def normalize_key(key: str) -> str:
+    k = key.strip().lower().replace("(", "").replace(")", "")
+    if k in _CATALOG:
+        return k
+    raise KeyError(f"unknown catalog key {key!r}")
 
 
 _VARIETY_CACHE: dict = {}
@@ -209,35 +191,13 @@ def build_catalog_variety(key: str, seed: int, field=None, budget: Budget | None
 
 
 def _build(key: str, seed: int, field) -> ProjectiveVariety:
+    builder = _CATALOG[key][1]
     last = None
     for attempt in range(5):
         rng = seeded_rng(("catalog", key, seed, attempt))
         try:
-            if key.startswith("rnc"):
-                var = _rnc(int(key[3:]), field)
-            elif key == "scroll12":
-                var = _scroll12(field)
-            elif key == "cone_twisted_cubic":
-                var = cone_over(_rnc(3, field))
-                var.meta.update(catalog_metadata(key))
-                var.meta["name"] = key
-                var.meta["key"] = key
-            elif key == "veronese5":
-                var = _veronese5(field)
-            elif key == "veronese_proj4":
-                var = _veronese_proj4(field, rng)
-            elif key == "rational_quartic3":
-                var = _rational_quartic3(field)
-            elif key == "delpezzo4":
-                var = _complete_intersection(key, 4, (2, 2), field, rng)
-            elif key == "elliptic4":
-                var = _complete_intersection(key, 3, (2, 2), field, rng)
-            elif key == "k3_23":
-                var = _complete_intersection(key, 4, (2, 3), field, rng)
-            else:
-                raise KeyError(key)
-            var.meta["seed"] = seed
-            var.meta["field"] = field.describe()
+            var = builder(field, rng)
+            var.meta = {**catalog_entry_meta(key), "seed": seed, "field": field.describe()}
             _sanity_check(var, key, rng)
             return var
         except DegenerateInputError as err:
@@ -246,7 +206,7 @@ def _build(key: str, seed: int, field) -> ProjectiveVariety:
 
 
 def _sanity_check(var: ProjectiveVariety, key: str, rng: random.Random):
-    n_exp, d_exp, g_exp = _EXPECTED[key]
+    n_exp, d_exp, g_exp = _CATALOG[key][0]
     if not _check_param_consistency(var):
         raise DegenerateInputError("parametrization does not satisfy the ideal")
     inv = hilbert_invariants(var.ideal)

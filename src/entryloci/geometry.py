@@ -121,6 +121,12 @@ class ProjectiveVariety:
         return span_form_rows(self.ideal)
 
     @cached_property
+    def reports(self):
+        """Entry-locus reports of this variety, keyed by A/B trials; filled
+        by ``suite.classified`` and kept on this variety."""
+        return {}
+
+    @cached_property
     def fixed_points(self):
         """Points of V(I) fixed by the variety alone, with no draws: the
         images of the parameter values (1, t, t^2, ...), t = 1, 2, 3, when it

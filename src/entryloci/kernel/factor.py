@@ -399,14 +399,15 @@ def _root_multiplicities(a, field):
 
 
 def absolute_factor_degrees(f: Polynomial, rng: random.Random | None = None):
-    """Degrees of the absolutely irreducible factors (prime fields only):
-    the multiplicities of the distinct roots of one resultant (module
-    docstring).  Returns the sorted degree list.
+    """Degrees of the absolutely irreducible factors (prime fields only;
+    another field raises DegenerateInputError): the multiplicities of the
+    distinct roots of one resultant (module docstring).  Returns the sorted
+    degree list.
     """
     _require_plane(f)
     field = f.ring.field
     if not isinstance(field, PrimeField):
-        raise ValueError("factor degree extraction runs over a prime field")
+        raise DegenerateInputError("factor degree extraction runs over a prime field")
     rng = rng or random.Random(0)
     n = f.total_degree()
     # an invertible affine change keeps squarefreeness: one test covers every attempt

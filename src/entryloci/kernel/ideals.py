@@ -42,10 +42,10 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    source: Ideal
+    """A reduced Groebner basis; its ring carries the monomial order."""
+
     basis: tuple
-    order: object
-    ring: RingContext  # the source's ring under ``order``
+    ring: RingContext
     # the basis prepared for division, as ``buchberger`` left it
     divisors: Divisors = field(compare=False, repr=False)
 
@@ -103,16 +103,16 @@ def groebner_basis(ideal: Ideal, order=None) -> GroebnerBasis:
 
     Bases are cached under the current limits too: whether a run finishes
     within them depends only on the ideal, the order and the limits, so a
-    hit is exactly a recomputation, budget exit included.  Each entry holds
-    the basis and its prepared divisors, so a hit divides without coding
-    the basis again.
+    hit is exactly a recomputation, budget exit included.  A hit returns the
+    object the miss built, with its prepared divisors and whatever it has
+    derived since (its staircase), so a hit divides without coding the basis
+    again.
     """
-    order = order if order is not None else ideal.ring.order
-    ring = ideal.ring.with_order(order)
+    ring = ideal.ring.with_order(order if order is not None else ideal.ring.order)
     cache_key = (ring, ideal.gens, current_budget().key())
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
-        return GroebnerBasis(ideal, *hit)
+        return hit
     # construction order is irrelevant to the reduced basis; sorting makes
     # the computation independent of generator ordering quirks.  The key
     # reads the terms in the ideal's order, then each generator's terms are
@@ -122,8 +122,8 @@ def groebner_basis(ideal: Ideal, order=None) -> GroebnerBasis:
     reduced = buchberger(gens, ring)
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()
-    entry = _GB_CACHE[cache_key] = (tuple(reduced), order, ring, reduced.divisors)
-    return GroebnerBasis(ideal, *entry)
+    gb = _GB_CACHE[cache_key] = GroebnerBasis(tuple(reduced), ring, reduced.divisors)
+    return gb
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -247,9 +247,8 @@ def saturate_wrt_variable(ideal: Ideal, var: int) -> Ideal:
         pring.from_dict({tuple(m[i] for i in perm): c for m, c in g.terms})
         for g in ideal.gens
     ]
-    gb = buchberger(pgens, pring)
     divided = []
-    for g in gb:
+    for g in groebner_basis(Ideal.of(pring, pgens)).basis:
         v = min(m[-1] for m, _ in g.terms)
         if v:
             g = pring.from_dict({m[:-1] + (m[-1] - v,): c for m, c in g.terms})
@@ -306,8 +305,7 @@ def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     w = big.variable(0)
     f_big = big.from_dict({(0,) + m: c for m, c in f.terms})
     gens.append(w * f_big - big.one())
-    gb = buchberger(gens, big)
-    return len(gb) == 1 and gb[0].total_degree() == 0
+    return groebner_basis(Ideal.of(big, gens)).is_unit()
 
 
 def homogeneous_generators(ideal: Ideal) -> Ideal:

@@ -151,9 +151,8 @@ def enumerate_points_prime_field(
         return [tuple(_horner(g, tau, field.p) for g in coords) for tau in roots]
     points = []
     for tau in roots:
-        gens = list(gb.source.gens) + [
-            Polynomial(ring, sep.terms) - ring.constant(tau)
-        ]
+        # the basis generates I, so I + (t - tau) is generated by it and t - tau
+        gens = list(gb.basis) + [sep - ring.constant(tau)]
         sub_gb = groebner_basis(Ideal.of(ring, gens), GREVLEX)
         coords = _pin_coordinates(sub_gb, rng)
         if coords is None:

@@ -200,13 +200,13 @@ def pair_segre_test(Y: ProjectiveVariety, T: ProjectiveVariety, o: ProjectivePoi
     # V(J_T) subset of V(J_Y): every generator of J_Y, pulled back to P^r,
     # vanishes on T
     field = T.field
-    binv = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)
-    ys = [T.ring.linear_form(row) for row in binv[1:]]
+    rows = mat_inverse(projection_frame(field, [o.coords], T.ambient + 1), field)[1:]
     for x in T.fixed_points:
         # the pulled-back generators at x are the generators at B^-1 x
-        y = [form.evaluate(x) for form in ys]
+        y = [field.coerce(sum(a * b for a, b in zip(row, x))) for row in rows]
         if any(g.evaluate(y) != field.zero for g in img_y.ideal.gens):
             return False  # rad(I_T) vanishes at x, and this one does not
+    ys = [T.ring.linear_form(row) for row in rows]
     pulled = (g.substitute(ys, T.ring) for g in img_y.ideal.gens)
     if not all(radical_membership(f, T.ideal) for f in pulled):
         return False

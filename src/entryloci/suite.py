@@ -4,21 +4,26 @@ or through the CLI.
 Every check is a pure function of (field, master seed, Groebner limits).
 Its ``CHECKS`` entry takes (field, seed, budget) and sets ``budget`` as the
 limits for that check and seed; the runner passes ``RunConfig.budget()``,
-so every check runs under the same limits, which hold per Groebner run and
-key the cached bases and classifications.  The runner executes each check
-on 5 consecutive master seeds and requires at least 4 passes (all expected
-values are exact, so a failure means a wrong value, a degenerate random
-instance, or a blown budget).  Reports record, per seed: claim, expected,
-computed, status, timing, field and seed.
+so every check runs under the same limits.  They hold per Groebner run and
+key the two process-wide stores of results: Groebner bases
+(``ideals.groebner_basis``) and catalog varieties
+(``catalog.build_catalog_variety``).  A classification is kept on the
+variety it classifies (``classified``), so it is keyed as that variety
+is.  The runner executes each check on 5 consecutive master seeds and
+requires at least 4 passes (all expected values are exact, so a failure
+means a wrong value, a degenerate random instance, or a blown budget).
+Reports record, per seed: claim, expected, computed, status, timing, field
+and seed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import __version__
-from .catalog import build_catalog_variety, catalog_metadata
+from .catalog import build_catalog_variety, catalog_entry_meta
 from .entry_locus import classify_entry_locus
 from .geometry import (
     ProjectivePoint,
@@ -32,7 +37,7 @@ from .geometry import (
 from .kernel.errors import BudgetExceededError, CoefficientError, DegenerateInputError, KernelError
 from .kernel.factor import absolute_factor_count, absolute_factor_degrees
 from .kernel.fields import PrimeField, field_from_descriptor, next_prime
-from .kernel.groebner import Budget, current_budget, limits
+from .kernel.groebner import Budget, limits
 from .kernel.hilbert import hilbert_invariants
 from .kernel.ideals import (
     Ideal,
@@ -69,8 +74,12 @@ class RunConfig:
 MIN_PRIME = 2**16
 
 
+@lru_cache(maxsize=256)
 def resolve_field(field_desc: str, seed: int):
-    """Q, a fixed prime field (p >= MIN_PRIME), or a seeded random prime near 2^31 (fp:auto)."""
+    """Q, a fixed prime field (p >= MIN_PRIME), or a seeded random prime near 2^31 (fp:auto).
+
+    A pure function of its arguments, memoized: each (descriptor, seed)
+    runs ``next_prime`` once.  A descriptor that raises is not kept."""
     desc = field_desc.strip().lower()
     if desc == "fp:auto":
         rng = seeded_rng(("fp-auto", seed))
@@ -108,20 +117,15 @@ class SuiteReport:
 # -- shared helpers -------------------------------------------------------------
 
 
-_CLASSIFY_CACHE: dict = {}
-
-
 def classified(key: str, seed: int, field, ab_trials: int = 3):
-    ck = (key, seed, field.describe(), current_budget().key(), ab_trials)
-    hit = _CLASSIFY_CACHE.get(ck)
-    if hit is not None:
-        return hit
+    """The catalog variety (key, seed, field) under the current limits, and
+    its entry-locus report; the report is kept on that variety, keyed by
+    ``ab_trials``, so it lives exactly as long as the kept variety.  A
+    classification that raises keeps nothing."""
     var = build_catalog_variety(key, seed, field)
-    rep = classify_entry_locus(var, seed, ab_trials=ab_trials)
-    _CLASSIFY_CACHE[ck] = (var, rep)
-    if len(_CLASSIFY_CACHE) > 64:
-        _CLASSIFY_CACHE.clear()
-        _CLASSIFY_CACHE[ck] = (var, rep)
+    rep = var.reports.get(ab_trials)
+    if rep is None:
+        rep = var.reports[ab_trials] = classify_entry_locus(var, seed, ab_trials=ab_trials)
     return var, rep
 
 
@@ -255,7 +259,7 @@ def split_elliptic_quartic(field, seed: int):
 
     pencil = Ideal.of(ring, [diagonal([field.one] * 4), diagonal(lams)])
     move = random_invertible_matrix(field, rng, 4)
-    meta = {"name": "elliptic4", "key": "elliptic4", **catalog_metadata("elliptic4")}
+    meta = catalog_entry_meta("elliptic4")
     return ProjectiveVariety(3, apply_linear_substitution(pencil, move), None, meta), move
 
 

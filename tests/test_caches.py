@@ -1,5 +1,5 @@
-"""The process-wide caches (Groebner bases, classifications, catalog
-varieties, monomial code tables) change no answer: a warm process gives the
+"""The process-wide caches (Groebner bases, catalog varieties with the
+reports kept on them, monomial code tables) change no answer: a warm process gives the
 same exit code, stderr and timing-stripped report as a cold one, and a kept
 variety keeps the limits it was built under and is never changed."""
 
@@ -12,7 +12,7 @@ import pytest
 from entryloci import catalog, suite
 from entryloci.catalog import build_catalog_variety, catalog_keys
 from entryloci.cli import main
-from entryloci.kernel import QQ, BudgetExceededError, PrimeField, groebner, ideals
+from entryloci.kernel import QQ, BudgetExceededError, PrimeField, RingContext, groebner, ideals
 
 COMMANDS = ("entry-locus", "secant-dims", "decomp")
 FIELDS = ("fp:auto", "Q")
@@ -44,8 +44,8 @@ def _run(key, cmd, field):
 
 
 def _cold(monkeypatch):
-    for module, name in ((ideals, "_GB_CACHE"), (suite, "_CLASSIFY_CACHE"),
-                         (catalog, "_VARIETY_CACHE"), (groebner, "_CODE_TABLES")):
+    for module, name in ((ideals, "_GB_CACHE"), (catalog, "_VARIETY_CACHE"),
+                         (groebner, "_CODE_TABLES")):
         monkeypatch.setattr(module, name, {})
 
 
@@ -100,3 +100,73 @@ def test_bases_share_prepared_divisors_and_code_tables(monkeypatch):
     assert gb.divisors.basis == groebner.Divisors(gb.basis, gb.ring).basis
     assert gb.divisors.codes is groebner._code_table(gb.ring.order, gb.ring.nvars)
     assert var.ring.with_order(var.ring.order) is var.ring
+
+
+def test_classified_keeps_one_report_on_the_kept_variety(monkeypatch):
+    _cold(monkeypatch)
+    field = suite.resolve_field("fp:auto", 1)
+    var, rep = suite.classified("scroll12", 1, field)
+    again, rep_again = suite.classified("scroll12", 1, field)
+    assert again is var and rep_again is rep
+    assert var.reports == {3: rep}
+
+
+def test_classification_that_raises_keeps_nothing(monkeypatch):
+    # three S-pairs per Groebner run build scroll12 but do not classify it
+    _cold(monkeypatch)
+    field = suite.resolve_field("fp:auto", 1)
+    tight = groebner.Budget(max_pairs=3)
+    var = build_catalog_variety("scroll12", 1, field, tight)
+    with pytest.raises(BudgetExceededError), groebner.limits(tight):
+        suite.classified("scroll12", 1, field)
+    assert var.reports == {}
+    kept, rep = suite.classified("scroll12", 1, field)
+    assert kept is not var and kept.reports == {3: rep} and var.reports == {}
+
+
+def _twisted_cubic(field):
+    ring = RingContext(("x0", "x1", "x2", "x3"), field)
+    gens = ("x1^2 - x0*x2", "x1*x2 - x0*x3", "x2^2 - x1*x3")
+    return ideals.Ideal.of(ring, [ring.from_string(g) for g in gens])
+
+
+def test_a_kept_basis_is_one_object_per_limits(monkeypatch):
+    _cold(monkeypatch)
+    ideal = _twisted_cubic(QQ)
+    point = ideals.Ideal.of(ideal.ring, list(ideal.gens) + [ideal.ring.from_string(g) for g in ("x0 - x3", "x3")])
+    gb = ideals.groebner_basis(point)
+    assert ideals.groebner_basis(point) is gb and gb.staircase
+    with groebner.limits(groebner.Budget(max_pairs=10**6)):
+        other = ideals.groebner_basis(point)
+    assert other is not gb and other == gb
+    # the staircase is walked once per kept basis
+    assert ideals.groebner_basis(point).staircase is gb.staircase
+    assert other.staircase is not gb.staircase and other.staircase == gb.staircase
+
+
+def _counting_buchberger(monkeypatch):
+    calls = []
+    real = ideals.buchberger
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda ideal: ideals.saturate_wrt_variable(ideal, 0),
+    lambda ideal: ideals.radical_membership(ideal.ring.from_string("x1*x3 - x2^2"), ideal),
+], ids=["saturate_wrt_variable", "radical_membership"])
+def test_saturation_and_radical_membership_keep_their_bases(monkeypatch, run):
+    _cold(monkeypatch)
+    ideal = _twisted_cubic(PrimeField(32003))
+    calls = _counting_buchberger(monkeypatch)
+    with pytest.raises(BudgetExceededError), groebner.limits(groebner.Budget(max_pairs=1)):
+        run(ideal)
+    assert ideals._GB_CACHE == {}
+    first = run(ideal)
+    ran = len(calls)
+    assert ran >= 1 and run(ideal) == first and len(calls) == ran

@@ -57,6 +57,35 @@ def test_catalog_keys_and_metadata():
     assert catalog_metadata("delpezzo4") == {"n": 2, "d": 4, "g": 1}
 
 
+# (n, d, g) of every catalog entry, in catalog order
+CATALOG_NDG = {
+    "rnc3": (1, 3, 0),
+    "rnc4": (1, 4, 0),
+    "rnc5": (1, 5, 0),
+    "rnc6": (1, 6, 0),
+    "rational_quartic3": (1, 4, 0),
+    "elliptic4": (1, 4, 1),
+    "scroll12": (2, 3, 0),
+    "cone_twisted_cubic": (2, 3, 0),
+    "veronese5": (2, 4, 0),
+    "veronese_proj4": (2, 4, 0),
+    "delpezzo4": (2, 4, 1),
+    "k3_23": (2, 6, 4),
+}
+
+
+def test_catalog_meta_items_in_order():
+    field = suite.resolve_field("fp:auto", 1)
+    assert field.describe() == "Fp:2148651079"
+    assert catalog_keys() == list(CATALOG_NDG)
+    for key, (n, d, g) in CATALOG_NDG.items():
+        meta = build_catalog_variety(key, 1, field).meta
+        assert list(meta.items()) == [
+            ("name", key), ("key", key), ("n", n), ("d", d), ("g", g),
+            ("seed", 1), ("field", "Fp:2148651079"),
+        ], key
+
+
 @pytest.mark.parametrize("key", catalog_keys())
 def test_catalog_entry_consistency(key):
     var = build_catalog_variety(key, 2, FP)

@@ -17,7 +17,9 @@ from entryloci.kernel import (
     QQ,
     Budget,
     BudgetExceededError,
+    CoefficientError,
     Ideal,
+    KernelError,
     PrimeField,
     RingContext,
     groebner_basis,
@@ -131,6 +133,21 @@ def test_classify_cache_keys_on_every_budget_limit(tight):
         suite.classified("scroll12", 1, field)
     with pytest.raises(BudgetExceededError), limits(tight):
         suite.classified("scroll12", 1, field)
+
+
+def test_check_03_over_q_is_a_kernel_error():
+    # the runner records a KernelError as "error"; a ValueError ended `el verify --field Q`
+    fn = {cid: fn for cid, _, fn in suite.CHECKS}["03_veronese_projection_three_conics"]
+    with pytest.raises(KernelError, match="prime field"):
+        fn(QQ, 1, suite.RunConfig().budget())
+
+
+def test_resolve_field_is_memoized_per_descriptor_and_seed():
+    assert suite.resolve_field("fp:auto", 1) is suite.resolve_field("fp:auto", 1)
+    assert suite.resolve_field("fp:auto", 1) != suite.resolve_field("fp:auto", 2)
+    for _ in range(2):
+        with pytest.raises(CoefficientError):
+            suite.resolve_field("fp:3", 1)
 
 
 def test_checks_entry_applies_the_budget_it_is_given():

@@ -160,3 +160,60 @@ def test_meters_are_made_only_by_budget_fresh():
         if isinstance(node, ast.Call) and _dotted(node.func)[-1:] == ["_Meter"]
     ]
     assert makers == [("kernel/groebner.py", "Budget.fresh")]
+
+
+README = PACKAGE_SRC.parent.parent / "README.md"
+
+
+def _memoizes(decorator):
+    return _dotted(decorator.func if isinstance(decorator, ast.Call) else decorator)[-1:] in (
+        ["cache"], ["lru_cache"])
+
+
+def _stores(body, prefix):
+    """Empty ``{}`` and ``[]`` bound at module or class level, and functions
+    memoized by ``functools.cache`` or ``lru_cache``: state that lives as
+    long as the process."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _stores(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, ast.Dict) and not node.value.keys
+            or isinstance(node.value, ast.List) and not node.value.elts
+        ):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield prefix + target.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_memoizes, node.decorator_list)):
+            yield prefix + node.name
+
+
+def _readme_stores():
+    """The first name in each item of the README's list of process-wide stores."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("- Process-wide stores"))
+    items = []
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        if line.startswith("  - "):
+            items.append(line.split("`")[1].split("/")[-1])
+    return items
+
+
+def test_process_wide_stores_are_pinned_and_listed_in_the_readme():
+    # a new global cache must be named here and in the README (each one is
+    # state that outlives a run)
+    found = set()
+    for path in sorted(PACKAGE_SRC.rglob("*.py")):
+        found |= {f"{path.stem}.{name}" for name in _stores(ast.parse(path.read_text()).body, "")}
+    assert found == {
+        "ideals._GB_CACHE",
+        "catalog._VARIETY_CACHE",
+        "groebner._CODE_TABLES",
+        "factor._LARGE_PRIMES",
+        "orders._grevlex_key",
+        "cli.build_parser",
+        "suite.resolve_field",
+    }
+    listed = _readme_stores()
+    assert len(listed) == len(set(listed)) and set(listed) == found

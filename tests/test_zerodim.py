@@ -22,7 +22,7 @@ def _pin_incrementally(gb, rng):
     recomputing the basis before reading the next coordinate."""
     ring = gb.ring
     field = ring.field
-    gens = list(gb.source.gens)
+    gens = list(gb.basis)
     coords = []
     for i in range(ring.nvars):
         current = groebner_basis(Ideal.of(ring, gens), GREVLEX)
@@ -108,7 +108,7 @@ def _ref_enumerate(gb, rng, require_all):
         return None
     points = []
     for tau in roots:
-        sub = groebner_basis(Ideal.of(ring, list(gb.source.gens) + [sep - ring.constant(tau)]))
+        sub = groebner_basis(Ideal.of(ring, list(gb.basis) + [sep - ring.constant(tau)]))
         coords = _PIN(sub, rng)
         if coords is None:
             if require_all:
@@ -178,7 +178,7 @@ def test_shape_position_matches_per_root_path(seed, irrational, require_all, pin
         assert points is None
     else:
         assert len(points) == rational
-        assert all(g.evaluate(pt) == 0 for pt in points for g in gb.source.gens)
+        assert all(g.evaluate(pt) == 0 for pt in points for g in gb.basis)
 
 
 @pytest.mark.parametrize("require_all", [True, False])
